@@ -27,7 +27,7 @@ from .circuit import (
     simulate,
 )
 from .model import ModelParams, battery_hamiltonian, pair_hamiltonian, pair_unitary
-from .protocol import ProtocolResult, initial_state, run_dco, run_ico, switch_projector, total_unitary
+from .protocol import ProtocolResult, run_dco, run_ico, run_ico_grid
 from .qasm import emit_qasm, parse_qasm
 from .thermo import EnergyReport, daemonic_ergotropy, ergotropy, passive_state, report, stored_energy
 
@@ -36,10 +36,9 @@ __all__ = [
     "ModelParams", "NoiseSpec", "ProtocolResult", "QuantumCircuit", "ShotResult",
     "alpha_coeffs", "angles_of_time", "battery_hamiltonian", "build_ico_circuit",
     "closed_form_report", "daemonic_ergotropy", "dco_zero_window", "emit_qasm",
-    "ergotropy", "estimate", "initial_state", "interference_term",
+    "ergotropy", "estimate", "interference_term",
     "pair_hamiltonian", "pair_unitary", "parse_qasm", "passive_state", "report",
-    "run_dco", "run_ico", "sample", "simulate", "stored_energy",
-    "switch_projector", "total_unitary",
+    "run_dco", "run_ico", "run_ico_grid", "sample", "simulate", "stored_energy",
 ]
 
 __version__ = "0.1.0"

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .analytic import closed_form_report, dco_zero_window
-from .circuit import NoiseSpec, angles_of_time, build_ico_circuit, estimate, sample
+from .circuit import OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit, estimate, sample
 from .model import ModelParams
-from .protocol import run_ico
+from .protocol import run_ico_grid
 from .qasm import emit_qasm
 from .thermo import report as thermo_report
 
@@ -30,6 +30,10 @@ ROW_FIELDS = ("N", "t", "E", "W_ico", "P_ico", "W_dco", "P_dco", "p1",
 
 BOOTSTRAP_RESAMPLES = 200
 
+# Largest charger count accepted.  One grid point of the numeric engine holds
+# N(N+1) complex amplitudes, 16 MB at this N.
+MAX_CHARGERS = 1000
+
 
 class ConfigError(Exception):
     pass
@@ -37,6 +41,14 @@ class ConfigError(Exception):
 
 class InvariantViolation(Exception):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -59,20 +71,45 @@ class SweepConfig:
         if not self.n_list:
             raise ConfigError("n_list must not be empty")
         for n in self.n_list:
-            if n < 2:
-                raise ConfigError(f"every N must be >= 2, got {n}")
+            if not (_is_int(n) and 2 <= n <= MAX_CHARGERS):
+                raise ConfigError(f"every N must be an integer in [2, {MAX_CHARGERS}], got {n!r}")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ConfigError(f"n_list must not repeat a charger count, got {self.n_list}")
         if self.engine not in ("numeric", "analytic", "both"):
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.t_max is None:
-            self.t_max = 4 * math.pi / (self.omega * self.coupling)
-        if not self.t_min < self.t_max:
-            raise ConfigError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
-        if self.points < 2:
-            raise ConfigError(f"need at least 2 grid points, got {self.points}")
+        for name in ("omega", "coupling", "t_min", "t_max", "tau", "eps_dco"):
+            value = getattr(self, name)
+            if name == "t_max" and value is None:
+                continue
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         try:
             ModelParams(min(self.n_list), self.omega, self.coupling)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.t_max is None:
+            rate = self.omega * self.coupling
+            self.t_max = 4 * math.pi / rate if rate > 0 else math.inf
+            if not math.isfinite(self.t_max):
+                raise ConfigError("default t_max 4*pi/(omega*lambda) overflows; give --t-max")
+        if not self.t_min >= 0:
+            raise ConfigError(f"t_min must be >= 0, got {self.t_min}")
+        if not self.t_min < self.t_max:
+            raise ConfigError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
+        # the phases (3/2) omega t and omega lambda t must stay finite
+        if not (math.isfinite(2 * self.omega * self.t_max)
+                and math.isfinite(self.omega * self.coupling * self.t_max)):
+            raise ConfigError(f"phases omega*t_max and omega*lambda*t_max overflow "
+                              f"at t_max={self.t_max}")
+        if not (_is_int(self.points) and self.points >= 2):
+            raise ConfigError(f"need an integer number of grid points >= 2, got {self.points!r}")
+        if self.shots is not None and not (_is_int(self.shots) and self.shots >= 1):
+            raise ConfigError(f"shots must be an integer >= 1, got {self.shots!r}")
+        if self.depolarizing_p is not None and not (
+                _is_real(self.depolarizing_p) and 0.0 <= self.depolarizing_p <= 1.0):
+            raise ConfigError(f"depolarizing_p must lie in [0, 1], got {self.depolarizing_p!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.points)
@@ -81,10 +118,9 @@ class SweepConfig:
         return ModelParams(n, self.omega, self.coupling)
 
 
-def _numeric_row(params: ModelParams, t: float) -> dict:
-    result = run_ico(params, t)
+def _numeric_row(params: ModelParams, result) -> dict:
     ico, dco = thermo_report(result, params)
-    return {"N": params.n_chargers, "t": t, "E": ico.E, "W_ico": ico.W,
+    return {"N": params.n_chargers, "t": result.t, "E": ico.E, "W_ico": ico.W,
             "P_ico": ico.P, "W_dco": dco.W, "P_dco": dco.P, "p1": result.p1,
             "passive_k1": ico.passive_k1, "passive_dco": ico.passive_dco}
 
@@ -96,33 +132,43 @@ def _analytic_row(params: ModelParams, t: float) -> dict:
             "passive_k1": r.passive_k1, "passive_dco": r.passive_dco}
 
 
-def _row_deviation(a: dict, b: dict) -> float:
-    dev = max(abs(a[k] - b[k]) for k in ("E", "W_ico", "W_dco", "p1"))
+def _engine_deviation(num: dict, ana: dict) -> float:
+    """Largest deviation between the numeric and analytic rows of one (N, t).
+
+    Raises InvariantViolation, naming the quantity, N and t, when a value
+    differs beyond the agreement tolerance, when an efficiency is defined
+    by one engine only, or when a passivity flag differs."""
+    where = f"N={num['N']}, t={float(num['t'])!r}"
     for k in ("P_ico", "P_dco"):
-        if a[k] is not None and b[k] is not None:
-            dev = max(dev, abs(a[k] - b[k]))
-    return dev
+        if (num[k] is None) != (ana[k] is None):
+            raise InvariantViolation(f"engines disagree on whether {k} is defined at {where}: "
+                                     f"numeric {num[k]!r}, analytic {ana[k]!r}")
+    for k in ("passive_k1", "passive_dco"):
+        if num[k] != ana[k]:
+            raise InvariantViolation(f"engines disagree on {k} at {where}: "
+                                     f"numeric {num[k]}, analytic {ana[k]}")
+    devs = {k: abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1", "P_ico", "P_dco")
+            if num[k] is not None}
+    worst = max(devs, key=devs.get)
+    if not devs[worst] <= tol.ENGINE_AGREE_ATOL:
+        raise InvariantViolation(f"engines disagree on {worst} by {devs[worst]:g} at {where}")
+    return devs[worst]
 
 
 def sweep_rows(config: SweepConfig) -> list[dict]:
     """One row per (N, t) in grid order.  Engine `both` records the maximum
-    componentwise deviation between the two engines and fails the run if it
-    exceeds the agreement tolerance."""
+    componentwise deviation between the two engines and fails the run if
+    they disagree (see _engine_deviation)."""
     rows = []
     for n in config.n_list:
         params = config.params(n)
-        for t in config.time_grid():
-            if config.engine == "numeric":
-                row = _numeric_row(params, t)
-            elif config.engine == "analytic":
-                row = _analytic_row(params, t)
-            else:
-                row = _numeric_row(params, t)
-                dev = _row_deviation(row, _analytic_row(params, t))
-                if dev > tol.ENGINE_AGREE_ATOL:
-                    raise InvariantViolation(
-                        f"engines disagree by {dev:g} at N={n}, t={t!r}")
-                row["max_engine_dev"] = dev
+        if config.engine == "analytic":
+            rows += [_analytic_row(params, t) for t in config.time_grid()]
+            continue
+        for result in run_ico_grid(params, config.time_grid()):
+            row = _numeric_row(params, result)
+            if config.engine == "both":
+                row["max_engine_dev"] = _engine_deviation(row, _analytic_row(params, result.t))
             rows.append(row)
     return rows
 
@@ -205,16 +251,16 @@ def export_circuits(config: SweepConfig, out_dir) -> list[dict]:
     return manifest
 
 
-def _bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng) -> float:
-    """Standard error of the efficiency estimate by multinomial resampling."""
-    keys = (("+", "g"), ("+", "e"), ("-", "g"), ("-", "e"))
+def _bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng) -> float | None:
+    """Standard error of the efficiency estimate by multinomial resampling;
+    None when fewer than two resamples define an efficiency."""
     p = counts_vec / shots
     vals = []
     for draw in rng.multinomial(shots, p, size=BOOTSTRAP_RESAMPLES):
-        rep = estimate(dict(zip(keys, draw)), shots)
+        rep = estimate(dict(zip(OUTCOME_KEYS, draw)), shots)
         if rep.P is not None:
             vals.append(rep.P)
-    return float(np.std(vals)) if len(vals) > 1 else float("nan")
+    return float(np.std(vals)) if len(vals) > 1 else None
 
 
 def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
@@ -236,8 +282,7 @@ def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
         seed = config.seed + i
         result = sample(circ, noise, config.shots, seed)
         est = estimate(result)
-        counts_vec = np.array([result.counts[k] for k in
-                               (("+", "g"), ("+", "e"), ("-", "g"), ("-", "e"))], float)
+        counts_vec = np.array([result.counts[k] for k in OUTCOME_KEYS], float)
         se_e = math.sqrt(max(est.E * (1 - est.E), 0.0) / config.shots)
         se_p = _bootstrap_p_se(counts_vec, config.shots, np.random.default_rng(seed + 10**9))
         rows.append({

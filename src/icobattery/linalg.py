@@ -44,12 +44,6 @@ class Layout:
         return Layout(self.labels + other.labels, self.dims + other.dims)
 
 
-def switch_register_layout(n_chargers: int) -> Layout:
-    """Full protocol register: switch D (dim N), battery Q, chargers C1..CN."""
-    labels = ("D", "Q") + tuple(f"C{l}" for l in range(1, n_chargers + 1))
-    return Layout(labels, (n_chargers, 2) + (2,) * n_chargers)
-
-
 def battery_charger_layout(n_chargers: int) -> Layout:
     """Register without the switch: Q, C1..CN."""
     labels = ("Q",) + tuple(f"C{l}" for l in range(1, n_chargers + 1))
@@ -150,24 +144,6 @@ def partial_trace(op: Operator, keep) -> Operator:
     return Operator(Layout(tuple(labels), tuple(dims)), t.reshape(d, d))
 
 
-def reduced_density(state: PureState, keep) -> Operator:
-    """Partial trace of |psi><psi| computed without forming the full outer product."""
-    keep = set(keep)
-    unknown = keep - set(state.layout.labels)
-    if unknown:
-        raise ValueError(f"unknown subsystem labels {sorted(unknown)}; have {state.layout.labels}")
-    labels = state.layout.labels
-    dims = state.layout.dims
-    keep_axes = [i for i, lab in enumerate(labels) if lab in keep]
-    drop_axes = [i for i, lab in enumerate(labels) if lab not in keep]
-    t = state.vec.reshape(dims).transpose(keep_axes + drop_axes)
-    kd = math.prod(dims[i] for i in keep_axes) if keep_axes else 1
-    a = t.reshape(kd, -1)
-    rho = a @ a.conj().T
-    kept = Layout(tuple(labels[i] for i in keep_axes), tuple(dims[i] for i in keep_axes))
-    return Operator(kept, rho)
-
-
 def hermitian_eig(h: Operator):
     """Spectral decomposition H = V diag(w) V^dag, eigenvalues ascending."""
     require_hermitian(h)
@@ -198,15 +174,3 @@ def project_unnormalized(rho: Operator, proj: Operator):
     weight = float(np.trace(out).real)
     return weight, Operator(rho.layout, out)
 
-
-def permute_subsystems(mat: np.ndarray, src: Layout, dst_labels) -> np.ndarray:
-    """Reorder a matrix's subsystem factors from `src` order to `dst_labels` order."""
-    dst_labels = tuple(dst_labels)
-    if set(dst_labels) != set(src.labels):
-        raise ValueError(f"destination labels {dst_labels} must permute {src.labels}")
-    n = len(src.labels)
-    perm = [src.axis(lab) for lab in dst_labels]
-    t = mat.reshape(src.dims + src.dims)
-    t = t.transpose(perm + [n + p for p in perm])
-    d = src.dim
-    return t.reshape(d, d)

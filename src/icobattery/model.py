@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Layout, Operator, permute_subsystems
+from .linalg import Layout, Operator
 
 KET_G = np.array([1.0, 0.0], dtype=complex)
 KET_E = np.array([0.0, 1.0], dtype=complex)
@@ -83,16 +83,3 @@ def pair_unitary(params: ModelParams, t_l: float) -> Operator:
     u[2, 1] = np.exp(-0.5j * om * t_l) * (-1j * s)          # |eg><ge|
     return Operator(PAIR_LAYOUT, u)
 
-
-def embed_pair(op: Operator, layout: Layout, charger_index: int) -> Operator:
-    """Promote a Q (x) C operator to the full register, acting on (Q, C_l)."""
-    label = f"C{charger_index}"
-    if label not in layout.labels or "Q" not in layout.labels:
-        raise ValueError(f"layout {layout.labels} has no battery/charger pair (Q, {label})")
-    if op.layout.dim != 4:
-        raise ValueError("embed_pair expects a two-qubit operator")
-    rest = [lab for lab in layout.labels if lab not in ("Q", label)]
-    rest_dims = tuple(layout.dims[layout.axis(lab)] for lab in rest)
-    src = Layout(("Q", label) + tuple(rest), (2, 2) + rest_dims)
-    big = np.kron(op.mat, np.eye(int(np.prod(rest_dims, initial=1))))
-    return Operator(layout, permute_subsystems(big, src, layout.labels))

@@ -23,8 +23,10 @@ from icobattery.circuit import (
 )
 from icobattery.cli import SweepConfig, burst_report, main, noise_study_rows
 from icobattery.model import ModelParams
-from icobattery.protocol import run_ico, total_unitary
+from icobattery.protocol import run_ico
 from icobattery.thermo import report
+
+from dense_reference import total_unitary
 
 OMEGA, COUPLING = 1.0, 0.1
 N_VALUES = (2, 3, 4, 5)

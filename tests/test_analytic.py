@@ -14,7 +14,8 @@ from icobattery.analytic import (
 )
 from icobattery.linalg import battery_charger_layout
 from icobattery.model import KET_E, KET_G, ModelParams
-from icobattery.protocol import ordered_charging_unitary
+
+from dense_reference import ordered_charging_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 

@@ -15,8 +15,10 @@ from icobattery.circuit import (
     simulate,
 )
 from icobattery.model import ModelParams
-from icobattery.protocol import run_ico, total_unitary
+from icobattery.protocol import run_ico
 from icobattery.thermo import report
+
+from dense_reference import total_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
@@ -70,8 +72,9 @@ class TestDecomposition:
 
     def test_branch_projection(self):
         # D = |0> sector applies U_2(t/2) U_1(t/2) up to phase
-        from icobattery.model import embed_pair, pair_unitary
+        from icobattery.model import pair_unitary
         from icobattery.linalg import battery_charger_layout
+        from dense_reference import embed_pair
         t = 4.7
         theta, phi = angles_of_time(P2, t)
         u = circuit_unitary(charging_gates(theta, phi))

@@ -1,9 +1,15 @@
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icobattery.cli as cli
 from icobattery.cli import (
     ConfigError,
     SweepConfig,
@@ -33,6 +39,32 @@ def test_config_validation():
         SweepConfig(n_list=[2], engine="magic")
     with pytest.raises(ConfigError):
         SweepConfig(n_list=[2], points=1)
+    # values a JSON config file can carry past argparse
+    for values in ({"n_list": [2.5]}, {"n_list": [2], "points": "7"},
+                   {"n_list": [2], "omega": "1"}, {"n_list": [2], "shots": 1.5},
+                   {"n_list": [2], "depolarizing_p": float("nan")}):
+        with pytest.raises(ConfigError):
+            SweepConfig(**values)
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--n", "2", "--t-min", "-1", "--engine", "numeric"],
+    ["sweep", "--n", "2", "--t-max", "inf", "--engine", "analytic"],
+    ["sweep", "--n", "2", "--tau", "nan"],
+    ["sweep", "--n", "2", "--eps-dco", "inf"],
+    ["sweep", "--n", "2", "--omega", "1e300", "--t-max", "1e10"],
+    ["sweep", "--n", "2", "--omega", "1e-200", "--lambda", "1e-200"],
+    ["sweep", "--n", "2,1001"],
+    ["bursts", "--n", "2,3,2", "--engine", "analytic"],
+    ["noise-study", "--n", "2", "--shots", "0", "--depol-p", "0.05"],
+    ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "1.5"],
+    ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "0.05", "--seed", "-1"],
+])
+def test_invalid_input_exits_2(tmp_path, capsys, args):
+    assert main(args + ["--points", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestSweep:
@@ -56,6 +88,34 @@ class TestSweep:
         cfg = SweepConfig(n_list=[2, 3], points=40, engine="analytic")
         for row in sweep_rows(cfg):
             assert row["W_ico"] >= row["W_dco"] - 1e-10
+
+
+class TestEngineBothStrict:
+    """--engine both compares defined-ness of P and the passivity flags too."""
+
+    @pytest.mark.parametrize("key, t_min, tamper", [
+        ("P_ico", 2 * math.pi, lambda v: None),          # numeric defined, analytic not
+        ("P_dco", 0.0, lambda v: 0.9 if v is None else v),  # analytic defined at t = 0 only
+        ("passive_k1", 0.0, lambda v: not v),
+        ("passive_dco", 0.0, lambda v: not v),
+        ("W_ico", 0.0, lambda v: v + 1e-6),
+    ])
+    def test_mismatch_exits_3_naming_quantity(self, monkeypatch, tmp_path, capsys,
+                                              key, t_min, tamper):
+        real = cli._analytic_row
+
+        def tampered(params, t):
+            row = real(params, t)
+            row[key] = tamper(row[key])
+            return row
+
+        monkeypatch.setattr(cli, "_analytic_row", tampered)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "3", "--points", "2", "--t-min", repr(t_min),
+                     "--t-max", "40", "--engine", "both", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert key in err and "N=3" in err and f"t={t_min!r}" in err
+        assert not out.exists()
 
 
 class TestBursts:
@@ -190,3 +250,86 @@ class TestMain:
         assert len(shots) == 4
         row = shots[1].split(",")
         assert sum(int(c) for c in row[5:]) == 2000
+
+
+@pytest.mark.filterwarnings("ignore:no counts")
+def test_noise_study_one_shot_writes_no_nan(tmp_path):
+    # one shot leaves at most one resample with a defined efficiency, so
+    # its standard error is undefined and written as an empty cell
+    out = tmp_path / "noise.csv"
+    assert main(["noise-study", "--n", "2", "--points", "3", "--shots", "1",
+                 "--depol-p", "0.05", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["se_P"] for row in rows] == ["", "", ""]
+
+
+def _finite_outputs(root: Path) -> list[str]:
+    """Every numeric CSV cell and JSON number under root that is nan or inf."""
+    bad = []
+    for path in root.rglob("*"):
+        if path.suffix == ".csv":
+            for row in csv.reader(path.read_text().splitlines()):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    if not math.isfinite(value):
+                        bad.append(f"{path.name}: {cell}")
+        elif path.suffix == ".json":
+            json.loads(path.read_text(),
+                       parse_constant=lambda c: bad.append(f"{path.name}: {c}"))
+    return bad
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_ANY_VALUE = {
+    "--n": st.lists(st.integers(-1, 7), min_size=1, max_size=3).map(
+        lambda ns: ",".join(map(str, ns))),
+    "--points": st.integers(-1, 6), "--shots": st.integers(-2, 300),
+    "--seed": st.integers(-3, 2 ** 40),
+    "--engine": st.sampled_from(["numeric", "analytic", "both", "magic"]),
+    **{flag: _ANY_FLOAT for flag in ("--omega", "--lambda", "--t-min", "--t-max",
+                                     "--tau", "--eps-dco", "--depol-p")},
+}
+
+
+@st.composite
+def cli_arguments(draw):
+    """A valid command line for one subcommand, with up to two options then
+    replaced by arbitrary values (negative, zero, nan, inf, huge, ...)."""
+    command = draw(st.sampled_from(["sweep", "bursts", "export-circuits", "noise-study"]))
+    single_n = command in ("export-circuits", "noise-study")
+    n_list = st.just([2]) if single_n else st.lists(st.integers(2, 7), min_size=1, max_size=3)
+    opts = {"--points": draw(st.integers(2, 6)), "--n": ",".join(map(str, draw(n_list)))}
+    if command == "noise-study":
+        opts["--shots"] = draw(st.integers(1, 300))
+        opts["--depol-p"] = draw(st.floats(0.0, 1.0))
+    optional = {"--engine": st.sampled_from(["numeric", "analytic", "both"]),
+                "--omega": st.floats(0.05, 3.0), "--lambda": st.floats(0.02, 1.0),
+                "--t-min": st.floats(0.0, 50.0), "--t-max": st.floats(60.0, 150.0),
+                "--tau": st.floats(-1.0, 2.0), "--eps-dco": st.floats(0.0, 1e-3),
+                "--seed": st.integers(0, 2 ** 40)}
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        opts[flag] = draw(optional[flag])
+    for flag in draw(st.lists(st.sampled_from(sorted(_ANY_VALUE)), max_size=2, unique=True)):
+        opts[flag] = draw(_ANY_VALUE[flag])
+    args = [command]
+    for flag, value in opts.items():
+        args += [flag, value if isinstance(value, str) else repr(value)]
+    return args
+
+
+@given(args=cli_arguments())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:no counts")
+def test_cli_arguments_exit_cleanly_without_nan(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / {"bursts": "out.json", "export-circuits": "out"}.get(args[0], "out.csv")
+        try:
+            code = main(args + ["--out", str(out)])
+        except SystemExit as exc:     # argparse rejects the argument list
+            code = exc.code
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert _finite_outputs(Path(tmp)) == []

@@ -11,11 +11,11 @@ from icobattery.linalg import (
     hermitian_eig,
     partial_trace,
     project_unnormalized,
-    reduced_density,
     require_density,
     tensor,
 )
 from conftest import random_density, random_hermitian
+from dense_reference import reduced_density
 
 L1 = Layout(("a",), (2,))
 L2 = Layout(("b",), (2,))

@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icobattery.linalg import exp_neg_i, require_unitary, switch_register_layout, battery_charger_layout
-from icobattery.model import (
-    ModelParams,
-    battery_hamiltonian,
-    embed_pair,
-    pair_hamiltonian,
-    pair_unitary,
-)
+from icobattery.linalg import exp_neg_i, require_unitary, battery_charger_layout
+from icobattery.model import ModelParams, battery_hamiltonian, pair_hamiltonian, pair_unitary
+
+from dense_reference import embed_pair, switch_register_layout
 
 # index = 2q + c with g=0, e=1
 GG, GE, EG, EE = 0, 1, 2, 3

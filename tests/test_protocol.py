@@ -3,15 +3,10 @@ import pytest
 
 from icobattery.linalg import battery_charger_layout, require_unitary, Operator
 from icobattery.model import ModelParams
-from icobattery.protocol import (
-    cyclic_sequence,
-    initial_state,
-    ordered_charging_unitary,
-    run_dco,
-    run_ico,
-    switch_projector,
-    total_unitary,
-)
+from icobattery.protocol import cyclic_sequence, run_dco, run_ico, run_ico_grid
+
+import dense_reference
+from dense_reference import initial_state, sector_indices, switch_projector, total_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
@@ -44,7 +39,8 @@ class TestTotalUnitary:
 
     def test_n2_branch_is_ordered_product(self):
         # branch j=1 must equal U_2(t/2) U_1(t/2) built by direct matrix product
-        from icobattery.model import embed_pair, pair_unitary
+        from icobattery.model import pair_unitary
+        from dense_reference import embed_pair
         t = 5.3
         layout = battery_charger_layout(2)
         u_pair = pair_unitary(P2, t / 2)
@@ -73,7 +69,7 @@ class TestInitialState:
         assert np.allclose(vec[nz], 1 / np.sqrt(2))
 
     def test_switch_marginal_uniform(self):
-        from icobattery.linalg import reduced_density
+        from dense_reference import reduced_density
         rho_d = reduced_density(initial_state(ModelParams(3)), {"D"}).mat
         assert np.allclose(rho_d, np.full((3, 3), 1 / 3), atol=1e-12)
 
@@ -152,3 +148,49 @@ class TestRunDco:
         for t in (1.1, 2 * np.pi, 8.8):
             r = run_ico(ModelParams(3, omega=1.0, coupling=0.1), t)
             assert abs(r.rho_avg[1, 1].real - r.rho_bar[1, 1].real) <= 1e-10
+
+
+class TestSectorEngine:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_reference(self, n):
+        params = ModelParams(n, omega=1.0, coupling=0.1)
+        times = [0.0, 0.7, 2 * np.pi, 9.4, 61.3]
+        for t, sector in zip(times, run_ico_grid(params, times)):
+            dense = dense_reference.run_ico(params, t)
+            assert sector.t == t
+            assert abs(sector.p1 - dense.p1) <= 1e-12
+            for field in ("rho_given_1", "rho_rest", "rho_bar"):
+                dev = np.max(np.abs(getattr(sector, field) - getattr(dense, field)))
+                assert dev <= 1e-12, (n, t, field, dev)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dense_evolution_stays_in_sector(self, n):
+        params = ModelParams(n, omega=1.0, coupling=0.1)
+        inside = sector_indices(n)
+        assert len(inside) == n * (n + 1)
+        for t in (0.0, 3.1, 2 * np.pi, 47.0):
+            psi = dense_reference.evolved_state(params, t)
+            outside = 1.0 - np.sum(np.abs(psi[inside]) ** 2)
+            assert abs(outside) < 1e-14
+
+    def test_chunked_grid_matches_unchunked(self, monkeypatch):
+        import icobattery.protocol as protocol
+        params = ModelParams(3, omega=1.0, coupling=0.1)
+        times = np.linspace(0.0, 40.0, 9)
+        whole = run_ico_grid(params, times)
+        monkeypatch.setattr(protocol, "CHUNK_AMPLITUDES", 2 * 3 * 4)   # two points per chunk
+        chunked = run_ico_grid(params, times)
+        assert [r.t for r in chunked] == list(times)
+        for a, b in zip(whole, chunked):
+            assert a.p1 == b.p1
+            assert np.array_equal(a.rho_rest, b.rho_rest)
+            assert np.array_equal(a.rho_bar, b.rho_bar)
+
+    def test_large_n_matches_closed_form(self):
+        from icobattery.analytic import closed_form_report
+        params = ModelParams(60, omega=1.0, coupling=0.1)
+        times = np.linspace(0.0, 4 * np.pi / 0.1, 6)
+        for t, r in zip(times, run_ico_grid(params, times)):
+            ana = closed_form_report(params, t)
+            assert abs(r.p1 - ana.p1) <= 1e-12
+            assert abs(r.rho_avg[1, 1].real - ana.E) <= 1e-12
