@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import PureState, battery_charger_layout
 from .model import ModelParams
-from .protocol import cyclic_sequence
 from .thermo import efficiency
 
 
@@ -67,29 +65,6 @@ def alpha_coeffs(params: ModelParams, t: float) -> AlphaCoefficients:
     return AlphaCoefficients(t=t, alpha=alpha)
 
 
-def branch_state(params: ModelParams, t: float, j: int) -> PureState:
-    """Evolved battery-charger state along charging order j, as a full
-    2^(N+1) state vector on the Q (x) C1..CN layout.
-
-    |g,h0> carries all chargers excited; |e,h_l> has charger l de-excited.
-    Order j places alpha_m on the charger visited m-th, i.e. charger
-    cyclic_sequence(j)[m-1].
-    """
-    n = params.n_chargers
-    if not 1 <= j <= n:
-        raise ValueError(f"order index {j} out of range 1..{n}")
-    alpha = alpha_coeffs(params, t).alpha
-    layout = battery_charger_layout(n)
-    vec = np.zeros(layout.dim, dtype=complex)
-    all_e = 2 ** n - 1                       # chargers C1..CN all in |e> = 1
-    vec[all_e] = alpha[0]                    # Q = g is the leading (0) bit
-    seq = cyclic_sequence(j, n)
-    for m, charger in enumerate(seq, start=1):
-        idx = (1 << n) | (all_e & ~(1 << (n - charger)))  # Q = e, charger de-excited
-        vec[idx] = alpha[m]
-    return PureState(layout, vec)
-
-
 def interference_term(params: ModelParams, t: float) -> float:
     """Cross-ordering coherence contribution to the uniform-outcome excited
     population:
@@ -100,19 +75,17 @@ def interference_term(params: ModelParams, t: float) -> float:
     For v < N and v + u <= N this is plain v + u; the wrap covers v = N and
     any overflow past N.
     """
-    n = params.n_chargers
-    a = alpha_coeffs(params, t).alpha[1:]
+    return _interference(alpha_coeffs(params, t).alpha)
+
+
+def _interference(alpha: np.ndarray) -> float:
+    """`interference_term` from the coefficients alpha_0 .. alpha_N."""
+    a = alpha[1:]
+    n = len(a)
     total = 0.0
     for u in range(1, n):
         total += (n - u) * float(np.real(np.sum(a * np.conj(np.roll(a, -u)))))
     return 2.0 * total / n
-
-
-def cyclic_index(v: int, u: int, n: int) -> int:
-    """1-based cyclic addition used in the interference sum."""
-    if not (1 <= v <= n and 1 <= u <= n - 1):
-        raise ValueError(f"indices v={v}, u={u} out of range for N={n}")
-    return (v - 1 + u) % n + 1
 
 
 def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
@@ -126,7 +99,7 @@ def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
     alpha = alpha_coeffs(params, t).alpha
     gnd = float(np.abs(alpha[0]) ** 2)
     s2 = float(np.sum(np.abs(alpha[1:]) ** 2))
-    c_term = interference_term(params, t)
+    c_term = _interference(alpha)
     exc = (c_term + s2) / n
 
     p1 = gnd + exc

@@ -133,11 +133,10 @@ def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
     return QuantumCircuit(gates=prep + charging_gates(theta, phi), n_prep=len(prep))
 
 
-# --- dense simulation ------------------------------------------------------
+# --- state-vector simulation -----------------------------------------------
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SX = _X
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)  # standard gate-basis sigma_y
 
 
@@ -155,53 +154,52 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return np.diag([1, 1, 1, np.exp(1j * gate.angle)])
     c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
     if gate.kind == "xx":
-        return c * np.eye(4) - 1j * s * np.kron(_SX, _SX)
+        return c * np.eye(4) - 1j * s * np.kron(_X, _X)
     if gate.kind == "yy":
         return c * np.eye(4) - 1j * s * np.kron(_SY, _SY)
     raise AssertionError(gate.kind)
 
 
-def _embed(gate: Gate, n: int = N_QUBITS) -> np.ndarray:
-    k = len(gate.qubits)
-    rest = [q for q in range(n) if q not in gate.qubits]
-    src = list(gate.qubits) + rest
-    big = np.kron(gate_matrix(gate), np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
-    perm = [src.index(i) for i in range(n)]
-    big = big.transpose(perm + [n + p for p in perm])
-    return big.reshape(2 ** n, 2 ** n)
+def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
+    """Apply the k-qubit matrix `mat` (first listed qubit most significant)
+    to `qubits` of `state`, an array of shape (2,) * n followed by any
+    trailing axes, which are carried along."""
+    k = len(qubits)
+    out = np.tensordot(mat.reshape((2,) * (2 * k)), state, axes=(range(k, 2 * k), qubits))
+    return np.moveaxis(out, range(k), qubits)
 
 
 def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
     """Product of the gate list (first gate applied first)."""
-    u = np.eye(2 ** n, dtype=complex)
+    u = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
     for gate in gates:
-        u = _embed(gate, n) @ u
-    return u
+        u = apply(u, gate_matrix(gate), gate.qubits)
+    return u.reshape(2 ** n, 2 ** n)
+
+
+def _final_state(circuit: QuantumCircuit) -> np.ndarray:
+    """The gates applied to |0000>, as a (2,) * 4 amplitude tensor."""
+    psi = np.zeros((2,) * N_QUBITS, dtype=complex)
+    psi[(0,) * N_QUBITS] = 1.0
+    for gate in circuit.gates:
+        psi = apply(psi, gate_matrix(gate), gate.qubits)
+    return psi
 
 
 def simulate(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     """Run from |0000> and return the 16x16 output density matrix,
     depolarized as (1-p) rho + p I/16."""
-    psi = circuit_unitary(circuit.gates)[:, 0]
-    rho = np.outer(psi, psi.conj())
+    psi = _final_state(circuit).ravel()
     p = noise.depolarizing_p
-    if p > 0:
-        rho = (1 - p) * rho + p * np.eye(16) / 16
-    return rho
+    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 
 
 def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> dict:
-    """Born probabilities of (D in x basis, Q in z basis), chargers traced out."""
-    rho = simulate(circuit, noise)
-    hd = _embed(Gate("h", (0,)))
-    rho = hd @ rho @ hd
-    diag = np.real(np.diag(rho)).reshape(2, 2, 4).sum(axis=2)
-    return {
-        ("+", "g"): float(diag[0, 0]),
-        ("+", "e"): float(diag[0, 1]),
-        ("-", "g"): float(diag[1, 0]),
-        ("-", "e"): float(diag[1, 1]),
-    }
+    """Born probabilities of (D in x basis, Q in z basis), chargers traced out.
+    H on D maps the x basis to z; the depolarized part I/16 is invariant."""
+    p = noise.depolarizing_p
+    diag = (1 - p) * np.abs(apply(_final_state(circuit), _H, (0,))) ** 2 + p / 16
+    return dict(zip(OUTCOME_KEYS, map(float, diag.reshape(2, 2, 4).sum(axis=2).ravel())))
 
 
 def sample(circuit: QuantumCircuit, noise: NoiseSpec, shots: int, seed: int) -> ShotResult:

@@ -34,6 +34,10 @@ BOOTSTRAP_RESAMPLES = 200
 # N(N+1) complex amplitudes, 16 MB at this N.
 MAX_CHARGERS = 1000
 
+# Largest number of output rows (points x charger counts) accepted.  A sweep
+# holds its rows in memory, about 1.5 kB each, so about 1.5 GB at this limit.
+MAX_ROWS = 1_000_000
+
 
 class ConfigError(Exception):
     pass
@@ -103,6 +107,9 @@ class SweepConfig:
                               f"at t_max={self.t_max}")
         if not (_is_int(self.points) and self.points >= 2):
             raise ConfigError(f"need an integer number of grid points >= 2, got {self.points!r}")
+        if self.points * len(self.n_list) > MAX_ROWS:
+            raise ConfigError(f"points x charger counts = {self.points * len(self.n_list)} "
+                              f"exceeds the row limit {MAX_ROWS}")
         if self.shots is not None and not (_is_int(self.shots) and self.shots >= 1):
             raise ConfigError(f"shots must be an integer >= 1, got {self.shots!r}")
         if self.depolarizing_p is not None and not (

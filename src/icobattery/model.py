@@ -1,16 +1,15 @@
 """Physical model: battery/charger Hamiltonians and the two-body charging unitary.
 
 Basis convention: |g> = index 0, |e> = index 1 on every two-level system, so
-so sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order.
+sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order.
 hbar = 1 everywhere; energies are reported in units of hbar*omega.
+Matrices are plain complex arrays; two-qubit ones act on Q (x) C, index 2q + c.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import Layout, Operator
 
 KET_G = np.array([1.0, 0.0], dtype=complex)
 KET_E = np.array([0.0, 1.0], dtype=complex)
@@ -20,9 +19,6 @@ SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 IDENT_2 = np.eye(2, dtype=complex)
-
-PAIR_LAYOUT = Layout(("Q", "C"), (2, 2))
-BATTERY_LAYOUT = Layout(("Q",), (2,))
 
 
 @dataclass(frozen=True)
@@ -43,12 +39,12 @@ class ModelParams:
             raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
 
 
-def battery_hamiltonian(params: ModelParams) -> Operator:
+def battery_hamiltonian(params: ModelParams) -> np.ndarray:
     """Bare battery Hamiltonian (omega/2) sigma_z, eigenvalues -+ omega/2."""
-    return Operator(BATTERY_LAYOUT, (params.omega / 2) * SIGMA_Z)
+    return (params.omega / 2) * SIGMA_Z
 
 
-def pair_hamiltonian(params: ModelParams) -> Operator:
+def pair_hamiltonian(params: ModelParams) -> np.ndarray:
     """Battery-charger Hamiltonian on Q (x) C:
 
     H = (omega/2)(sigma_z^C + 1) + (omega/2) sigma_z^Q
@@ -58,10 +54,10 @@ def pair_hamiltonian(params: ModelParams) -> Operator:
     h = (om / 2) * (np.kron(IDENT_2, SIGMA_Z) + np.kron(IDENT_2, IDENT_2))
     h += (om / 2) * np.kron(SIGMA_Z, IDENT_2)
     h += (om * lam / 2) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
-    return Operator(PAIR_LAYOUT, h)
+    return h
 
 
-def pair_unitary(params: ModelParams, t_l: float) -> Operator:
+def pair_unitary(params: ModelParams, t_l: float) -> np.ndarray:
     """Closed-form charging unitary U(t_l) = exp(-i H t_l) on Q (x) C.
 
     Phases exp(-3i*omega*t/2) on |ee>, exp(+i*omega*t/2) on |gg>, and a
@@ -81,5 +77,5 @@ def pair_unitary(params: ModelParams, t_l: float) -> Operator:
     u[1, 1] = np.exp(-0.5j * om * t_l) * c                  # |ge><ge|
     u[1, 2] = np.exp(-0.5j * om * t_l) * (-1j * s)          # |ge><eg|
     u[2, 1] = np.exp(-0.5j * om * t_l) * (-1j * s)          # |eg><ge|
-    return Operator(PAIR_LAYOUT, u)
+    return u
 

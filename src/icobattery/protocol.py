@@ -57,7 +57,7 @@ def _branch_amplitudes(params: ModelParams, times: np.ndarray):
     n = params.n_chargers
     blocks = np.empty((2, 2, len(times)), dtype=complex)
     for i, t in enumerate(times):
-        u = pair_unitary(params, t / n).mat      # indices 2q + c: |ge> = 1, |eg> = 2
+        u = pair_unitary(params, t / n)          # indices 2q + c: |ge> = 1, |eg> = 2
         blocks[:, :, i] = u[1:3, 1:3] / u[3, 3]
     orders = np.array([cyclic_sequence(j, n) for j in range(1, n + 1)])
     branch = np.arange(n)

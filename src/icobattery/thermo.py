@@ -53,16 +53,18 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
     return max(w, 0.0)
 
 
-def is_passive(rho: np.ndarray, h: np.ndarray) -> bool:
-    return ergotropy(rho, h) <= tol.PASSIVITY_ATOL
+def _weighted_sum(weighted) -> float:
+    """Sum of p * value over (p, value) pairs with p > 0, after checking that
+    the p form a probability distribution."""
+    probs = np.array([p for p, _ in weighted], dtype=float)
+    if np.any(probs < -tol.TRACE_ATOL) or abs(probs.sum() - 1.0) > 1e-10:
+        raise ValueError(f"ensemble probabilities {probs} are not a distribution")
+    return float(sum(p * value for p, value in weighted if p > 0))
 
 
 def daemonic_ergotropy(ensemble, h: np.ndarray) -> float:
     """Probability-weighted ergotropy of a conditional ensemble."""
-    probs = np.array([p for p, _ in ensemble], dtype=float)
-    if np.any(probs < -tol.TRACE_ATOL) or abs(probs.sum() - 1.0) > 1e-10:
-        raise ValueError(f"ensemble probabilities {probs} are not a distribution")
-    return float(sum(p * ergotropy(rho, h) for p, rho in ensemble if p > 0))
+    return _weighted_sum([(p, ergotropy(rho, h)) for p, rho in ensemble])
 
 
 def stored_energy(rho_avg: np.ndarray, rho0: np.ndarray, h: np.ndarray) -> float:
@@ -80,20 +82,22 @@ def report(result: ProtocolResult, params: ModelParams) -> tuple[EnergyReport, E
 
     ICO uses the two-outcome ensemble {(p1, rho_given_1), (1-p1, rho_rest)};
     both reports share the stored energy (the E_DCO = E_ICO equality)
-    but it is computed independently for each here.
+    but it is computed independently for each here.  Each of the three
+    states' ergotropy is computed once and also decides its passivity.
     """
-    h = battery_hamiltonian(params).mat
+    h = battery_hamiltonian(params)
     rho0 = np.outer(KET_G, KET_G.conj())
     unit = params.omega  # hbar*omega with hbar = 1
 
-    ensemble = [(result.p1, result.rho_given_1), (result.rest_weight, result.rho_rest)]
+    w_given_1, w_rest, w_bar = (ergotropy(rho, h) for rho in
+                                (result.rho_given_1, result.rho_rest, result.rho_bar))
     e_ico = stored_energy(result.rho_avg, rho0, h) / unit
-    w_ico = daemonic_ergotropy(ensemble, h) / unit
+    w_ico = _weighted_sum([(result.p1, w_given_1), (result.rest_weight, w_rest)]) / unit
     e_dco = stored_energy(result.rho_bar, rho0, h) / unit
-    w_dco = ergotropy(result.rho_bar, h) / unit
+    w_dco = w_bar / unit
 
-    passive_k1 = is_passive(result.rho_given_1, h)
-    passive_dco = is_passive(result.rho_bar, h)
+    passive_k1 = w_given_1 <= tol.PASSIVITY_ATOL
+    passive_dco = w_bar <= tol.PASSIVITY_ATOL
 
     ico = EnergyReport(E=e_ico, W=w_ico, P=efficiency(w_ico, e_ico),
                        passive_k1=passive_k1, passive_dco=passive_dco)

@@ -4,7 +4,9 @@ The register is D (x) Q (x) C1..CN with D leftmost (most significant).  The
 switch-controlled unitary is built as a dense block-diagonal matrix of
 ordered products of embedded pair unitaries, so its size is N 2^(N+1); the
 library's excitation-sector engine (`icobattery.protocol`) is checked
-against it.
+against it.  `branch_state` lays the closed-form coefficients of
+`icobattery.analytic` out on the battery-charger register, so they can be
+checked against the dense evolution too.
 """
 from __future__ import annotations
 
@@ -13,9 +15,10 @@ import math
 import numpy as np
 
 from icobattery import tolerances as tol
-from icobattery.linalg import Layout, Operator, PureState, battery_charger_layout
+from icobattery.analytic import alpha_coeffs
 from icobattery.model import KET_E, KET_G, ModelParams, pair_unitary
 from icobattery.protocol import ProtocolResult, cyclic_sequence
+from labeled_linalg import PAIR_LAYOUT, Layout, Operator, PureState, battery_charger_layout
 
 
 def switch_register_layout(n_chargers: int) -> Layout:
@@ -75,7 +78,7 @@ def ordered_charging_unitary(params: ModelParams, t: float, j: int,
     n = params.n_chargers
     if layout is None:
         layout = battery_charger_layout(n)
-    u_pair = pair_unitary(params, t / n)
+    u_pair = Operator(PAIR_LAYOUT, pair_unitary(params, t / n))
     acc = np.eye(layout.dim, dtype=complex)
     for l in cyclic_sequence(j, n):
         acc = embed_pair(u_pair, layout, l).mat @ acc
@@ -160,3 +163,26 @@ def run_dco(params: ModelParams, t: float, j: int) -> np.ndarray:
         vec = np.kron(vec, KET_E)
     out = ordered_charging_unitary(params, t, j, layout).mat @ vec
     return reduced_density(PureState(layout, out), {"Q"}).mat
+
+
+def branch_state(params: ModelParams, t: float, j: int) -> PureState:
+    """Closed-form evolved battery-charger state along charging order j, as a
+    full 2^(N+1) state vector on the Q (x) C1..CN layout.
+
+    |g,h0> carries all chargers excited; |e,h_l> has charger l de-excited.
+    Order j places alpha_m on the charger visited m-th, i.e. charger
+    cyclic_sequence(j)[m-1].
+    """
+    n = params.n_chargers
+    if not 1 <= j <= n:
+        raise ValueError(f"order index {j} out of range 1..{n}")
+    alpha = alpha_coeffs(params, t).alpha
+    layout = battery_charger_layout(n)
+    vec = np.zeros(layout.dim, dtype=complex)
+    all_e = 2 ** n - 1                       # chargers C1..CN all in |e> = 1
+    vec[all_e] = alpha[0]                    # Q = g is the leading (0) bit
+    seq = cyclic_sequence(j, n)
+    for m, charger in enumerate(seq, start=1):
+        idx = (1 << n) | (all_e & ~(1 << (n - charger)))  # Q = e, charger de-excited
+        vec[idx] = alpha[m]
+    return PureState(layout, vec)

@@ -1,5 +1,8 @@
 """Dense complex linear algebra over labeled tensor-product Hilbert spaces.
 
+A test oracle: the library works on plain arrays, and the dense reference
+(`dense_reference.py`) and the tests wrap them in these validated types.
+
 Index convention: basis index of a product state is the mixed-radix encoding
 of per-subsystem indices in layout order, with the *leftmost* layout entry
 most significant.  All values are immutable after construction and safe to
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances as tol
+from icobattery import tolerances as tol
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,9 @@ class Layout:
 
     def concat(self, other: "Layout") -> "Layout":
         return Layout(self.labels + other.labels, self.dims + other.dims)
+
+
+PAIR_LAYOUT = Layout(("Q", "C"), (2, 2))
 
 
 def battery_charger_layout(n_chargers: int) -> Layout:

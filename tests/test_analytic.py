@@ -1,21 +1,22 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import icobattery.analytic
 from icobattery.analytic import (
     alpha_coeffs,
-    branch_state,
     closed_form_report,
-    cyclic_index,
     dco_zero_window,
     interference_term,
 )
-from icobattery.linalg import battery_charger_layout
 from icobattery.model import KET_E, KET_G, ModelParams
 
-from dense_reference import ordered_charging_unitary
+from dense_reference import branch_state, ordered_charging_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
@@ -27,6 +28,20 @@ def params_strategy():
         st.floats(0.2, 3.0),
         st.floats(0.02, 1.0),
     )
+
+
+def test_oracle_imports_neither_protocol_nor_cli():
+    # the closed forms are the numeric engine's oracle, so they must not
+    # reach into the engine or the command line
+    tree = ast.parse(Path(icobattery.analytic.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["icobattery" if node.level else "", node.module]))
+            imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    assert imported & {"icobattery.protocol", "icobattery.cli"} == set(), imported
 
 
 class TestAlphaCoeffs:
@@ -110,6 +125,13 @@ class TestInterferenceTerm:
             for t in np.linspace(0.1, 100, 23):
                 s2 = float(np.sum(np.abs(alpha_coeffs(params, t).alpha[1:]) ** 2))
                 assert abs(interference_term(params, t)) <= (n - 1) * s2 + 1e-12
+
+
+def cyclic_index(v: int, u: int, n: int) -> int:
+    """1-based cyclic addition used in the interference sum."""
+    if not (1 <= v <= n and 1 <= u <= n - 1):
+        raise ValueError(f"indices v={v}, u={u} out of range for N={n}")
+    return (v - 1 + u) % n + 1
 
 
 # hand-expanded 1-based cyclic index tables {(v, u): index} for N = 2..5

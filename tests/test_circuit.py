@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from icobattery.circuit import (
+    GATE_KINDS,
     Gate,
     NoiseSpec,
     QuantumCircuit,
     angles_of_time,
+    apply,
     build_ico_circuit,
     charging_gates,
     circuit_unitary,
     estimate,
+    gate_matrix,
     outcome_probabilities,
     sample,
     simulate,
@@ -73,20 +76,72 @@ class TestDecomposition:
     def test_branch_projection(self):
         # D = |0> sector applies U_2(t/2) U_1(t/2) up to phase
         from icobattery.model import pair_unitary
-        from icobattery.linalg import battery_charger_layout
+        from labeled_linalg import PAIR_LAYOUT, Operator, battery_charger_layout
         from dense_reference import embed_pair
         t = 4.7
         theta, phi = angles_of_time(P2, t)
         u = circuit_unitary(charging_gates(theta, phi))
         block0 = u[:8, :8]
         layout = battery_charger_layout(2)
-        u_pair = pair_unitary(P2, t / 2)
+        u_pair = Operator(PAIR_LAYOUT, pair_unitary(P2, t / 2))
         oracle = embed_pair(u_pair, layout, 2).mat @ embed_pair(u_pair, layout, 1).mat
         assert frobenius_up_to_phase(block0, oracle) <= 1e-10
 
     def test_gate_vocabulary(self):
         kinds = {g.kind for g in build_ico_circuit(0.3, 1.2).gates}
         assert kinds <= {"h", "x", "cz", "xx", "yy", "cp", "rz"}
+
+
+def kron_embedding(mat, qubits, n=4):
+    """`mat` on `qubits` of an n-qubit register (qubit 0 most significant):
+    kron with the identity on the other qubits, then transpose the tensor
+    axes so that each of the gate's qubits lands at its own position."""
+    k = len(qubits)
+    big = np.kron(mat, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    held = list(qubits) + [q for q in range(n) if q not in qubits]   # qubit of each axis
+    perm = [held.index(q) for q in range(n)]
+    return big.transpose(perm + [n + p for p in perm]).reshape(2 ** n, 2 ** n)
+
+
+QUBIT_TUPLES = {1: [(0,), (2,), (3,)], 2: [(0, 1), (1, 2), (3, 1), (0, 3), (2, 0)]}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_matches_kron_embedding(self, kind):
+        arity = 1 if kind in ("h", "x", "rz") else 2
+        angle = 0.7 if kind in ("xx", "yy", "cp", "rz") else None
+        for qubits in QUBIT_TUPLES[arity]:
+            gate = Gate(kind, qubits, angle)
+            expected = kron_embedding(gate_matrix(gate), qubits)
+            assert np.max(np.abs(circuit_unitary([gate]) - expected)) <= 1e-15, qubits
+
+    def test_first_listed_qubit_is_most_significant(self):
+        # every gate of the vocabulary is symmetric in its two qubits, so the
+        # order convention is checked with matrices that are not
+        rng = np.random.default_rng(5)
+        eye = np.eye(16, dtype=complex).reshape((2,) * 4 + (16,))
+        for qubits in QUBIT_TUPLES[2]:
+            mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            u = apply(eye, mat, qubits).reshape(16, 16)
+            assert np.max(np.abs(u - kron_embedding(mat, qubits))) <= 1e-15, qubits
+        # CNOT with control C2 (qubit 3) and target Q (qubit 1):
+        # |D Q C1 C2> = |0001> (index 1) -> |0101> (index 5)
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        out = apply(eye, cnot, (3, 1)).reshape(16, 16)
+        assert out[5, 1] == 1.0 and out[1, 5] == 1.0 and out[4, 4] == 1.0
+
+    def test_carries_trailing_axes(self):
+        rng = np.random.default_rng(3)
+        kets = rng.normal(size=(16, 5, 3)) + 1j * rng.normal(size=(16, 5, 3))
+        for gate in (Gate("yy", (3, 0), 1.3), Gate("h", (2,))):
+            out = apply(kets.reshape((2,) * 4 + (5, 3)), gate_matrix(gate), gate.qubits)
+            assert out.shape == (2, 2, 2, 2, 5, 3)
+            expected = np.einsum("ij,jab->iab", circuit_unitary([gate]), kets)
+            assert np.max(np.abs(out.reshape(16, 5, 3) - expected)) <= 1e-14
+            for a, b in ((0, 0), (4, 2)):
+                single = apply(kets[:, a, b].reshape((2,) * 4), gate_matrix(gate), gate.qubits)
+                assert np.max(np.abs(single - out[..., a, b])) <= 1e-14
 
 
 class TestSimulate:

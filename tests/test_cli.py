@@ -59,12 +59,26 @@ def test_config_validation():
     ["noise-study", "--n", "2", "--shots", "0", "--depol-p", "0.05"],
     ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "1.5"],
     ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "0.05", "--seed", "-1"],
+    ["sweep", "--n", "2", "--points", "1000000000000", "--engine", "analytic"],
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, args):
-    assert main(args + ["--points", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    # "--points 3" goes first so that a case's own --points overrides it
+    argv = args[:1] + ["--points", "3"] + args[1:] + ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_row_limit_boundary(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the row limit must be checked before a grid is built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    points = cli.MAX_ROWS // 2
+    assert SweepConfig(n_list=[2, 3], points=points).points == points
+    with pytest.raises(ConfigError, match="row limit"):
+        SweepConfig(n_list=[2, 3], points=points + 1)
 
 
 class TestSweep:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icobattery.linalg import (
+from labeled_linalg import (
     Layout,
     Operator,
     PureState,

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icobattery.linalg import exp_neg_i, require_unitary, battery_charger_layout
 from icobattery.model import ModelParams, battery_hamiltonian, pair_hamiltonian, pair_unitary
 
 from dense_reference import embed_pair, switch_register_layout
+from labeled_linalg import PAIR_LAYOUT, Operator, exp_neg_i, require_unitary, battery_charger_layout
 
 # index = 2q + c with g=0, e=1
 GG, GE, EG, EE = 0, 1, 2, 3
@@ -23,14 +23,14 @@ def test_params_validation():
 
 
 def test_battery_hamiltonian_spectrum():
-    h = battery_hamiltonian(ModelParams(2, omega=2.0)).mat
+    h = battery_hamiltonian(ModelParams(2, omega=2.0))
     assert np.allclose(np.linalg.eigvalsh(h), [-1.0, 1.0])
 
 
 class TestPairHamiltonian:
     def test_diagonal_entries(self):
         om = 1.3
-        h = pair_hamiltonian(ModelParams(2, omega=om, coupling=0.4)).mat
+        h = pair_hamiltonian(ModelParams(2, omega=om, coupling=0.4))
         assert h[EE, EE] == pytest.approx(1.5 * om)
         assert h[GG, GG] == pytest.approx(-0.5 * om)
         assert h[EG, EG] == pytest.approx(0.5 * om)
@@ -38,13 +38,13 @@ class TestPairHamiltonian:
 
     def test_exchange_off_diagonal(self):
         om, lam = 1.3, 0.4
-        h = pair_hamiltonian(ModelParams(2, omega=om, coupling=lam)).mat
+        h = pair_hamiltonian(ModelParams(2, omega=om, coupling=lam))
         assert h[EG, GE] == pytest.approx(om * lam)
         assert h[GE, EG] == pytest.approx(om * lam)
         assert h[EE, GG] == pytest.approx(0.0)
 
     def test_conserves_total_excitation(self):
-        h = pair_hamiltonian(ModelParams(3, omega=0.7, coupling=0.2)).mat
+        h = pair_hamiltonian(ModelParams(3, omega=0.7, coupling=0.2))
         n_hat = np.diag([0, 1, 1, 2]).astype(complex)
         assert np.max(np.abs(h @ n_hat - n_hat @ h)) <= 1e-12
 
@@ -52,7 +52,7 @@ class TestPairHamiltonian:
 class TestPairUnitary:
     def test_time_zero_is_identity(self):
         u = pair_unitary(ModelParams(2), 0.0)
-        assert np.allclose(u.mat, np.eye(4), atol=1e-12)
+        assert np.allclose(u, np.eye(4), atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -60,21 +60,21 @@ class TestPairUnitary:
         r = np.random.default_rng(seed)
         params = ModelParams(2, omega=r.uniform(0.2, 3.0), coupling=r.uniform(0.02, 1.5))
         t = r.uniform(0.0, 30.0)
-        oracle = exp_neg_i(pair_hamiltonian(params), t)
-        assert np.max(np.abs(pair_unitary(params, t).mat - oracle.mat)) <= 1e-10
+        oracle = exp_neg_i(Operator(PAIR_LAYOUT, pair_hamiltonian(params)), t)
+        assert np.max(np.abs(pair_unitary(params, t) - oracle.mat)) <= 1e-10
 
     def test_full_excitation_swap(self):
         # at omega*lambda*t = pi/2, |eg> -> -i e^{-i omega t / 2} |ge>
         params = ModelParams(2, omega=1.0, coupling=0.25)
         t = np.pi / 2 / (params.omega * params.coupling)
-        u = pair_unitary(params, t).mat
+        u = pair_unitary(params, t)
         vec = u[:, EG]
         expected = np.zeros(4, complex)
         expected[GE] = -1j * np.exp(-0.5j * params.omega * t)
         assert np.allclose(vec, expected, atol=1e-12)
 
     def test_excitation_conservation(self):
-        u = pair_unitary(ModelParams(2, omega=1.4, coupling=0.3), 2.7).mat
+        u = pair_unitary(ModelParams(2, omega=1.4, coupling=0.3), 2.7)
         n_hat = np.diag([0, 1, 1, 2]).astype(complex)
         assert np.max(np.abs(u @ n_hat - n_hat @ u)) <= 1e-10
 
@@ -84,15 +84,15 @@ class TestPairUnitary:
         r = np.random.default_rng(seed)
         params = ModelParams(2, omega=r.uniform(0.2, 3.0), coupling=r.uniform(0.02, 1.5))
         a, b = r.uniform(0, 10, size=2)
-        lhs = pair_unitary(params, a).mat @ pair_unitary(params, b).mat
-        assert np.max(np.abs(lhs - pair_unitary(params, a + b).mat)) <= 1e-10
+        lhs = pair_unitary(params, a) @ pair_unitary(params, b)
+        assert np.max(np.abs(lhs - pair_unitary(params, a + b))) <= 1e-10
 
     def test_envelope_periodicity(self):
         params = ModelParams(2, omega=1.0, coupling=0.1)
         t = 3.7
         period = 2 * np.pi / (params.omega * params.coupling)
-        a = np.abs(pair_unitary(params, t).mat)
-        b = np.abs(pair_unitary(params, t + period).mat)
+        a = np.abs(pair_unitary(params, t))
+        b = np.abs(pair_unitary(params, t + period))
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -100,23 +100,22 @@ class TestEmbedPair:
     def test_identity_embeds_to_identity(self):
         params = ModelParams(3)
         layout = switch_register_layout(3)
-        out = embed_pair(pair_unitary(params, 0.0), layout, 2)
+        out = embed_pair(Operator(PAIR_LAYOUT, pair_unitary(params, 0.0)), layout, 2)
         assert np.allclose(out.mat, np.eye(layout.dim), atol=1e-12)
 
     def test_homomorphism_on_one_slot(self):
         params = ModelParams(2, omega=0.9, coupling=0.3)
         layout = battery_charger_layout(2)
-        a = pair_unitary(params, 1.1)
-        b = pair_unitary(params, 2.4)
+        a = Operator(PAIR_LAYOUT, pair_unitary(params, 1.1))
+        b = Operator(PAIR_LAYOUT, pair_unitary(params, 2.4))
         lhs = embed_pair(a, layout, 1).mat @ embed_pair(b, layout, 1).mat
         ab = a.mat @ b.mat
-        from icobattery.linalg import Operator
         rhs = embed_pair(Operator(a.layout, ab), layout, 1).mat
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_mixed_radix_diagonal_pattern(self):
         # sigma_z (x) sigma_z on (Q, C2) for N=2: diagonal by brute-force index math
-        from icobattery.linalg import Layout, Operator
+        from labeled_linalg import Layout
         sz = np.diag([-1.0, 1.0]).astype(complex)
         op4 = Operator(Layout(("Q", "C"), (2, 2)), np.kron(sz, sz))
         layout = battery_charger_layout(2)  # (Q, C1, C2)
@@ -130,9 +129,9 @@ class TestEmbedPair:
     def test_out_of_range_charger(self):
         layout = battery_charger_layout(2)
         with pytest.raises(ValueError):
-            embed_pair(pair_unitary(ModelParams(2), 1.0), layout, 3)
+            embed_pair(Operator(PAIR_LAYOUT, pair_unitary(ModelParams(2), 1.0)), layout, 3)
 
     def test_embedded_unitary_is_unitary(self):
         params = ModelParams(4, omega=1.0, coupling=0.1)
         layout = switch_register_layout(4)
-        require_unitary(embed_pair(pair_unitary(params, 5.0), layout, 3))
+        require_unitary(embed_pair(Operator(PAIR_LAYOUT, pair_unitary(params, 5.0)), layout, 3))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from icobattery.linalg import battery_charger_layout, require_unitary, Operator
 from icobattery.model import ModelParams
 from icobattery.protocol import cyclic_sequence, run_dco, run_ico, run_ico_grid
 
 import dense_reference
 from dense_reference import initial_state, sector_indices, switch_projector, total_unitary
+from labeled_linalg import PAIR_LAYOUT, battery_charger_layout, require_unitary, Operator
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
@@ -43,7 +43,7 @@ class TestTotalUnitary:
         from dense_reference import embed_pair
         t = 5.3
         layout = battery_charger_layout(2)
-        u_pair = pair_unitary(P2, t / 2)
+        u_pair = Operator(PAIR_LAYOUT, pair_unitary(P2, t / 2))
         oracle = embed_pair(u_pair, layout, 2).mat @ embed_pair(u_pair, layout, 1).mat
         block = total_unitary(P2, t).mat[:8, :8]
         assert np.max(np.abs(block - oracle)) <= 1e-12

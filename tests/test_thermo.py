@@ -16,7 +16,7 @@ from icobattery.thermo import (
 )
 from conftest import random_density, random_hermitian
 
-H_Q = battery_hamiltonian(ModelParams(2, omega=1.0)).mat  # (1/2) sigma_z, |e> = index 1
+H_Q = battery_hamiltonian(ModelParams(2, omega=1.0))  # (1/2) sigma_z, |e> = index 1
 GG = np.diag([1.0, 0.0]).astype(complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
 
