@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import ModelParams
+from .model import CHUNK_AMPLITUDES, ModelParams
 from .thermo import efficiency
 
 
@@ -53,16 +53,25 @@ def alpha_coeffs(params: ModelParams, t: float) -> AlphaCoefficients:
     alpha_j = (e^{-3i w t / 2N})^{N-j} e^{-i w t / 2N} (-i sin(w l t / N))
               (e^{-i w t / 2N} cos(w l t / N))^{j-1}
     """
+    return AlphaCoefficients(t=t, alpha=_alpha_grid(params, np.array([t], dtype=float))[0])
+
+
+def _alpha_grid(params: ModelParams, times: np.ndarray) -> np.ndarray:
+    """`alpha_coeffs` at every time of `times`, as the rows of a (T, N+1) array."""
     n, om, lam = params.n_chargers, params.omega, params.coupling
-    c = np.cos(om * lam * t / n)
-    s = np.sin(om * lam * t / n)
-    ph = np.exp(-0.5j * om * t / n)
-    ph3 = np.exp(-1.5j * om * t / n)
-    alpha = np.zeros(n + 1, dtype=complex)
-    alpha[0] = (ph * c) ** n
-    for j in range(1, n + 1):
-        alpha[j] = ph3 ** (n - j) * ph * (-1j * s) * (ph * c) ** (j - 1)
-    return AlphaCoefficients(t=t, alpha=alpha)
+    c = np.cos(om * lam * times / n)
+    s = np.sin(om * lam * times / n)
+    ph = np.exp(-0.5j * om * times / n)
+    ph3 = np.exp(-1.5j * om * times / n)
+    j = np.arange(1, n + 1)
+    alpha = np.empty((len(times), n + 1), dtype=complex)
+    alpha[:, 0] = (ph * c) ** n
+    rest = alpha[:, 1:]
+    np.power(ph3[:, None], n - j, out=rest)
+    rest *= ph[:, None]
+    rest *= (-1j * s)[:, None]
+    rest *= (ph * c)[:, None] ** (j - 1)
+    return alpha
 
 
 def interference_term(params: ModelParams, t: float) -> float:
@@ -74,18 +83,14 @@ def interference_term(params: ModelParams, t: float) -> float:
     where v(+)u is 1-based cyclic index addition: ((v - 1 + u) mod N) + 1.
     For v < N and v + u <= N this is plain v + u; the wrap covers v = N and
     any overflow past N.
+
+    The inner sum r_u has Re r_u = Re r_{N-u}, so pairing u with N - u makes
+    every weight N/2 and C = sum_{u=1}^{N-1} Re r_u.  Over all shifts,
+    u = 0 included, the r_u sum to |sum_v alpha_v|^2, and r_0 is
+    sum_v |alpha_v|^2; so C = |sum_v alpha_v|^2 - sum_v |alpha_v|^2, which
+    is how `closed_form_grid` evaluates it.
     """
-    return _interference(alpha_coeffs(params, t).alpha)
-
-
-def _interference(alpha: np.ndarray) -> float:
-    """`interference_term` from the coefficients alpha_0 .. alpha_N."""
-    a = alpha[1:]
-    n = len(a)
-    total = 0.0
-    for u in range(1, n):
-        total += (n - u) * float(np.real(np.sum(a * np.conj(np.roll(a, -u)))))
-    return 2.0 * total / n
+    return closed_form_report(params, t).C1
 
 
 def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
@@ -95,31 +100,51 @@ def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
     populations, |alpha_0|^2 >= (C + sum |alpha_u|^2)/N, which avoids
     dividing by a possibly small branch probability.
     """
+    return closed_form_grid(params, [t])[0]
+
+
+def closed_form_grid(params: ModelParams, times) -> list[ClosedFormReport]:
+    """`closed_form_report` at every time of `times`, in order.
+
+    The grid is evaluated in chunks of at most CHUNK_AMPLITUDES coefficients.
+    Raises ValueError, naming the time, if the coefficients at some time are
+    not normalized.
+    """
     n = params.n_chargers
-    alpha = alpha_coeffs(params, t).alpha
-    gnd = float(np.abs(alpha[0]) ** 2)
-    s2 = float(np.sum(np.abs(alpha[1:]) ** 2))
-    c_term = _interference(alpha)
-    exc = (c_term + s2) / n
+    times = np.asarray(times, dtype=float)
+    chunk = max(1, CHUNK_AMPLITUDES // (n + 1))
+    reports = []
+    for lo in range(0, len(times), chunk):
+        ts = times[lo:lo + chunk]
+        alpha = _alpha_grid(params, ts)
+        pops = np.abs(alpha) ** 2
+        norm = pops.sum(axis=1)
+        bad = np.flatnonzero(np.abs(norm - 1.0) > tol.NORM_ATOL)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"coefficient normalization {norm[i]} deviates from 1 "
+                             f"at t={float(ts[i])!r}")
+        gnd = pops[:, 0]
+        s2 = pops[:, 1:].sum(axis=1)
+        c_term = np.abs(alpha[:, 1:].sum(axis=1)) ** 2 - s2    # see interference_term
+        exc = (c_term + s2) / n
 
-    p1 = gnd + exc
-    e = 1.0 - gnd            # = 1 - cos(w l t / N)^(2N)
+        p1 = gnd + exc
+        e = 1.0 - gnd            # = 1 - cos(w l t / N)^(2N)
+        passive_k1 = gnd >= exc
+        w_ico = np.where(passive_k1, ((n - 1) / n) * s2 - c_term / n, 1.0 - 2.0 * gnd)
+        passive_dco = gnd >= 0.5
+        w_dco = np.where(passive_dco, 0.0, 1.0 - 2.0 * gnd)
 
-    passive_k1 = gnd >= exc
-    if passive_k1:
-        w_ico = ((n - 1) / n) * s2 - c_term / n
-    else:
-        w_ico = 1.0 - 2.0 * gnd
-
-    passive_dco = gnd >= 0.5
-    w_dco = 0.0 if passive_dco else 1.0 - 2.0 * gnd
-
-    return ClosedFormReport(
-        t=t, C1=c_term, p1=p1, E=e,
-        W_ico=w_ico, W_dco=w_dco,
-        P_ico=efficiency(w_ico, e), P_dco=efficiency(w_dco, e),
-        passive_k1=passive_k1, passive_dco=passive_dco,
-    )
+        for t, c1, p, en, wi, wd, pk1, pdco in zip(
+                ts.tolist(), c_term.tolist(), p1.tolist(), e.tolist(), w_ico.tolist(),
+                w_dco.tolist(), passive_k1.tolist(), passive_dco.tolist()):
+            reports.append(ClosedFormReport(
+                t=t, C1=c1, p1=p, E=en, W_ico=wi, W_dco=wd,
+                P_ico=efficiency(wi, en), P_dco=efficiency(wd, en),
+                passive_k1=pk1, passive_dco=pdco,
+            ))
+    return reports
 
 
 def dco_zero_window(params: ModelParams) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tolerances as tol
-from .analytic import closed_form_report, dco_zero_window
+from .analytic import closed_form_grid, dco_zero_window
 from .circuit import OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit, estimate, sample
 from .model import ModelParams
 from .protocol import run_ico_grid
@@ -37,6 +37,11 @@ MAX_CHARGERS = 1000
 # Largest number of output rows (points x charger counts) accepted.  A sweep
 # holds its rows in memory, about 1.5 kB each, so about 1.5 GB at this limit.
 MAX_ROWS = 1_000_000
+
+# Largest phase omega*t_max or omega*lambda*t_max accepted with --engine both.
+# The two engines round these phases differently, by about 1e-16 of their
+# size, and beyond about 1e7 they disagree by more than ENGINE_AGREE_ATOL.
+MAX_BOTH_PHASE = 2e6
 
 
 class ConfigError(Exception):
@@ -105,6 +110,11 @@ class SweepConfig:
                 and math.isfinite(self.omega * self.coupling * self.t_max)):
             raise ConfigError(f"phases omega*t_max and omega*lambda*t_max overflow "
                               f"at t_max={self.t_max}")
+        phase = max(1.0, self.coupling) * self.omega * self.t_max
+        if self.engine == "both" and phase > MAX_BOTH_PHASE:
+            raise ConfigError(f"phase max(omega, omega*lambda)*t_max = {phase:g} exceeds "
+                              f"{MAX_BOTH_PHASE:g}, beyond which the engines cannot agree "
+                              f"within {tol.ENGINE_AGREE_ATOL:g}; lower t_max or pick one engine")
         if not (_is_int(self.points) and self.points >= 2):
             raise ConfigError(f"need an integer number of grid points >= 2, got {self.points!r}")
         if self.points * len(self.n_list) > MAX_ROWS:
@@ -132,9 +142,8 @@ def _numeric_row(params: ModelParams, result) -> dict:
             "passive_k1": ico.passive_k1, "passive_dco": ico.passive_dco}
 
 
-def _analytic_row(params: ModelParams, t: float) -> dict:
-    r = closed_form_report(params, t)
-    return {"N": params.n_chargers, "t": t, "E": r.E, "W_ico": r.W_ico,
+def _analytic_row(params: ModelParams, r) -> dict:
+    return {"N": params.n_chargers, "t": r.t, "E": r.E, "W_ico": r.W_ico,
             "P_ico": r.P_ico, "W_dco": r.W_dco, "P_dco": r.P_dco, "p1": r.p1,
             "passive_k1": r.passive_k1, "passive_dco": r.passive_dco}
 
@@ -169,14 +178,16 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
     rows = []
     for n in config.n_list:
         params = config.params(n)
+        grid = config.time_grid()
         if config.engine == "analytic":
-            rows += [_analytic_row(params, t) for t in config.time_grid()]
-            continue
-        for result in run_ico_grid(params, config.time_grid()):
-            row = _numeric_row(params, result)
-            if config.engine == "both":
-                row["max_engine_dev"] = _engine_deviation(row, _analytic_row(params, result.t))
-            rows.append(row)
+            rows += [_analytic_row(params, r) for r in closed_form_grid(params, grid)]
+        elif config.engine == "numeric":
+            rows += [_numeric_row(params, result) for result in run_ico_grid(params, grid)]
+        else:
+            for result, r in zip(run_ico_grid(params, grid), closed_form_grid(params, grid)):
+                row = _numeric_row(params, result)
+                row["max_engine_dev"] = _engine_deviation(row, _analytic_row(params, r))
+                rows.append(row)
     return rows
 
 
@@ -282,8 +293,8 @@ def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     params = config.params(2)
     noise = NoiseSpec(config.depolarizing_p)
     rows, shot_rows = [], []
-    for i, t in enumerate(config.time_grid()):
-        ideal = closed_form_report(params, t)
+    grid = config.time_grid()
+    for i, (t, ideal) in enumerate(zip(grid, closed_form_grid(params, grid))):
         theta, phi = angles_of_time(params, t)
         circ = build_ico_circuit(theta, phi)
         seed = config.seed + i

@@ -11,6 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Amplitudes held at once per chunk of a time grid (16 MB of complex128), in
+# both engines.  One grid point holds N(N+1) of them in `protocol` and N+1 in
+# `analytic`; a chunk is at least one point.
+CHUNK_AMPLITUDES = 1 << 20
+
 KET_G = np.array([1.0, 0.0], dtype=complex)
 KET_E = np.array([0.0, 1.0], dtype=complex)
 

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import KET_E, KET_G, ModelParams, pair_unitary
-
-# Amplitudes held at once per chunk of the time grid (16 MB of complex128).
-# One grid point holds N(N+1) of them, so a chunk is at least one point.
-CHUNK_AMPLITUDES = 1 << 20
+from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, pair_unitary
 
 
 def cyclic_sequence(j: int, n: int) -> tuple[int, ...]:

@@ -38,16 +38,25 @@ def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     Degenerate populations keep eigensolver order; ergotropy is tie-invariant.
     """
     rho, h = _as_pair(rho, h)
+    return _passive_state(rho, np.linalg.eigh(h)[1])
+
+
+def _passive_state(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """`passive_state` given the energy eigenvectors `vecs`, ascending."""
     pops = np.linalg.eigvalsh(rho)[::-1]          # descending
-    energies, vecs = np.linalg.eigh(h)            # ascending
     return (vecs * pops) @ vecs.conj().T
 
 
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
     """Tr[rho H] - Tr[phi H] with phi the passive state; clamped to >= 0."""
     rho, h = _as_pair(rho, h)
-    phi = passive_state(rho, h)
-    w = float(np.trace((rho - phi) @ h).real)
+    return _ergotropy(rho, h, np.linalg.eigh(h)[1])
+
+
+def _ergotropy(rho: np.ndarray, h: np.ndarray, vecs: np.ndarray) -> float:
+    """`ergotropy` given the eigenvectors `vecs` of h, so that one
+    decomposition of h serves many states."""
+    w = float(np.trace((rho - _passive_state(rho, vecs)) @ h).real)
     if w < tol.ERGOTROPY_FLOOR:
         raise ValueError(f"ergotropy {w:g} below numerical floor")
     return max(w, 0.0)
@@ -83,21 +92,23 @@ def report(result: ProtocolResult, params: ModelParams) -> tuple[EnergyReport, E
     ICO uses the two-outcome ensemble {(p1, rho_given_1), (1-p1, rho_rest)};
     both reports share the stored energy (the E_DCO = E_ICO equality)
     but it is computed independently for each here.  Each of the three
-    states' ergotropy is computed once and also decides its passivity.
+    states' ergotropy is computed once and also decides its passivity, in
+    units of hbar*omega like the tolerance it is compared with.
     """
     h = battery_hamiltonian(params)
+    vecs = np.linalg.eigh(h)[1]
     rho0 = np.outer(KET_G, KET_G.conj())
     unit = params.omega  # hbar*omega with hbar = 1
 
-    w_given_1, w_rest, w_bar = (ergotropy(rho, h) for rho in
+    w_given_1, w_rest, w_bar = (_ergotropy(rho, h, vecs) for rho in
                                 (result.rho_given_1, result.rho_rest, result.rho_bar))
     e_ico = stored_energy(result.rho_avg, rho0, h) / unit
     w_ico = _weighted_sum([(result.p1, w_given_1), (result.rest_weight, w_rest)]) / unit
     e_dco = stored_energy(result.rho_bar, rho0, h) / unit
     w_dco = w_bar / unit
 
-    passive_k1 = w_given_1 <= tol.PASSIVITY_ATOL
-    passive_dco = w_bar <= tol.PASSIVITY_ATOL
+    passive_k1 = w_given_1 / unit <= tol.PASSIVITY_ATOL
+    passive_dco = w_dco <= tol.PASSIVITY_ATOL
 
     ico = EnergyReport(E=e_ico, W=w_ico, P=efficiency(w_ico, e_ico),
                        passive_k1=passive_k1, passive_dco=passive_dco)

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import icobattery.analytic
+from icobattery import tolerances
 from icobattery.analytic import (
+    _alpha_grid,
     alpha_coeffs,
+    closed_form_grid,
     closed_form_report,
     dco_zero_window,
     interference_term,
@@ -166,6 +169,68 @@ def test_interference_matches_table_sum():
             inner = sum(a[v] * np.conj(a[cyclic_index(v, u, n)]) for v in range(1, n + 1))
             total += (n - u) * inner.real
         assert interference_term(params, t) == pytest.approx(2 * total / n, abs=1e-12)
+
+
+def roll_loop_interference(alpha: np.ndarray) -> float:
+    """The interference sum as `interference_term` defines it, one np.roll per
+    shift u: the reference for the closed form that `closed_form_grid` uses."""
+    a = alpha[1:]
+    n = len(a)
+    total = 0.0
+    for u in range(1, n):
+        total += (n - u) * float(np.real(np.sum(a * np.conj(np.roll(a, -u)))))
+    return 2.0 * total / n
+
+
+# (omega, lambda) pairs; |C| reaches about 15 at lambda = 2
+GRID_PARAMS = [(1.0, 0.1), (2.7, 1.3), (0.5, 2.0)]
+
+REPORT_FLOATS = ("C1", "p1", "E", "W_ico", "W_dco", "P_ico", "P_dco")
+
+
+def assert_reports_close(got, want, atol):
+    assert [r.t for r in got] == [r.t for r in want]
+    for a, b in zip(got, want):
+        assert (a.passive_k1, a.passive_dco) == (b.passive_k1, b.passive_dco)
+        for key in REPORT_FLOATS:
+            x, y = getattr(a, key), getattr(b, key)
+            assert (x is None) == (y is None), (key, a.t)
+            if x is not None:
+                assert abs(x - y) <= atol, (key, a.t, x, y)
+
+
+class TestClosedFormGrid:
+    @pytest.mark.parametrize("n", [2, 3, 7, 32, 200, 1000])
+    @pytest.mark.parametrize("omega, lam", GRID_PARAMS)
+    def test_interference_matches_roll_loop(self, n, omega, lam):
+        params = ModelParams(n, omega=omega, coupling=lam)
+        times = np.linspace(0.0, 4 * np.pi / (omega * lam), 41)
+        loop = [roll_loop_interference(row) for row in _alpha_grid(params, times)]
+        grid = [r.C1 for r in closed_form_grid(params, times)]
+        assert np.max(np.abs(np.subtract(grid, loop))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 32, 200, 1000])
+    @pytest.mark.parametrize("omega, lam", GRID_PARAMS)
+    def test_matches_pointwise_report(self, n, omega, lam):
+        params = ModelParams(n, omega=omega, coupling=lam)
+        times = np.linspace(0.0, 4 * np.pi / (omega * lam), 41)
+        assert_reports_close(closed_form_grid(params, times),
+                             [closed_form_report(params, t) for t in times], 1e-14)
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_chunked_grid_matches_unchunked(self, monkeypatch, n):
+        params = ModelParams(n, omega=0.5, coupling=2.0)
+        times = np.linspace(0.0, 4 * np.pi, 9)
+        whole = closed_form_grid(params, times)
+        monkeypatch.setattr(icobattery.analytic, "CHUNK_AMPLITUDES", 2 * (n + 1))  # two points
+        chunked = closed_form_grid(params, times)
+        assert [r.t for r in chunked] == times.tolist()
+        assert_reports_close(chunked, whole, 1e-14)
+
+    def test_normalization_failure_names_t(self, monkeypatch):
+        monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
+        with pytest.raises(ValueError, match=r"normalization .* at t=2\.5"):
+            closed_form_grid(P2, [2.5, 3.0])
 
 
 class TestClosedFormReport:

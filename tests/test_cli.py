@@ -60,6 +60,11 @@ def test_config_validation():
     ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "1.5"],
     ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "0.05", "--seed", "-1"],
     ["sweep", "--n", "2", "--points", "1000000000000", "--engine", "analytic"],
+    # phases too large for the two engines to agree within 1e-9
+    ["sweep", "--n", "3,6", "--points", "40", "--lambda", "1e-7", "--engine", "both"],
+    ["sweep", "--n", "6", "--points", "6", "--engine", "both", "--lambda", "0.293",
+     "--t-min", "48.86", "--t-max", "2.304e16"],
+    ["sweep", "--n", "3", "--engine", "both", "--lambda", "1000", "--t-max", "1e5"],
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, args):
     # "--points 3" goes first so that a case's own --points overrides it
@@ -68,6 +73,26 @@ def test_invalid_input_exits_2(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_phase_limit_boundary():
+    # lambda = 1e-5 at its default t_max (omega*t_max = 1.26e6) runs with --engine both
+    SweepConfig(n_list=[2], coupling=1e-5)
+    SweepConfig(n_list=[2], t_max=cli.MAX_BOTH_PHASE)
+    with pytest.raises(ConfigError, match="phase"):
+        SweepConfig(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01)
+    with pytest.raises(ConfigError, match="phase"):
+        SweepConfig(n_list=[2], coupling=2.0, t_max=cli.MAX_BOTH_PHASE)
+    SweepConfig(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01, engine="analytic")
+
+
+@pytest.mark.parametrize("omega", ["1e-20", "1e-12", "1.39e-235"])
+def test_tiny_omega_engines_agree_on_passivity(tmp_path, omega):
+    # passivity is decided in units of hbar*omega, so a small omega does not
+    # make every numeric state look passive
+    out = tmp_path / "b.json"
+    assert main(["bursts", "--n", "7,5", "--points", "5", "--omega", omega,
+                 "--out", str(out)]) == 0
 
 
 def test_row_limit_boundary(monkeypatch):

@@ -150,3 +150,18 @@ class TestReport:
             gap = r.rho_given_1[0, 0].real - r.rho_given_1[1, 1].real
             if abs(gap) > 1e-8:  # away from the passive/active crossover
                 assert ico.passive_k1 == (gap > 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_passivity_flags_do_not_depend_on_the_energy_unit(self, n):
+        # the flags compare ergotropy in units of hbar*omega; with omega*t and
+        # lambda held fixed the battery states are the same for every omega
+        phases = np.linspace(0.0, 4 * np.pi / 0.1, 23)
+        flags = {}
+        for omega in (1e-20, 1.0, 1e6):
+            params = ModelParams(n, omega=omega, coupling=0.1)
+            flags[omega] = [(ico.passive_k1, ico.passive_dco)
+                            for ico, _ in (report(run_ico(params, x / omega), params)
+                                           for x in phases)]
+        assert flags[1e-20] == flags[1.0] == flags[1e6]
+        assert {k1 for k1, _ in flags[1.0]} == {True, False}
+        assert {dco for _, dco in flags[1.0]} == {True, False}
