@@ -12,17 +12,24 @@ XX+YY generator, so
     exch(theta/2) . CZ(D,Q) . exch(-theta/2) . CZ(D,Q)
 
 acts as the identity when D = |0> and as exch(theta) when D = |1>.
+
+The simulator evolves a whole grid of (theta, phi) at once: amplitudes of
+shape (2,) * 4 + (T,), each gate a stack of T matrices, one matrix product
+per point (`apply`), so a point's probabilities do not depend on the grid it
+is evaluated in.  The shot estimator works on arrays of counts, one row per
+sample or bootstrap resample.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
-from .model import ModelParams
-from .thermo import EnergyReport, efficiency
+from .model import CHUNK_AMPLITUDES, ModelParams
+from .thermo import EnergyReport
 
 QUBITS = ("D", "Q", "C1", "C2")
 N_QUBITS = 4
@@ -91,46 +98,55 @@ def angles_of_time(params: ModelParams, t: float) -> tuple[float, float]:
     return float(params.omega * params.coupling * t / 2), float(params.omega * t / 2)
 
 
-def _controlled_block(control_value: int, charger_qubit: int,
-                      theta: float, phi: float) -> list[Gate]:
+def _controlled_block(control_value: int, charger_qubit: int, theta, phi) -> list[tuple]:
     """Pair unitary for half the total time on (Q, charger), applied only when
     D equals control_value.  Exchange part via CZ conjugation; diagonal
     phases via CP(-phi) on (D, Q) and (D, charger) plus RZ(phi/2) on D
-    (the remaining branch-independent factor is a global phase)."""
+    (the remaining branch-independent factor is a global phase).
+
+    Gates are (kind, qubits, angle) triples; theta and phi are floats, or
+    arrays of one angle per grid point."""
     d, q = 0, 1
     half = theta / 2
     block = [
-        Gate("cz", (d, q)),
-        Gate("xx", (q, charger_qubit), -half),
-        Gate("yy", (q, charger_qubit), -half),
-        Gate("cz", (d, q)),
-        Gate("xx", (q, charger_qubit), half),
-        Gate("yy", (q, charger_qubit), half),
-        Gate("cp", (d, q), -phi),
-        Gate("cp", (d, charger_qubit), -phi),
-        Gate("rz", (d,), phi / 2),
+        ("cz", (d, q), None),
+        ("xx", (q, charger_qubit), -half),
+        ("yy", (q, charger_qubit), -half),
+        ("cz", (d, q), None),
+        ("xx", (q, charger_qubit), half),
+        ("yy", (q, charger_qubit), half),
+        ("cp", (d, q), -phi),
+        ("cp", (d, charger_qubit), -phi),
+        ("rz", (d,), phi / 2),
     ]
     if control_value == 0:
-        block = [Gate("x", (d,))] + block + [Gate("x", (d,))]
+        block = [("x", (d,), None)] + block + [("x", (d,), None)]
     return block
 
 
-def charging_gates(theta: float, phi: float) -> tuple[Gate, ...]:
-    """The four controlled charging blocks: D = |0> charges via C1 then C2,
-    D = |1> via C2 then C1."""
+_PREP = (("h", (0,), None), ("x", (2,), None), ("x", (3,), None))
+
+
+def _ico_gates(theta, phi) -> list[tuple]:
+    """(kind, qubits, angle) of every gate of build_ico_circuit(theta, phi):
+    preparation (H on D, X on both chargers), then the four controlled
+    charging blocks, D = |0> charging via C1 then C2 and D = |1> via C2 then
+    C1."""
     c1, c2 = 2, 3
-    gates: list[Gate] = []
-    gates += _controlled_block(0, c1, theta, phi)
-    gates += _controlled_block(0, c2, theta, phi)
-    gates += _controlled_block(1, c2, theta, phi)
-    gates += _controlled_block(1, c1, theta, phi)
-    return tuple(gates)
+    return [*_PREP,
+            *_controlled_block(0, c1, theta, phi), *_controlled_block(0, c2, theta, phi),
+            *_controlled_block(1, c2, theta, phi), *_controlled_block(1, c1, theta, phi)]
+
+
+def charging_gates(theta: float, phi: float) -> tuple[Gate, ...]:
+    """The four controlled charging blocks of build_ico_circuit."""
+    return tuple(Gate(*g) for g in _ico_gates(theta, phi)[len(_PREP):])
 
 
 def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
     """Preparation (H on D, X on both chargers) followed by the charging blocks."""
-    prep = (Gate("h", (0,)), Gate("x", (2,)), Gate("x", (3,)))
-    return QuantumCircuit(gates=prep + charging_gates(theta, phi), n_prep=len(prep))
+    return QuantumCircuit(gates=tuple(Gate(*g) for g in _ico_gates(theta, phi)),
+                          n_prep=len(_PREP))
 
 
 # --- state-vector simulation -----------------------------------------------
@@ -138,35 +154,51 @@ def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)  # standard gate-basis sigma_y
+_FIXED = {"h": _H, "x": _X, "cz": np.diag([1, 1, 1, -1]).astype(complex)}
+_GENERATORS = {"xx": np.kron(_X, _X), "yy": np.kron(_SY, _SY)}
+
+
+def gate_matrices(kind: str, angles=None) -> np.ndarray:
+    """Matrices of one gate kind on the gate's own qubits (first listed qubit
+    most significant), one per angle: shape np.shape(angles) + (d, d).  A
+    fixed kind (h, x, cz) takes no angle and gives its one (d, d) matrix."""
+    if kind in _FIXED:
+        return _FIXED[kind]
+    a = np.asarray(angles, dtype=float)
+    if kind in ("xx", "yy"):
+        c, s = np.cos(a / 2)[..., None, None], np.sin(a / 2)[..., None, None]
+        return c * np.eye(4) - 1j * s * _GENERATORS[kind]
+    if kind == "rz":
+        mats = np.zeros(a.shape + (2, 2), dtype=complex)
+        mats[..., 0, 0], mats[..., 1, 1] = np.exp(-0.5j * a), np.exp(0.5j * a)
+        return mats
+    if kind == "cp":
+        mats = np.zeros(a.shape + (4, 4), dtype=complex)
+        mats[..., 0, 0] = mats[..., 1, 1] = mats[..., 2, 2] = 1.0
+        mats[..., 3, 3] = np.exp(1j * a)
+        return mats
+    raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Matrix on the gate's own qubits (first listed qubit most significant)."""
-    if gate.kind == "h":
-        return _H
-    if gate.kind == "x":
-        return _X
-    if gate.kind == "rz":
-        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    if gate.kind == "cz":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if gate.kind == "cp":
-        return np.diag([1, 1, 1, np.exp(1j * gate.angle)])
-    c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-    if gate.kind == "xx":
-        return c * np.eye(4) - 1j * s * np.kron(_X, _X)
-    if gate.kind == "yy":
-        return c * np.eye(4) - 1j * s * np.kron(_SY, _SY)
-    raise AssertionError(gate.kind)
+    return gate_matrices(gate.kind, gate.angle)
 
 
 def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
-    """Apply the k-qubit matrix `mat` (first listed qubit most significant)
-    to `qubits` of `state`, an array of shape (2,) * n followed by any
-    trailing axes, which are carried along."""
-    k = len(qubits)
-    out = np.tensordot(mat.reshape((2,) * (2 * k)), state, axes=(range(k, 2 * k), qubits))
-    return np.moveaxis(out, range(k), qubits)
+    """Apply a k-qubit matrix (first listed qubit most significant) to
+    `qubits` of `state`, an array of shape (2,) * n followed by any trailing
+    axes, which are carried along.
+
+    `mat` is one (2**k, 2**k) matrix, or a stack G + (2**k, 2**k) of one
+    matrix per index of the last len(G) axes of `state` (the grid axes, of
+    shape G).  A stack is applied as one matrix product per grid index, so
+    each index's result is the same however many indices share the call."""
+    k, grid = len(qubits), mat.ndim - 2
+    axes = (*range(state.ndim - grid, state.ndim), *qubits)
+    moved = np.moveaxis(state, axes, range(grid + k))
+    out = mat @ moved.reshape(moved.shape[:grid] + (2 ** k, -1))
+    return np.moveaxis(out.reshape(moved.shape), range(grid + k), axes)
 
 
 def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
@@ -177,74 +209,131 @@ def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
     return u.reshape(2 ** n, 2 ** n)
 
 
-def _final_state(circuit: QuantumCircuit) -> np.ndarray:
-    """The gates applied to |0000>, as a (2,) * 4 amplitude tensor."""
-    psi = np.zeros((2,) * N_QUBITS, dtype=complex)
+def _final_states(gates, points: int) -> np.ndarray:
+    """|0000> evolved through `gates`, (kind, qubits, angle) triples whose
+    angle is None, a float, or an array of one angle per point, as
+    (2,) * 4 + (points,) amplitudes.  Every gate, fixed ones included, is
+    applied as a stack of one matrix per point."""
+    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
-    for gate in circuit.gates:
-        psi = apply(psi, gate_matrix(gate), gate.qubits)
+    for kind, qubits, angle in gates:
+        mats = gate_matrices(kind, angle)
+        psi = apply(psi, np.broadcast_to(mats, (points,) + mats.shape[-2:]), qubits)
     return psi
+
+
+def _probabilities(gates, points: int, noise: NoiseSpec) -> np.ndarray:
+    """Born probabilities of (D in x basis, Q in z basis), chargers traced
+    out, as (points, 4) in OUTCOME_KEYS order.  H on D maps the x basis to z;
+    the depolarized part I/16 is invariant."""
+    psi = _final_states([*gates, ("h", (0,), None)], points)
+    p = noise.depolarizing_p
+    diag = (1 - p) * np.abs(np.moveaxis(psi, -1, 0)) ** 2 + p / 16
+    return diag.reshape(points, 4, 4).sum(axis=2)
+
+
+def _gate_triples(circuit: QuantumCircuit) -> list[tuple]:
+    return [(g.kind, g.qubits, g.angle) for g in circuit.gates]
+
+
+def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+    """Outcome probabilities of build_ico_circuit(theta[i], phi[i]) for every
+    i, as a (T, 4) array in OUTCOME_KEYS order, from one pass through the
+    gate sequence per chunk of at most CHUNK_AMPLITUDES amplitudes.  Row i
+    equals outcome_probabilities of point i's circuit bit for bit."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    chunk = max(1, CHUNK_AMPLITUDES // 2 ** N_QUBITS)
+    probs = np.empty((len(theta), 4))
+    for lo in range(0, len(theta), chunk):
+        part = slice(lo, lo + chunk)
+        probs[part] = _probabilities(_ico_gates(theta[part], phi[part]), len(theta[part]), noise)
+    return probs
 
 
 def simulate(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     """Run from |0000> and return the 16x16 output density matrix,
     depolarized as (1-p) rho + p I/16."""
-    psi = _final_state(circuit).ravel()
+    psi = _final_states(_gate_triples(circuit), 1).ravel()
     p = noise.depolarizing_p
     return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 
 
 def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> dict:
-    """Born probabilities of (D in x basis, Q in z basis), chargers traced out.
-    H on D maps the x basis to z; the depolarized part I/16 is invariant."""
-    p = noise.depolarizing_p
-    diag = (1 - p) * np.abs(apply(_final_state(circuit), _H, (0,))) ** 2 + p / 16
-    return dict(zip(OUTCOME_KEYS, map(float, diag.reshape(2, 2, 4).sum(axis=2).ravel())))
+    """Born probabilities of (D in x basis, Q in z basis), chargers traced out."""
+    probs = _probabilities(_gate_triples(circuit), 1, noise)[0]
+    return dict(zip(OUTCOME_KEYS, map(float, probs)))
 
 
-def sample(circuit: QuantumCircuit, noise: NoiseSpec, shots: int, seed: int) -> ShotResult:
-    """Multinomial shot sampling; deterministic for a fixed seed."""
+def _sample(probs: np.ndarray, shots: int, seed: int) -> ShotResult:
+    """Multinomial shots from the four outcome probabilities `probs`."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = outcome_probabilities(circuit, noise)
-    p = np.clip([probs[k] for k in OUTCOME_KEYS], 0.0, None)
+    p = np.clip(probs, 0.0, None)
     p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p)
+    draws = np.random.default_rng(seed).multinomial(shots, p)
     return ShotResult(shots=shots, seed=seed,
                       counts={k: int(c) for k, c in zip(OUTCOME_KEYS, draws)})
 
 
-def estimate(counts, shots: float | None = None) -> EnergyReport:
-    """Count-based energy accounting.
+def sample(circuit: QuantumCircuit, noise: NoiseSpec, shots: int, seed: int) -> ShotResult:
+    """Multinomial shot sampling; deterministic for a fixed seed."""
+    return _sample(_probabilities(_gate_triples(circuit), 1, noise)[0], shots, seed)
+
+
+def ico_sample(theta, phi, noise: NoiseSpec, shots: int, seeds) -> list[ShotResult]:
+    """`sample` of build_ico_circuit(theta[i], phi[i]) with seed seeds[i], for
+    every i; the probabilities come from one ico_probabilities pass."""
+    return [_sample(p, shots, seed)
+            for p, seed in zip(ico_probabilities(theta, phi, noise), seeds)]
+
+
+@dataclass(frozen=True)
+class CountEstimates:
+    """`estimate` of every row of a count array, as arrays with one entry
+    per row; P is NaN where the efficiency is undefined."""
+
+    E: np.ndarray
+    W: np.ndarray
+    P: np.ndarray
+    passive_k1: np.ndarray
+    passive_dco: np.ndarray
+
+
+def estimate_counts(counts, shots) -> CountEstimates:
+    """Count-based energy accounting for every row of an (R, 4) array of
+    counts in OUTCOME_KEYS order, each row out of `shots` (a number, or one
+    per row); fractional counts are allowed.
 
     The conditional battery states are z-diagonal, so counts suffice:
     E = p(e); W = sum_d p(d) max(0, p(e|d) - p(g|d)); both in hbar*omega.
-    Accepts a ShotResult or a raw mapping (fractional counts allowed).
+    Each switch outcome without counts in a row warns once and contributes
+    0 ergotropy.
     """
+    counts = np.asarray(counts, dtype=float)
+    total = np.broadcast_to(np.asarray(shots, dtype=float), counts.shape[:1])
+    if np.any(total <= 0):
+        raise ValueError("empty counts")
+    n_d = counts[:, 0::2] + counts[:, 1::2]       # (R, 2): outcomes + and -
+    empty = n_d == 0
+    for _, d in np.argwhere(empty):
+        warnings.warn(f"no counts for switch outcome {'+-'[d]!r}; branch contributes 0 ergotropy")
+    pe_d = np.divide(counts[:, 1::2], n_d, out=np.zeros_like(n_d), where=~empty)
+    gain = (n_d / total[:, None]) * np.maximum(0.0, 2 * pe_d - 1.0)
+    e = (counts[:, 1] + counts[:, 3]) / total
+    w = gain[:, 0] + gain[:, 1]
+    p = np.divide(w, e, out=np.full_like(e, np.nan), where=e >= tol.ENERGY_EPS)
+    return CountEstimates(E=e, W=w, P=p, passive_k1=pe_d[:, 0] <= 0.5,
+                          passive_dco=e <= 0.5)  # z marginal = definite-order state
+
+
+def estimate(counts, shots: float | None = None) -> EnergyReport:
+    """`estimate_counts` of one ShotResult or raw mapping (fractional counts
+    allowed), out of `shots`, or of the sum of the counts when shots is None."""
     if isinstance(counts, ShotResult):
         shots = counts.shots
         counts = counts.counts
     total = float(sum(counts.values())) if shots is None else float(shots)
-    if total <= 0:
-        raise ValueError("empty counts")
-    get = lambda d, q: float(counts.get((d, q), 0))
-
-    p_e = (get("+", "e") + get("-", "e")) / total
-    e = p_e
-
-    w = 0.0
-    branch_pops = {}
-    for d in ("+", "-"):
-        nd = get(d, "g") + get(d, "e")
-        if nd == 0:
-            warnings.warn(f"no counts for switch outcome {d!r}; branch contributes 0 ergotropy")
-            continue
-        pe_d = get(d, "e") / nd
-        branch_pops[d] = pe_d
-        w += (nd / total) * max(0.0, 2 * pe_d - 1.0)
-
-    passive_k1 = branch_pops.get("+", 0.0) <= 0.5
-    passive_dco = p_e <= 0.5  # unconditional z marginal equals the definite-order state
-    return EnergyReport(E=e, W=w, P=efficiency(w, e),
-                        passive_k1=passive_k1, passive_dco=passive_dco)
+    est = estimate_counts([[counts.get(k, 0) for k in OUTCOME_KEYS]], total)
+    p = float(est.P[0])
+    return EnergyReport(E=float(est.E[0]), W=float(est.W[0]), P=None if math.isnan(p) else p,
+                        passive_k1=bool(est.passive_k1[0]), passive_dco=bool(est.passive_dco[0]))

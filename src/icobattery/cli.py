@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .analytic import closed_form_grid, dco_zero_window
-from .circuit import OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit, estimate, sample
+from .circuit import (OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit, estimate,
+                      estimate_counts, ico_sample)
 from .model import ModelParams
 from .protocol import run_ico_grid
 from .qasm import emit_qasm
@@ -201,12 +202,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Formatter of each common cell type, looked up by exact type: the same text
+# as _fmt, which formats any other type.
+_FORMATTERS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, str: str,
+               type(None): _fmt, bool: _fmt, np.bool_: _fmt}
+
+
 def write_csv(path, fieldnames, rows) -> None:
+    fmt = _FORMATTERS.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(k)) for k in fieldnames])
+        writer.writerows([fmt(type(v), _fmt)(v) for v in map(row.get, fieldnames)]
+                         for row in rows)
 
 
 def burst_report(config: SweepConfig) -> dict:
@@ -217,8 +225,8 @@ def burst_report(config: SweepConfig) -> dict:
     grid = config.time_grid()
     per_n = {}
     t_stars = []
-    for n in config.n_list:
-        n_rows = [r for r in rows if r["N"] == n]
+    for k, n in enumerate(config.n_list):
+        n_rows = rows[k * len(grid):(k + 1) * len(grid)]   # sweep_rows groups rows by N
         hits = [
             r["P_dco"] is not None and r["P_dco"] <= config.eps_dco
             and r["P_ico"] is not None and r["P_ico"] >= config.tau
@@ -272,12 +280,9 @@ def export_circuits(config: SweepConfig, out_dir) -> list[dict]:
 def _bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng) -> float | None:
     """Standard error of the efficiency estimate by multinomial resampling;
     None when fewer than two resamples define an efficiency."""
-    p = counts_vec / shots
-    vals = []
-    for draw in rng.multinomial(shots, p, size=BOOTSTRAP_RESAMPLES):
-        rep = estimate(dict(zip(OUTCOME_KEYS, draw)), shots)
-        if rep.P is not None:
-            vals.append(rep.P)
+    draws = rng.multinomial(shots, counts_vec / shots, size=BOOTSTRAP_RESAMPLES)
+    vals = estimate_counts(draws, shots).P
+    vals = vals[~np.isnan(vals)]
     return float(np.std(vals)) if len(vals) > 1 else None
 
 
@@ -291,14 +296,15 @@ def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     if config.shots is None or config.depolarizing_p is None:
         raise ConfigError("noise study requires both shots and depolarizing_p")
     params = config.params(2)
-    noise = NoiseSpec(config.depolarizing_p)
-    rows, shot_rows = [], []
     grid = config.time_grid()
-    for i, (t, ideal) in enumerate(zip(grid, closed_form_grid(params, grid))):
-        theta, phi = angles_of_time(params, t)
-        circ = build_ico_circuit(theta, phi)
-        seed = config.seed + i
-        result = sample(circ, noise, config.shots, seed)
+    angles = [angles_of_time(params, t) for t in grid]
+    thetas, phis = np.transpose(angles)
+    results = ico_sample(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots,
+                         range(config.seed, config.seed + len(grid)))
+    rows, shot_rows = [], []
+    for t, (theta, phi), ideal, result in zip(grid, angles, closed_form_grid(params, grid),
+                                              results):
+        seed = result.seed
         est = estimate(result)
         counts_vec = np.array([result.counts[k] for k in OUTCOME_KEYS], float)
         se_e = math.sqrt(max(est.E * (1 - est.E), 0.0) / config.shots)

@@ -1,0 +1,93 @@
+"""Per-point reference for the circuit simulation and the shot estimator.
+
+These are the one-circuit-at-a-time forms that `icobattery.circuit` batches
+over a time grid: gate matrices from one angle each, one `tensordot` per gate
+on a single 4-qubit state, the count estimator on one mapping, and the
+bootstrap that calls it once per resample.  `icobattery.circuit` and
+`icobattery.cli` are checked against them.
+"""
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+from icobattery.circuit import OUTCOME_KEYS, N_QUBITS, NoiseSpec, QuantumCircuit
+from icobattery.thermo import EnergyReport, efficiency
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def gate_matrix(gate) -> np.ndarray:
+    """Matrix of one gate on its own qubits (first listed qubit most significant)."""
+    if gate.kind == "h":
+        return _H
+    if gate.kind == "x":
+        return _X
+    if gate.kind == "rz":
+        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
+    if gate.kind == "cz":
+        return np.diag([1, 1, 1, -1]).astype(complex)
+    if gate.kind == "cp":
+        return np.diag([1, 1, 1, np.exp(1j * gate.angle)])
+    c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
+    if gate.kind == "xx":
+        return c * np.eye(4) - 1j * s * np.kron(_X, _X)
+    if gate.kind == "yy":
+        return c * np.eye(4) - 1j * s * np.kron(_SY, _SY)
+    raise AssertionError(gate.kind)
+
+
+def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
+    k = len(qubits)
+    out = np.tensordot(mat.reshape((2,) * (2 * k)), state, axes=(range(k, 2 * k), qubits))
+    return np.moveaxis(out, range(k), qubits)
+
+
+def final_state(circuit: QuantumCircuit) -> np.ndarray:
+    """The gates applied to |0000>, one at a time, as a (2,) * 4 tensor."""
+    psi = np.zeros((2,) * N_QUBITS, dtype=complex)
+    psi[(0,) * N_QUBITS] = 1.0
+    for gate in circuit.gates:
+        psi = apply(psi, gate_matrix(gate), gate.qubits)
+    return psi
+
+
+def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+    """Outcome probabilities of one circuit, in OUTCOME_KEYS order."""
+    p = noise.depolarizing_p
+    diag = (1 - p) * np.abs(apply(final_state(circuit), _H, (0,))) ** 2 + p / 16
+    return diag.reshape(2, 2, 4).sum(axis=2).ravel()
+
+
+def estimate(counts, shots=None) -> EnergyReport:
+    """Count-based energy accounting of one mapping from outcome to count."""
+    total = float(sum(counts.values())) if shots is None else float(shots)
+    if total <= 0:
+        raise ValueError("empty counts")
+    get = lambda d, q: float(counts.get((d, q), 0))
+    p_e = (get("+", "e") + get("-", "e")) / total
+    w = 0.0
+    branch_pops = {}
+    for d in ("+", "-"):
+        nd = get(d, "g") + get(d, "e")
+        if nd == 0:
+            warnings.warn(f"no counts for switch outcome {d!r}; branch contributes 0 ergotropy")
+            continue
+        pe_d = get(d, "e") / nd
+        branch_pops[d] = pe_d
+        w += (nd / total) * max(0.0, 2 * pe_d - 1.0)
+    return EnergyReport(E=p_e, W=w, P=efficiency(w, p_e),
+                        passive_k1=branch_pops.get("+", 0.0) <= 0.5, passive_dco=p_e <= 0.5)
+
+
+def bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng, resamples: int) -> float | None:
+    """Bootstrap standard error of the efficiency, one `estimate` per resample."""
+    vals = []
+    for draw in rng.multinomial(shots, counts_vec / shots, size=resamples):
+        rep = estimate(dict(zip(OUTCOME_KEYS, draw)), shots)
+        if rep.P is not None:
+            vals.append(rep.P)
+    return float(np.std(vals)) if len(vals) > 1 else None

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import circuit_reference as ref
+import icobattery.circuit as circuit
 from icobattery.circuit import (
     GATE_KINDS,
+    OUTCOME_KEYS,
     Gate,
     NoiseSpec,
     QuantumCircuit,
@@ -12,7 +17,11 @@ from icobattery.circuit import (
     charging_gates,
     circuit_unitary,
     estimate,
+    estimate_counts,
+    gate_matrices,
     gate_matrix,
+    ico_probabilities,
+    ico_sample,
     outcome_probabilities,
     sample,
     simulate,
@@ -251,3 +260,159 @@ class TestNoiseQualitative:
             ideal = estimate(outcome_probabilities(circ), 1.0)
             noisy = estimate(outcome_probabilities(circ, NoiseSpec(0.05)), 1.0)
             assert noisy.P < ideal.P
+
+
+def grid_angles(params, times):
+    """Per-point (theta, phi) as the noise study computes them, and as arrays."""
+    angles = [angles_of_time(params, t) for t in times]
+    return angles, np.transpose(angles)
+
+
+# (omega, lambda, times): every grid starts at t = 0
+GRIDS = [(1.0, 0.1, np.linspace(0.0, 4 * np.pi / 0.1, 30)),
+         (2.7, 1.3, np.concatenate([[0.0], np.random.default_rng(8).uniform(0, 300, 40)]))]
+
+
+class TestGateMatrices:
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_stack_matches_single_angle_and_reference(self, kind):
+        arity = 1 if kind in ("h", "x", "rz") else 2
+        qubits = (0,) if arity == 1 else (1, 2)
+        if kind in ("h", "x", "cz"):
+            gate = Gate(kind, qubits)
+            assert np.array_equal(gate_matrix(gate), ref.gate_matrix(gate))
+            return
+        angles = np.random.default_rng(2).uniform(-40, 40, 25)
+        stack = gate_matrices(kind, angles)
+        assert stack.shape == (25, 2 ** arity, 2 ** arity)
+        for a, mat in zip(angles, stack):
+            gate = Gate(kind, qubits, a)
+            assert np.array_equal(mat, gate_matrix(gate))
+            assert np.array_equal(mat, ref.gate_matrix(gate))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            gate_matrices("swap", [0.1])
+
+
+class TestStackedKernel:
+    def test_each_slice_gets_its_own_matrix(self):
+        rng = np.random.default_rng(4)
+        states = rng.normal(size=(16, 7)) + 1j * rng.normal(size=(16, 7))
+        for qubits in ((2,), (3, 1), (0, 2)):
+            d = 2 ** len(qubits)
+            mats = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+            out = apply(states.reshape((2,) * 4 + (7,)), mats, qubits)
+            assert out.shape == (2,) * 4 + (7,)
+            for i in range(7):
+                single = apply(states[:, i].reshape((2,) * 4), mats[i], qubits)
+                assert np.array_equal(out[..., i], single), (qubits, i)
+                expected = kron_embedding(mats[i], qubits) @ states[:, i]
+                assert np.max(np.abs(out[..., i].ravel() - expected)) <= 1e-14
+
+    def test_shared_matrix_broadcast_over_grid(self):
+        rng = np.random.default_rng(6)
+        states = rng.normal(size=(2,) * 4 + (5,)) + 1j * rng.normal(size=(2,) * 4 + (5,))
+        mat = gate_matrix(Gate("yy", (3, 0), 0.4))
+        stacked = apply(states, np.broadcast_to(mat, (5, 4, 4)), (3, 0))
+        assert np.max(np.abs(stacked - apply(states, mat, (3, 0)))) <= 1e-15
+
+
+class TestIcoProbabilities:
+    @pytest.mark.parametrize("omega, lam, times", GRIDS)
+    @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+    def test_matches_per_circuit_bitwise(self, omega, lam, times, p):
+        angles, (theta, phi) = grid_angles(ModelParams(2, omega, lam), times)
+        noise = NoiseSpec(p)
+        grid = ico_probabilities(theta, phi, noise)
+        assert grid.shape == (len(times), 4)
+        for (th, ph), row in zip(angles, grid):
+            circ = build_ico_circuit(th, ph)
+            probs = outcome_probabilities(circ, noise)
+            assert list(row) == [probs[k] for k in OUTCOME_KEYS]
+            # the one-gate-at-a-time tensordot oracle
+            assert np.max(np.abs(row - ref.outcome_probabilities(circ, noise))) <= 1e-15
+
+    @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
+    def test_chunked_grid_matches_unchunked(self, monkeypatch, points_per_chunk):
+        _, (theta, phi) = grid_angles(P2, GRIDS[1][2])
+        whole = ico_probabilities(theta, phi, NoiseSpec(0.05))
+        monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * points_per_chunk)
+        assert np.array_equal(ico_probabilities(theta, phi, NoiseSpec(0.05)), whole)
+
+    def test_evolves_at_most_one_chunk_at_once(self, monkeypatch):
+        evolved = []
+        final_states = circuit._final_states
+
+        def recording(gates, points):
+            evolved.append(points)
+            return final_states(gates, points)
+
+        monkeypatch.setattr(circuit, "_final_states", recording)
+        monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * 4)
+        ico_probabilities(np.linspace(0, 1, 10), np.linspace(0, 10, 10))
+        assert evolved == [4, 4, 2]
+
+    def test_ico_sample_matches_per_circuit_sample(self):
+        angles, (theta, phi) = grid_angles(P2, GRIDS[0][2])
+        seeds = range(40, 40 + len(angles))
+        results = ico_sample(theta, phi, NoiseSpec(0.05), 3000, seeds)
+        for (th, ph), seed, got in zip(angles, seeds, results):
+            want = sample(build_ico_circuit(th, ph), NoiseSpec(0.05), 3000, seed)
+            assert (got.shots, got.seed, got.counts) == (want.shots, want.seed, want.counts)
+
+    def test_ico_sample_rejects_no_shots(self):
+        with pytest.raises(ValueError):
+            ico_sample([0.1], [1.0], NoiseSpec(), 0, [0])
+
+
+def random_counts(rng, rows):
+    """Integer count rows with every pattern of empty entries, E = 0 rows
+    included, then fractional rows."""
+    counts = rng.integers(0, 5, size=(rows, 4)).astype(float)
+    counts[::7, 1::2] = 0          # E = 0
+    counts[::5, 0:2] = 0           # no '+' outcome
+    counts[::6, 2:4] = 0           # no '-' outcome
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    fractional = rng.uniform(0, 1, size=(rows, 4)) * (rng.uniform(size=(rows, 4)) > 0.3)
+    fractional[fractional.sum(axis=1) == 0, 3] = 0.25
+    return np.concatenate([counts, fractional])
+
+
+def run_warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+class TestEstimateCounts:
+    def test_matches_scalar_reference(self):
+        counts = random_counts(np.random.default_rng(12), 300)
+        totals = counts.sum(axis=1)
+        est, messages = run_warned(estimate_counts, counts, totals)
+        ref_messages = []
+        for i, row in enumerate(counts):
+            want, caught = run_warned(ref.estimate, dict(zip(OUTCOME_KEYS, row)), totals[i])
+            ref_messages += caught
+            assert (est.E[i], est.W[i]) == (want.E, want.W), row
+            assert (want.P is None) == np.isnan(est.P[i]), row
+            if want.P is not None:
+                assert est.P[i] == want.P, row
+            assert (est.passive_k1[i], est.passive_dco[i]) == (want.passive_k1, want.passive_dco)
+        assert messages == ref_messages
+        assert any(est.E == 0) and any(np.isnan(est.P))
+
+    def test_fixed_shots_and_single_mapping(self):
+        counts = random_counts(np.random.default_rng(13), 60)[:60]
+        est, _ = run_warned(estimate_counts, counts, 10)
+        for i, row in enumerate(counts):
+            mapping = dict(zip(OUTCOME_KEYS, row))
+            want, _ = run_warned(ref.estimate, mapping, 10)
+            got, _ = run_warned(estimate, mapping, 10)
+            assert got == want
+            assert (est.E[i], est.W[i]) == (want.E, want.W)
+
+    def test_empty_counts_rejected(self):
+        with pytest.raises(ValueError, match="empty counts"):
+            estimate_counts(np.zeros((2, 4)), np.array([3.0, 0.0]))

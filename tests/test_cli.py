@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,10 @@ from icobattery.cli import (
     noise_study_rows,
     sweep_rows,
 )
+from icobattery.circuit import OUTCOME_KEYS
 from icobattery.qasm import parse_qasm
+
+import circuit_reference as ref
 
 
 def test_config_defaults():
@@ -179,6 +183,17 @@ class TestBursts:
         rep = burst_report(cfg)
         assert rep["per_n"]["2"]["intervals"] == []
 
+    def test_unsorted_n_list_matches_each_n_alone(self):
+        # each N's rows are a slice of the grouped sweep rows, not a filter
+        cfg = SweepConfig(n_list=[7, 5, 3], points=300, engine="analytic")
+        rep = burst_report(cfg)
+        assert list(rep["per_n"]) == ["7", "5", "3"]
+        assert rep["monotonicity_verdict"] == "fail"
+        for n in (7, 5, 3):
+            alone = burst_report(SweepConfig(n_list=[n], points=300, engine="analytic"))
+            assert alone["per_n"][str(n)]["intervals"]
+            assert rep["per_n"][str(n)] == alone["per_n"][str(n)]
+
     def test_first_interval_inside_dco_zero_window(self):
         # later windows recur periodically, but the first burst must close
         # before the analytic first-window boundary t*
@@ -234,6 +249,63 @@ class TestNoiseStudy:
     def test_requires_shots_and_noise(self):
         with pytest.raises(ConfigError):
             noise_study_rows(SweepConfig(n_list=[2], points=2))
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("shots", [1, 2, 7, 20000])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 10**9 + 3])
+    def test_matches_per_resample_loop(self, shots, seed):
+        rng = np.random.default_rng(seed)
+        counts_vec = rng.multinomial(shots, [0.5, 0.2, 0.2, 0.1]).astype(float)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = cli._bootstrap_p_se(counts_vec, shots, np.random.default_rng(seed))
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = ref.bootstrap_p_se(counts_vec, shots, np.random.default_rng(seed),
+                                      cli.BOOTSTRAP_RESAMPLES)
+        assert got == want
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
+    @pytest.mark.parametrize("shots, depol_p", [(1, 0.05), (3, 0.0), (40, 0.2)])
+    def test_noise_study_warning_count_unchanged(self, shots, depol_p):
+        # one warning per empty branch of the point estimate and of each resample
+        cfg = SweepConfig(n_list=[2], points=12, t_max=30.0, shots=shots,
+                          depolarizing_p=depol_p, seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows, shot_rows = noise_study_rows(cfg)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            for row, raw in zip(rows, shot_rows):
+                counts = np.array([raw[k] for k in ("c_pg", "c_pe", "c_mg", "c_me")], float)
+                ref.estimate(dict(zip(OUTCOME_KEYS, counts)), shots)
+                se_p = ref.bootstrap_p_se(counts, shots, np.random.default_rng(row["seed"] + 10**9),
+                                          cli.BOOTSTRAP_RESAMPLES)
+                assert row["se_P"] == se_p
+        assert expected and len(caught) == len(expected)
+        assert all(w.filename == cli.estimate_counts.__code__.co_filename for w in caught)
+
+
+def _reference_csv(path, fieldnames, rows) -> None:
+    """write_csv with every cell through cli._fmt."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([cli._fmt(row.get(k)) for k in fieldnames])
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    values = [None, True, False, np.bool_(True), np.bool_(False), 0, -3, 10**20, np.int64(7),
+              0.0, -0.0, 1e-05, 1e16, 1 / 3, np.float64(2.5e-300), np.float32(0.1),
+              float("nan"), "a,b", 'q"x', "ico_n2_t0.qasm", ""]
+    names = ("a", "b", "c", "missing")
+    rows = [{"a": v, "b": values[-1 - i], "c": values[(3 * i) % len(values)]}
+            for i, v in enumerate(values)]
+    cli.write_csv(tmp_path / "fast.csv", names, rows)
+    _reference_csv(tmp_path / "slow.csv", names, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 class TestMain:
