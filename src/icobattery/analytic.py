@@ -9,13 +9,14 @@ pipeline and serves as its oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .thermo import efficiency
+from .thermo import efficiencies
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,14 @@ def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
     populations, |alpha_0|^2 >= (C + sum |alpha_u|^2)/N, which avoids
     dividing by a possibly small branch probability.
     """
-    return closed_form_grid(params, [t])[0]
+    point = {k: v[0].item() for k, v in closed_form_grid(params, [t]).items()}
+    return ClosedFormReport(**{k: None if k.startswith("P") and math.isnan(v) else v
+                               for k, v in point.items()})
 
 
-def closed_form_grid(params: ModelParams, times) -> list[ClosedFormReport]:
-    """`closed_form_report` at every time of `times`, in order.
+def closed_form_grid(params: ModelParams, times) -> dict[str, np.ndarray]:
+    """`closed_form_report` at every time of `times`, in order, as columns:
+    one array per field of ClosedFormReport, with NaN for an undefined P.
 
     The grid is evaluated in chunks of at most CHUNK_AMPLITUDES coefficients.
     Raises ValueError, naming the time, if the coefficients at some time are
@@ -113,7 +117,7 @@ def closed_form_grid(params: ModelParams, times) -> list[ClosedFormReport]:
     n = params.n_chargers
     times = np.asarray(times, dtype=float)
     chunk = max(1, CHUNK_AMPLITUDES // (n + 1))
-    reports = []
+    gnd, s2, c_term = (np.empty(len(times)) for _ in range(3))
     for lo in range(0, len(times), chunk):
         ts = times[lo:lo + chunk]
         alpha = _alpha_grid(params, ts)
@@ -124,27 +128,20 @@ def closed_form_grid(params: ModelParams, times) -> list[ClosedFormReport]:
             i = bad[0]
             raise ValueError(f"coefficient normalization {norm[i]} deviates from 1 "
                              f"at t={float(ts[i])!r}")
-        gnd = pops[:, 0]
-        s2 = pops[:, 1:].sum(axis=1)
-        c_term = np.abs(alpha[:, 1:].sum(axis=1)) ** 2 - s2    # see interference_term
-        exc = (c_term + s2) / n
+        part = slice(lo, lo + len(ts))
+        gnd[part] = pops[:, 0]
+        s2[part] = pops[:, 1:].sum(axis=1)
+        c_term[part] = np.abs(alpha[:, 1:].sum(axis=1)) ** 2 - s2[part]   # see interference_term
+    exc = (c_term + s2) / n
 
-        p1 = gnd + exc
-        e = 1.0 - gnd            # = 1 - cos(w l t / N)^(2N)
-        passive_k1 = gnd >= exc
-        w_ico = np.where(passive_k1, ((n - 1) / n) * s2 - c_term / n, 1.0 - 2.0 * gnd)
-        passive_dco = gnd >= 0.5
-        w_dco = np.where(passive_dco, 0.0, 1.0 - 2.0 * gnd)
-
-        for t, c1, p, en, wi, wd, pk1, pdco in zip(
-                ts.tolist(), c_term.tolist(), p1.tolist(), e.tolist(), w_ico.tolist(),
-                w_dco.tolist(), passive_k1.tolist(), passive_dco.tolist()):
-            reports.append(ClosedFormReport(
-                t=t, C1=c1, p1=p, E=en, W_ico=wi, W_dco=wd,
-                P_ico=efficiency(wi, en), P_dco=efficiency(wd, en),
-                passive_k1=pk1, passive_dco=pdco,
-            ))
-    return reports
+    e = 1.0 - gnd            # = 1 - cos(w l t / N)^(2N)
+    passive_k1 = gnd >= exc
+    w_ico = np.where(passive_k1, ((n - 1) / n) * s2 - c_term / n, 1.0 - 2.0 * gnd)
+    passive_dco = gnd >= 0.5
+    w_dco = np.where(passive_dco, 0.0, 1.0 - 2.0 * gnd)
+    return {"t": times, "C1": c_term, "p1": gnd + exc, "E": e, "W_ico": w_ico, "W_dco": w_dco,
+            "P_ico": efficiencies(w_ico, e), "P_dco": efficiencies(w_dco, e),
+            "passive_k1": passive_k1, "passive_dco": passive_dco}
 
 
 def dco_zero_window(params: ModelParams) -> float:

@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances as tol
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .thermo import EnergyReport
+from .thermo import EnergyReport, efficiencies
 
-QUBITS = ("D", "Q", "C1", "C2")
 N_QUBITS = 4
 GATE_KINDS = ("h", "x", "cz", "xx", "yy", "cp", "rz")
 _PARAMETRIC = ("xx", "yy", "cp", "rz")
@@ -138,11 +136,6 @@ def _ico_gates(theta, phi) -> list[tuple]:
             *_controlled_block(1, c2, theta, phi), *_controlled_block(1, c1, theta, phi)]
 
 
-def charging_gates(theta: float, phi: float) -> tuple[Gate, ...]:
-    """The four controlled charging blocks of build_ico_circuit."""
-    return tuple(Gate(*g) for g in _ico_gates(theta, phi)[len(_PREP):])
-
-
 def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
     """Preparation (H on D, X on both chargers) followed by the charging blocks."""
     return QuantumCircuit(gates=tuple(Gate(*g) for g in _ico_gates(theta, phi)),
@@ -201,14 +194,6 @@ def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     return np.moveaxis(out.reshape(moved.shape), range(grid + k), axes)
 
 
-def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
-    """Product of the gate list (first gate applied first)."""
-    u = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
-    for gate in gates:
-        u = apply(u, gate_matrix(gate), gate.qubits)
-    return u.reshape(2 ** n, 2 ** n)
-
-
 def _final_states(gates, points: int) -> np.ndarray:
     """|0000> evolved through `gates`, (kind, qubits, angle) triples whose
     angle is None, a float, or an array of one angle per point, as
@@ -248,14 +233,6 @@ def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
         part = slice(lo, lo + chunk)
         probs[part] = _probabilities(_ico_gates(theta[part], phi[part]), len(theta[part]), noise)
     return probs
-
-
-def simulate(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
-    """Run from |0000> and return the 16x16 output density matrix,
-    depolarized as (1-p) rho + p I/16."""
-    psi = _final_states(_gate_triples(circuit), 1).ravel()
-    p = noise.depolarizing_p
-    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 
 
 def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> dict:
@@ -321,8 +298,7 @@ def estimate_counts(counts, shots) -> CountEstimates:
     gain = (n_d / total[:, None]) * np.maximum(0.0, 2 * pe_d - 1.0)
     e = (counts[:, 1] + counts[:, 3]) / total
     w = gain[:, 0] + gain[:, 1]
-    p = np.divide(w, e, out=np.full_like(e, np.nan), where=e >= tol.ENERGY_EPS)
-    return CountEstimates(E=e, W=w, P=p, passive_k1=pe_d[:, 0] <= 0.5,
+    return CountEstimates(E=e, W=w, P=efficiencies(w, e), passive_k1=pe_d[:, 0] <= 0.5,
                           passive_dco=e <= 0.5)  # z marginal = definite-order state
 
 

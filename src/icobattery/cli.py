@@ -9,22 +9,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tolerances as tol
 from .analytic import closed_form_grid, dco_zero_window
-from .circuit import (OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit, estimate,
+from .circuit import (OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit,
                       estimate_counts, ico_sample)
 from .model import ModelParams
 from .protocol import run_ico_grid
 from .qasm import emit_qasm
-from .thermo import report as thermo_report
+from .thermo import report_grid
 
 ROW_FIELDS = ("N", "t", "E", "W_ico", "P_ico", "W_dco", "P_dco", "p1",
               "passive_k1", "passive_dco")
@@ -36,7 +37,7 @@ BOOTSTRAP_RESAMPLES = 200
 MAX_CHARGERS = 1000
 
 # Largest number of output rows (points x charger counts) accepted.  A sweep
-# holds its rows in memory, about 1.5 kB each, so about 1.5 GB at this limit.
+# holds its rows in memory, 0.45 kB each; --engine both peaks at 0.9 GB here.
 MAX_ROWS = 1_000_000
 
 # Largest phase omega*t_max or omega*lambda*t_max accepted with --engine both.
@@ -136,60 +137,84 @@ class SweepConfig:
         return ModelParams(n, self.omega, self.coupling)
 
 
-def _numeric_row(params: ModelParams, result) -> dict:
-    ico, dco = thermo_report(result, params)
-    return {"N": params.n_chargers, "t": result.t, "E": ico.E, "W_ico": ico.W,
-            "P_ico": ico.P, "W_dco": dco.W, "P_dco": dco.P, "p1": result.p1,
-            "passive_k1": ico.passive_k1, "passive_dco": ico.passive_dco}
+def _cells(key: str, column: np.ndarray) -> list:
+    """Python values of one column.  In a column of efficiencies or their
+    errors, named with a capital P, an undefined value (NaN) is None."""
+    values = column.tolist()
+    return [None if math.isnan(v) else v for v in values] if "P" in key else values
 
 
-def _analytic_row(params: ModelParams, r) -> dict:
-    return {"N": params.n_chargers, "t": r.t, "E": r.E, "W_ico": r.W_ico,
-            "P_ico": r.P_ico, "W_dco": r.W_dco, "P_dco": r.P_dco, "p1": r.p1,
-            "passive_k1": r.passive_k1, "passive_dco": r.passive_dco}
+def _rows(cols: dict, names) -> list[dict]:
+    """One dict per grid point, keyed by `names`, from the columns `cols`."""
+    return [dict(zip(names, cells)) for cells in zip(*(_cells(k, cols[k]) for k in names))]
 
 
-def _engine_deviation(num: dict, ana: dict) -> float:
-    """Largest deviation between the numeric and analytic rows of one (N, t).
-
-    Raises InvariantViolation, naming the quantity, N and t, when a value
-    differs beyond the agreement tolerance, when an efficiency is defined
-    by one engine only, or when a passivity flag differs."""
-    where = f"N={num['N']}, t={float(num['t'])!r}"
+def _disagreement(n: int, num: dict, ana: dict, devs: dict, bounds: dict, i: int) -> str:
+    """What the engines disagree on at time i: whether each P is defined,
+    else the passivity flags, else the largest deviation beyond its bound."""
+    num, ana = ({k: _cells(k, col[i:i + 1])[0] for k, col in cols.items()} for cols in (num, ana))
+    where = f"N={n}, t={num['t']!r}"
     for k in ("P_ico", "P_dco"):
         if (num[k] is None) != (ana[k] is None):
-            raise InvariantViolation(f"engines disagree on whether {k} is defined at {where}: "
-                                     f"numeric {num[k]!r}, analytic {ana[k]!r}")
+            return (f"engines disagree on whether {k} is defined at {where}: "
+                    f"numeric {num[k]!r}, analytic {ana[k]!r}")
     for k in ("passive_k1", "passive_dco"):
         if num[k] != ana[k]:
-            raise InvariantViolation(f"engines disagree on {k} at {where}: "
-                                     f"numeric {num[k]}, analytic {ana[k]}")
-    devs = {k: abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1", "P_ico", "P_dco")
-            if num[k] is not None}
-    worst = max(devs, key=devs.get)
-    if not devs[worst] <= tol.ENGINE_AGREE_ATOL:
-        raise InvariantViolation(f"engines disagree on {worst} by {devs[worst]:g} at {where}")
-    return devs[worst]
+            return f"engines disagree on {k} at {where}: numeric {num[k]}, analytic {ana[k]}"
+    failing = {k: float(dev[i]) for k, dev in devs.items() if not dev[i] <= bounds[k][i]}
+    worst = max(failing, key=failing.get)
+    return f"engines disagree on {worst} by {failing[worst]:g} at {where}"
+
+
+def _engine_deviation(n: int, num: dict, ana: dict) -> np.ndarray:
+    """Largest deviation between the numeric and analytic columns of one N,
+    per time.  E, W and p1 must agree within ENGINE_AGREE_ATOL, and P = W/E
+    within ATOL (1 + |P|) / E, the bound that this agreement of W and E
+    implies (near E = 0 the quotient magnifies it).  Raises
+    InvariantViolation at the first time in grid order where a value is
+    beyond its bound, only one engine defines an efficiency, or a passivity
+    flag differs."""
+    atol = np.full(len(num["t"]), tol.ENGINE_AGREE_ATOL)
+    devs = {k: np.abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1")}
+    bounds = dict.fromkeys(devs, atol)
+    fails = (num["passive_k1"] != ana["passive_k1"]) | (num["passive_dco"] != ana["passive_dco"])
+    for k in ("P_ico", "P_dco"):
+        undefined = np.isnan(num[k])
+        fails |= undefined != np.isnan(ana[k])
+        devs[k] = np.where(undefined, 0.0, np.abs(num[k] - ana[k]))
+        bounds[k] = np.divide(atol * (1.0 + np.abs(ana[k])), ana["E"],
+                              out=np.full_like(atol, np.inf), where=ana["E"] >= tol.ENERGY_EPS)
+    for k, dev in devs.items():
+        fails |= ~(dev <= bounds[k])
+    if fails.any():
+        raise InvariantViolation(_disagreement(n, num, ana, devs, bounds, int(np.argmax(fails))))
+    return functools.reduce(np.maximum, devs.values())
+
+
+def _sweep_columns(config: SweepConfig):
+    """Yield (N, columns) for every N in order: the analytic engine's
+    columns with --engine analytic, else the numeric engine's, plus the
+    max_engine_dev column with --engine both (see _engine_deviation)."""
+    grid = config.time_grid()
+    for n in config.n_list:
+        params = config.params(n)
+        if config.engine == "analytic":
+            yield n, closed_form_grid(params, grid)
+            continue
+        states = run_ico_grid(params, grid)
+        cols = {"t": states.t, "p1": states.p1, **report_grid(states, params)}
+        if config.engine == "both":
+            cols["max_engine_dev"] = _engine_deviation(n, cols, closed_form_grid(params, grid))
+        yield n, cols
 
 
 def sweep_rows(config: SweepConfig) -> list[dict]:
     """One row per (N, t) in grid order.  Engine `both` records the maximum
     componentwise deviation between the two engines and fails the run if
     they disagree (see _engine_deviation)."""
-    rows = []
-    for n in config.n_list:
-        params = config.params(n)
-        grid = config.time_grid()
-        if config.engine == "analytic":
-            rows += [_analytic_row(params, r) for r in closed_form_grid(params, grid)]
-        elif config.engine == "numeric":
-            rows += [_numeric_row(params, result) for result in run_ico_grid(params, grid)]
-        else:
-            for result, r in zip(run_ico_grid(params, grid), closed_form_grid(params, grid)):
-                row = _numeric_row(params, result)
-                row["max_engine_dev"] = _engine_deviation(row, _analytic_row(params, r))
-                rows.append(row)
-    return rows
+    names = ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
+    return [row for n, cols in _sweep_columns(config)
+            for row in _rows({"N": np.full(len(cols["t"]), n), **cols}, names)]
 
 
 def _fmt(value) -> str:
@@ -221,28 +246,13 @@ def burst_report(config: SweepConfig) -> dict:
     """Per-N burst intervals (maximal grid runs with P_dco <= eps and
     P_ico >= tau), the analytic first-window length t*, and a strict-growth
     verdict for t* across n_list."""
-    rows = sweep_rows(config)
     grid = config.time_grid()
     per_n = {}
     t_stars = []
-    for k, n in enumerate(config.n_list):
-        n_rows = rows[k * len(grid):(k + 1) * len(grid)]   # sweep_rows groups rows by N
-        hits = [
-            r["P_dco"] is not None and r["P_dco"] <= config.eps_dco
-            and r["P_ico"] is not None and r["P_ico"] >= config.tau
-            for r in n_rows
-        ]
-        intervals = []
-        i = 0
-        while i < len(hits):
-            if hits[i]:
-                j = i
-                while j + 1 < len(hits) and hits[j + 1]:
-                    j += 1
-                intervals.append([float(grid[i]), float(grid[j])])
-                i = j + 1
-            else:
-                i += 1
+    for n, cols in _sweep_columns(config):
+        hits = (cols["P_dco"] <= config.eps_dco) & (cols["P_ico"] >= config.tau)  # NaN: no hit
+        edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
+        intervals = [[float(grid[i]), float(grid[j - 1])] for i, j in zip(edges[::2], edges[1::2])]
         t_star = dco_zero_window(config.params(n))
         t_stars.append(t_star)
         per_n[str(n)] = {
@@ -277,13 +287,20 @@ def export_circuits(config: SweepConfig, out_dir) -> list[dict]:
     return manifest
 
 
-def _bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng) -> float | None:
-    """Standard error of the efficiency estimate by multinomial resampling;
-    None when fewer than two resamples define an efficiency."""
-    draws = rng.multinomial(shots, counts_vec / shots, size=BOOTSTRAP_RESAMPLES)
-    vals = estimate_counts(draws, shots).P
-    vals = vals[~np.isnan(vals)]
-    return float(np.std(vals)) if len(vals) > 1 else None
+def _bootstrap_p_se(counts: np.ndarray, shots: int, rngs) -> list[float | None]:
+    """Standard error of the efficiency estimate by multinomial resampling,
+    for each row of an (R, 4) count array, row r resampled with rngs[r];
+    None where fewer than two resamples define an efficiency.  All
+    resamples are scored in one estimate_counts call."""
+    draws = np.concatenate([rng.multinomial(shots, c / shots, size=BOOTSTRAP_RESAMPLES)
+                            for c, rng in zip(counts, rngs)])
+    p = estimate_counts(draws, shots).P.reshape(len(counts), BOOTSTRAP_RESAMPLES)
+    return [float(np.std(v)) if len(v) > 1 else None for v in (row[~np.isnan(row)] for row in p)]
+
+
+NOISE_FIELDS = ("t", "theta", "phi", "shots", "seed", "E_ideal", "P_ico_ideal",
+                "E_hat", "se_E", "P_hat", "se_P", "overestimates_E")
+SHOT_FIELDS = ("t", "theta", "phi", "shots", "seed", "c_pg", "c_pe", "c_mg", "c_me")
 
 
 def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
@@ -297,32 +314,18 @@ def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
         raise ConfigError("noise study requires both shots and depolarizing_p")
     params = config.params(2)
     grid = config.time_grid()
-    angles = [angles_of_time(params, t) for t in grid]
-    thetas, phis = np.transpose(angles)
-    results = ico_sample(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots,
-                         range(config.seed, config.seed + len(grid)))
-    rows, shot_rows = [], []
-    for t, (theta, phi), ideal, result in zip(grid, angles, closed_form_grid(params, grid),
-                                              results):
-        seed = result.seed
-        est = estimate(result)
-        counts_vec = np.array([result.counts[k] for k in OUTCOME_KEYS], float)
-        se_e = math.sqrt(max(est.E * (1 - est.E), 0.0) / config.shots)
-        se_p = _bootstrap_p_se(counts_vec, config.shots, np.random.default_rng(seed + 10**9))
-        rows.append({
-            "t": t, "theta": theta, "phi": phi,
-            "shots": config.shots, "seed": seed,
-            "E_ideal": ideal.E, "P_ico_ideal": ideal.P_ico,
-            "E_hat": est.E, "se_E": se_e,
-            "P_hat": est.P, "se_P": se_p,
-            "overestimates_E": est.E > ideal.E,
-        })
-        shot_rows.append({
-            "t": t, "theta": theta, "phi": phi, "shots": config.shots, "seed": seed,
-            "c_pg": result.counts[("+", "g")], "c_pe": result.counts[("+", "e")],
-            "c_mg": result.counts[("-", "g")], "c_me": result.counts[("-", "e")],
-        })
-    return rows, shot_rows
+    thetas, phis = np.transpose([angles_of_time(params, t) for t in grid])
+    seeds = list(range(config.seed, config.seed + len(grid)))
+    results = ico_sample(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
+    counts = np.array([[r.counts[k] for k in OUTCOME_KEYS] for r in results])
+    est, ideal = estimate_counts(counts, config.shots), closed_form_grid(params, grid)
+    se_p = _bootstrap_p_se(counts, config.shots, [np.random.default_rng(s + 10**9) for s in seeds])
+    cols = {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
+            "seed": np.array(seeds), "E_ideal": ideal["E"], "P_ico_ideal": ideal["P_ico"],
+            "E_hat": est.E, "se_E": np.sqrt(np.maximum(est.E * (1 - est.E), 0.0) / config.shots),
+            "P_hat": est.P, "se_P": np.array(se_p, dtype=float),
+            "overestimates_E": est.E > ideal["E"], **dict(zip(SHOT_FIELDS[5:], counts.T))}
+    return _rows(cols, NOISE_FIELDS), _rows(cols, SHOT_FIELDS)
 
 
 # --- argument handling -------------------------------------------------------
@@ -393,11 +396,8 @@ def _cmd_export(config: SweepConfig) -> None:
 def _cmd_noise(config: SweepConfig) -> None:
     rows, shot_rows = noise_study_rows(config)
     out = Path(_require_out(config))
-    write_csv(out, ("t", "theta", "phi", "shots", "seed", "E_ideal", "P_ico_ideal",
-                    "E_hat", "se_E", "P_hat", "se_P", "overestimates_E"), rows)
-    write_csv(out.with_name(out.stem + "_shots.csv"),
-              ("t", "theta", "phi", "shots", "seed", "c_pg", "c_pe", "c_mg", "c_me"),
-              shot_rows)
+    write_csv(out, NOISE_FIELDS, rows)
+    write_csv(out.with_name(out.stem + "_shots.csv"), SHOT_FIELDS, shot_rows)
 
 
 def main(argv=None) -> int:

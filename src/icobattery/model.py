@@ -62,19 +62,21 @@ def pair_hamiltonian(params: ModelParams) -> np.ndarray:
     return h
 
 
-def pair_unitary(params: ModelParams, t_l: float) -> np.ndarray:
+def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
     """Closed-form charging unitary U(t_l) = exp(-i H t_l) on Q (x) C.
 
     Phases exp(-3i*omega*t/2) on |ee>, exp(+i*omega*t/2) on |gg>, and a
     cos / -i*sin exchange envelope with argument omega*lambda*t on the
-    single-excitation pair {|eg>, |ge>}.
+    single-excitation pair {|eg>, |ge>}.  For an array of times, one matrix
+    per time along trailing axes: shape (4, 4) + np.shape(t_l).
     """
-    if t_l < 0 or not np.isfinite(t_l):
+    t_l = np.asarray(t_l, dtype=float)
+    if np.any(t_l < 0) or not np.all(np.isfinite(t_l)):
         raise ValueError(f"evolution time must be finite and >= 0, got {t_l}")
     om, lam = params.omega, params.coupling
     c = np.cos(om * lam * t_l)
     s = np.sin(om * lam * t_l)
-    u = np.zeros((4, 4), dtype=complex)
+    u = np.zeros((4, 4) + t_l.shape, dtype=complex)
     # indices: 2*q + c with g=0, e=1
     u[0, 0] = np.exp(0.5j * om * t_l)                       # |gg><gg|
     u[3, 3] = np.exp(-1.5j * om * t_l)                      # |ee><ee|

@@ -47,19 +47,16 @@ class ProtocolResult:
 
 def _branch_amplitudes(params: ModelParams, times: np.ndarray):
     """Evolve every branch along its cyclic order, one chunk of the grid at a
-    time.  Yields (chunk times, amplitudes of shape (N, N+1, T_chunk)): axis 0
-    is the order index j - 1, axis 1 the sector component, axis 2 the time,
+    time.  Yields the amplitudes of each chunk, shape (N, N+1, T_chunk): axis
+    0 is the order index j - 1, axis 1 the sector component, axis 2 the time,
     last so that each step reads and writes contiguous rows."""
     n = params.n_chargers
-    blocks = np.empty((2, 2, len(times)), dtype=complex)
-    for i, t in enumerate(times):
-        u = pair_unitary(params, t / n)          # indices 2q + c: |ge> = 1, |eg> = 2
-        blocks[:, :, i] = u[1:3, 1:3] / u[3, 3]
     orders = np.array([cyclic_sequence(j, n) for j in range(1, n + 1)])
     branch = np.arange(n)
     chunk = max(1, CHUNK_AMPLITUDES // (n * (n + 1)))
-    for lo in range(0, len(times), chunk):
-        (m00, m01), (m10, m11) = blocks[:, :, lo:lo + chunk]
+    for lo in range(0, max(len(times), 1), chunk):      # an empty grid is one empty chunk
+        u = pair_unitary(params, times[lo:lo + chunk] / n)   # indices 2q + c: |ge> = 1, |eg> = 2
+        (m00, m01), (m10, m11) = u[1:3, 1:3] / u[3, 3]
         amp = np.zeros((n, n + 1, len(m00)), dtype=complex)
         amp[:, 0] = 1.0
         for k in range(n):
@@ -68,57 +65,74 @@ def _branch_amplitudes(params: ModelParams, times: np.ndarray):
             al = amp[branch, charger]
             amp[:, 0] = m00 * a0 + m01 * al
             amp[branch, charger] = m10 * a0 + m11 * al
-        yield times[lo:lo + chunk], amp
+        yield amp
 
 
 def _battery_populations(amp: np.ndarray) -> np.ndarray:
-    """Unnormalized battery populations (g, e) along axis -2 of sector
+    """Unnormalized battery populations (..., T, 2), (g, e) last, of sector
     amplitudes whose axes end in (component, time).  Components 0 and c
     differ in the chargers, so the battery state is diagonal."""
     pops = amp.real ** 2 + amp.imag ** 2
-    return np.stack([pops[..., 0, :], pops[..., 1:, :].sum(axis=-2)], axis=-2)
+    return np.stack([pops[..., 0, :], pops[..., 1:, :].sum(axis=-2)], axis=-1)
 
 
-def _diag(pops: np.ndarray) -> np.ndarray:
-    return np.diag(pops).astype(complex)
+def _density(pops: np.ndarray) -> np.ndarray:
+    """Diagonal density matrices (..., 2, 2) with populations (..., 2)."""
+    return (pops[..., None] * np.eye(2)).astype(complex)
 
 
-def run_ico_grid(params: ModelParams, times) -> list[ProtocolResult]:
-    """`run_ico` at every time of `times`, in order.
+def _conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (T,) and normalized states (T, 2, 2) of populations (T, 2);
+    the state is `fallback` where the weight is below ENERGY_EPS."""
+    weight = sigma[:, 0] + sigma[:, 1]
+    pops = np.divide(sigma, weight[:, None], out=np.tile(fallback.real, (len(weight), 1)),
+                     where=weight[:, None] > tol.ENERGY_EPS)
+    return weight, _density(pops)
 
-    The grid is evolved in chunks of at most CHUNK_AMPLITUDES amplitudes,
-    each reduced to 2x2 battery states before the next one starts.
-    """
-    ket_g = np.outer(KET_G, KET_G.conj())
-    ket_e = np.outer(KET_E, KET_E.conj())
-    results = []
-    for ts, amp in _branch_amplitudes(params, np.asarray(times, dtype=float)):
-        mean = amp.mean(axis=0)
-        sigma_1 = _battery_populations(mean)
-        sigma_rest = _battery_populations(amp - mean).mean(axis=0)
-        bar = _battery_populations(amp[0])
-        for t, s1, sr, b in zip(ts, sigma_1.T, sigma_rest.T, bar.T):
-            p1, rest_weight = float(s1.sum()), float(sr.sum())
-            rho_given_1 = _diag(s1 / p1) if p1 > tol.ENERGY_EPS else ket_g.copy()
-            rho_rest = _diag(sr / rest_weight) if rest_weight > tol.ENERGY_EPS else ket_e.copy()
-            results.append(ProtocolResult(
-                t=t,
-                p1=p1,
-                rho_given_1=rho_given_1,
-                rest_weight=rest_weight,
-                rho_rest=rho_rest,
-                rho_bar=_diag(b),
-                rho_avg=p1 * rho_given_1 + rest_weight * rho_rest,
-            ))
-    return results
+
+@dataclass(frozen=True)
+class ProtocolGrid:
+    """`run_ico` at every time of a grid: the fields of ProtocolResult as
+    arrays with a leading time axis.  Item i is time i's ProtocolResult."""
+
+    t: np.ndarray
+    p1: np.ndarray
+    rho_given_1: np.ndarray
+    rest_weight: np.ndarray
+    rho_rest: np.ndarray
+    rho_bar: np.ndarray
+    rho_avg: np.ndarray
+
+    def __getitem__(self, i: int) -> ProtocolResult:
+        return ProtocolResult(**{k: v[i].copy() if v.ndim > 1 else float(v[i])
+                                 for k, v in vars(self).items()})
+
+
+def run_ico_grid(params: ModelParams, times) -> ProtocolGrid:
+    """`run_ico` at every time of `times`, in order.  The grid is evolved in
+    chunks of at most CHUNK_AMPLITUDES amplitudes, each reduced to battery
+    populations before the next one starts."""
+    times = np.asarray(times, dtype=float)
+    chunks = []
+    for amp in _branch_amplitudes(params, times):
+        mean = amp.mean(axis=0)          # outcome k = 1 keeps the mean branch
+        chunks.append((_battery_populations(mean), _battery_populations(amp - mean).mean(axis=0),
+                       _battery_populations(amp[0])))
+    sigma_1, sigma_rest, bar = (np.concatenate(c) for c in zip(*chunks))
+    p1, rho_given_1 = _conditional(sigma_1, KET_G)
+    rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
+    return ProtocolGrid(t=times, p1=p1, rho_given_1=rho_given_1, rest_weight=rest_weight,
+                        rho_rest=rho_rest, rho_bar=_density(bar),
+                        rho_avg=p1[:, None, None] * rho_given_1
+                        + rest_weight[:, None, None] * rho_rest)
 
 
 def run_dco(params: ModelParams, t: float, j: int) -> np.ndarray:
     """Battery state after the single definite charging order j (no switch)."""
     if not 1 <= j <= params.n_chargers:
         raise ValueError(f"order index {j} out of range 1..{params.n_chargers}")
-    _, amp = next(_branch_amplitudes(params, np.array([t], dtype=float)))
-    return _diag(_battery_populations(amp[j - 1])[:, 0])
+    amp = next(_branch_amplitudes(params, np.array([t], dtype=float)))
+    return _density(_battery_populations(amp[j - 1])[0])
 
 
 def run_ico(params: ModelParams, t: float) -> ProtocolResult:

@@ -12,8 +12,10 @@ import warnings
 
 import numpy as np
 
-from icobattery.circuit import OUTCOME_KEYS, N_QUBITS, NoiseSpec, QuantumCircuit
-from icobattery.thermo import EnergyReport, efficiency
+from icobattery import circuit
+from icobattery.circuit import OUTCOME_KEYS, N_QUBITS, NoiseSpec, QuantumCircuit, build_ico_circuit
+from icobattery import tolerances as tol
+from icobattery.thermo import EnergyReport
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,6 +57,29 @@ def final_state(circuit: QuantumCircuit) -> np.ndarray:
     return psi
 
 
+def simulate(circ: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+    """The 16x16 output density matrix of one circuit run from |0000>,
+    depolarized as (1-p) rho + p I/16."""
+    psi = final_state(circ).ravel()
+    p = noise.depolarizing_p
+    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
+
+
+def charging_gates(theta: float, phi: float) -> tuple:
+    """The four controlled charging blocks of build_ico_circuit."""
+    circ = build_ico_circuit(theta, phi)
+    return circ.gates[circ.n_prep:]
+
+
+def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
+    """Product of the gate list (first gate applied first), each gate
+    applied by the library's kernel `icobattery.circuit.apply`."""
+    u = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
+    for gate in gates:
+        u = circuit.apply(u, circuit.gate_matrix(gate), gate.qubits)
+    return u.reshape(2 ** n, 2 ** n)
+
+
 def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     """Outcome probabilities of one circuit, in OUTCOME_KEYS order."""
     p = noise.depolarizing_p
@@ -79,7 +104,7 @@ def estimate(counts, shots=None) -> EnergyReport:
         pe_d = get(d, "e") / nd
         branch_pops[d] = pe_d
         w += (nd / total) * max(0.0, 2 * pe_d - 1.0)
-    return EnergyReport(E=p_e, W=w, P=efficiency(w, p_e),
+    return EnergyReport(E=p_e, W=w, P=w / p_e if p_e >= tol.ENERGY_EPS else None,
                         passive_k1=branch_pops.get("+", 0.0) <= 0.5, passive_dco=p_e <= 0.5)
 
 

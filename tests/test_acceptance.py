@@ -15,8 +15,6 @@ from icobattery.circuit import (
     NoiseSpec,
     angles_of_time,
     build_ico_circuit,
-    charging_gates,
-    circuit_unitary,
     estimate,
     outcome_probabilities,
     sample,
@@ -26,6 +24,7 @@ from icobattery.model import ModelParams
 from icobattery.protocol import run_ico
 from icobattery.thermo import report
 
+from circuit_reference import charging_gates, circuit_unitary
 from dense_reference import total_unitary
 
 OMEGA, COUPLING = 1.0, 0.1

