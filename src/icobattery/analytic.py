@@ -9,14 +9,13 @@ pipeline and serves as its oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .thermo import efficiencies
+from .thermo import efficiencies, python_values
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,8 @@ def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
     populations, |alpha_0|^2 >= (C + sum |alpha_u|^2)/N, which avoids
     dividing by a possibly small branch probability.
     """
-    point = {k: v[0].item() for k, v in closed_form_grid(params, [t]).items()}
-    return ClosedFormReport(**{k: None if k.startswith("P") and math.isnan(v) else v
-                               for k, v in point.items()})
+    return ClosedFormReport(**{k: python_values(v)[0]
+                               for k, v in closed_form_grid(params, [t]).items()})
 
 
 def closed_form_grid(params: ModelParams, times) -> dict[str, np.ndarray]:
@@ -123,11 +121,10 @@ def closed_form_grid(params: ModelParams, times) -> dict[str, np.ndarray]:
         alpha = _alpha_grid(params, ts)
         pops = np.abs(alpha) ** 2
         norm = pops.sum(axis=1)
-        bad = np.flatnonzero(np.abs(norm - 1.0) > tol.NORM_ATOL)
+        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= tol.NORM_ATOL))   # NaN too
         if bad.size:
-            i = bad[0]
-            raise ValueError(f"coefficient normalization {norm[i]} deviates from 1 "
-                             f"at t={float(ts[i])!r}")
+            raise ValueError(f"coefficient normalization {norm[bad[0]]} deviates from 1 "
+                             f"at t={float(ts[bad[0]])!r}")
         part = slice(lo, lo + len(ts))
         gnd[part] = pops[:, 0]
         s2[part] = pops[:, 1:].sum(axis=1)

@@ -21,14 +21,13 @@ sample or bootstrap resample.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .thermo import EnergyReport, efficiencies
+from .thermo import EnergyReport, efficiencies, python_values
 
 N_QUBITS = 4
 GATE_KINDS = ("h", "x", "cz", "xx", "yy", "cp", "rz")
@@ -235,6 +234,14 @@ def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     return probs
 
 
+def simulate(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+    """Run from |0000> and return the 16x16 output density matrix,
+    depolarized as (1-p) rho + p I/16."""
+    psi = _final_states(_gate_triples(circuit), 1).ravel()
+    p = noise.depolarizing_p
+    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
+
+
 def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> dict:
     """Born probabilities of (D in x basis, Q in z basis), chargers traced out."""
     probs = _probabilities(_gate_triples(circuit), 1, noise)[0]
@@ -310,6 +317,5 @@ def estimate(counts, shots: float | None = None) -> EnergyReport:
         counts = counts.counts
     total = float(sum(counts.values())) if shots is None else float(shots)
     est = estimate_counts([[counts.get(k, 0) for k in OUTCOME_KEYS]], total)
-    p = float(est.P[0])
-    return EnergyReport(E=float(est.E[0]), W=float(est.W[0]), P=None if math.isnan(p) else p,
+    return EnergyReport(E=float(est.E[0]), W=float(est.W[0]), P=python_values(est.P)[0],
                         passive_k1=bool(est.passive_k1[0]), passive_dco=bool(est.passive_dco[0]))

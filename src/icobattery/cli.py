@@ -22,15 +22,17 @@ from . import tolerances as tol
 from .analytic import closed_form_grid, dco_zero_window
 from .circuit import (OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit,
                       estimate_counts, ico_sample)
-from .model import ModelParams
+from .model import CHUNK_AMPLITUDES, ModelParams
 from .protocol import run_ico_grid
 from .qasm import emit_qasm
-from .thermo import report_grid
+from .thermo import python_values, report_grid
 
 ROW_FIELDS = ("N", "t", "E", "W_ico", "P_ico", "W_dco", "P_dco", "p1",
               "passive_k1", "passive_dco")
 
 BOOTSTRAP_RESAMPLES = 200
+# Grid points whose resamples are scored per estimate_counts call.
+BOOTSTRAP_CHUNK = max(1, CHUNK_AMPLITUDES // (4 * BOOTSTRAP_RESAMPLES))
 
 # Largest charger count accepted.  One grid point of the numeric engine holds
 # N(N+1) complex amplitudes, 16 MB at this N.
@@ -137,57 +139,49 @@ class SweepConfig:
         return ModelParams(n, self.omega, self.coupling)
 
 
-def _cells(key: str, column: np.ndarray) -> list:
-    """Python values of one column.  In a column of efficiencies or their
-    errors, named with a capital P, an undefined value (NaN) is None."""
-    values = column.tolist()
-    return [None if math.isnan(v) else v for v in values] if "P" in key else values
-
-
 def _rows(cols: dict, names) -> list[dict]:
     """One dict per grid point, keyed by `names`, from the columns `cols`."""
-    return [dict(zip(names, cells)) for cells in zip(*(_cells(k, cols[k]) for k in names))]
+    return [dict(zip(names, cells)) for cells in zip(*(python_values(cols[k]) for k in names))]
 
 
-def _disagreement(n: int, num: dict, ana: dict, devs: dict, bounds: dict, i: int) -> str:
-    """What the engines disagree on at time i: whether each P is defined,
-    else the passivity flags, else the largest deviation beyond its bound."""
-    num, ana = ({k: _cells(k, col[i:i + 1])[0] for k, col in cols.items()} for cols in (num, ana))
-    where = f"N={n}, t={num['t']!r}"
-    for k in ("P_ico", "P_dco"):
-        if (num[k] is None) != (ana[k] is None):
-            return (f"engines disagree on whether {k} is defined at {where}: "
-                    f"numeric {num[k]!r}, analytic {ana[k]!r}")
-    for k in ("passive_k1", "passive_dco"):
-        if num[k] != ana[k]:
-            return f"engines disagree on {k} at {where}: numeric {num[k]}, analytic {ana[k]}"
-    failing = {k: float(dev[i]) for k, dev in devs.items() if not dev[i] <= bounds[k][i]}
-    worst = max(failing, key=failing.get)
-    return f"engines disagree on {worst} by {failing[worst]:g} at {where}"
+def _disagreement(n: int, num: dict, ana: dict, masks, devs: dict, i: int) -> str:
+    """The message for time i, from the masks of _engine_deviation: the first
+    efficiency only one engine defines, else the first passivity flag that
+    differs, else the largest deviation beyond its bound."""
+    where = f"N={n}, t={float(num['t'][i])!r}"
+    undefined, flags, beyond = ([k for k, bad in m.items() if bad[i]] for m in masks)
+    if undefined:
+        k = undefined[0]
+        numeric, analytic = (python_values(cols[k][i:i + 1])[0] for cols in (num, ana))
+        return (f"engines disagree on whether {k} is defined at {where}: "
+                f"numeric {numeric!r}, analytic {analytic!r}")
+    if flags:
+        k = flags[0]
+        return f"engines disagree on {k} at {where}: numeric {num[k][i]}, analytic {ana[k][i]}"
+    worst = max(beyond, key=lambda k: float(devs[k][i]))
+    return f"engines disagree on {worst} by {float(devs[worst][i]):g} at {where}"
 
 
 def _engine_deviation(n: int, num: dict, ana: dict) -> np.ndarray:
     """Largest deviation between the numeric and analytic columns of one N,
     per time.  E, W and p1 must agree within ENGINE_AGREE_ATOL, and P = W/E
-    within ATOL (1 + |P|) / E, the bound that this agreement of W and E
-    implies (near E = 0 the quotient magnifies it).  Raises
-    InvariantViolation at the first time in grid order where a value is
-    beyond its bound, only one engine defines an efficiency, or a passivity
-    flag differs."""
-    atol = np.full(len(num["t"]), tol.ENGINE_AGREE_ATOL)
-    devs = {k: np.abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1")}
+    within ATOL (1 + |P_ana|) / E_num, which that agreement implies since
+    P_num - P_ana = (dW - P_ana dE) / E_num.  Raises InvariantViolation at
+    the first failing time in grid order (see _disagreement)."""
+    atol = tol.ENGINE_AGREE_ATOL
+    devs = {k: np.abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1", "P_ico", "P_dco")}
     bounds = dict.fromkeys(devs, atol)
-    fails = (num["passive_k1"] != ana["passive_k1"]) | (num["passive_dco"] != ana["passive_dco"])
     for k in ("P_ico", "P_dco"):
-        undefined = np.isnan(num[k])
-        fails |= undefined != np.isnan(ana[k])
-        devs[k] = np.where(undefined, 0.0, np.abs(num[k] - ana[k]))
-        bounds[k] = np.divide(atol * (1.0 + np.abs(ana[k])), ana["E"],
-                              out=np.full_like(atol, np.inf), where=ana["E"] >= tol.ENERGY_EPS)
-    for k, dev in devs.items():
-        fails |= ~(dev <= bounds[k])
+        defined = ~np.isnan(num[k])
+        devs[k] = np.where(defined, devs[k], 0.0)
+        bounds[k] = np.divide(atol * (1.0 + np.abs(ana[k])), num["E"],
+                              out=np.full_like(num["E"], np.inf), where=defined)
+    masks = ({k: np.isnan(num[k]) != np.isnan(ana[k]) for k in ("P_ico", "P_dco")},
+                  {k: num[k] != ana[k] for k in ("passive_k1", "passive_dco")},
+                  {k: ~(dev <= bounds[k]) for k, dev in devs.items()})
+    fails = functools.reduce(np.logical_or, (bad for m in masks for bad in m.values()))
     if fails.any():
-        raise InvariantViolation(_disagreement(n, num, ana, devs, bounds, int(np.argmax(fails))))
+        raise InvariantViolation(_disagreement(n, num, ana, masks, devs, int(np.argmax(fails))))
     return functools.reduce(np.maximum, devs.values())
 
 
@@ -289,13 +283,18 @@ def export_circuits(config: SweepConfig, out_dir) -> list[dict]:
 
 def _bootstrap_p_se(counts: np.ndarray, shots: int, rngs) -> list[float | None]:
     """Standard error of the efficiency estimate by multinomial resampling,
-    for each row of an (R, 4) count array, row r resampled with rngs[r];
-    None where fewer than two resamples define an efficiency.  All
-    resamples are scored in one estimate_counts call."""
-    draws = np.concatenate([rng.multinomial(shots, c / shots, size=BOOTSTRAP_RESAMPLES)
-                            for c, rng in zip(counts, rngs)])
-    p = estimate_counts(draws, shots).P.reshape(len(counts), BOOTSTRAP_RESAMPLES)
-    return [float(np.std(v)) if len(v) > 1 else None for v in (row[~np.isnan(row)] for row in p)]
+    for each row of an (R, 4) count array, row r resampled with the r-th
+    generator of the iterable `rngs`; None where fewer than two resamples
+    define an efficiency.  The resamples of BOOTSTRAP_CHUNK rows at a time
+    are scored in one estimate_counts call."""
+    rngs, se = iter(rngs), []
+    for lo in range(0, len(counts), BOOTSTRAP_CHUNK):
+        part = counts[lo:lo + BOOTSTRAP_CHUNK]
+        draws = np.concatenate([rng.multinomial(shots, c / shots, size=BOOTSTRAP_RESAMPLES)
+                                for c, rng in zip(part, rngs)])
+        p = estimate_counts(draws, shots).P.reshape(len(part), BOOTSTRAP_RESAMPLES)
+        se += [float(np.std(v)) if len(v) > 1 else None for v in (r[~np.isnan(r)] for r in p)]
+    return se
 
 
 NOISE_FIELDS = ("t", "theta", "phi", "shots", "seed", "E_ideal", "P_ico_ideal",
@@ -319,7 +318,7 @@ def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     results = ico_sample(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
     counts = np.array([[r.counts[k] for k in OUTCOME_KEYS] for r in results])
     est, ideal = estimate_counts(counts, config.shots), closed_form_grid(params, grid)
-    se_p = _bootstrap_p_se(counts, config.shots, [np.random.default_rng(s + 10**9) for s in seeds])
+    se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
     cols = {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
             "seed": np.array(seeds), "E_ideal": ideal["E"], "P_ico_ideal": ideal["P_ico"],
             "E_hat": est.E, "se_E": np.sqrt(np.maximum(est.E * (1 - est.E), 0.0) / config.shots),

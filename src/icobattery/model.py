@@ -38,10 +38,9 @@ class ModelParams:
     def __post_init__(self):
         if self.n_chargers < 2:
             raise ValueError(f"need at least 2 chargers, got {self.n_chargers}")
-        if not (self.omega > 0 and np.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not (self.coupling > 0 and np.isfinite(self.coupling)):
-            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
+        for name, value in (("omega", self.omega), ("coupling", self.coupling)):
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def battery_hamiltonian(params: ModelParams) -> np.ndarray:
@@ -74,15 +73,12 @@ def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
     if np.any(t_l < 0) or not np.all(np.isfinite(t_l)):
         raise ValueError(f"evolution time must be finite and >= 0, got {t_l}")
     om, lam = params.omega, params.coupling
-    c = np.cos(om * lam * t_l)
-    s = np.sin(om * lam * t_l)
+    c, s = np.cos(om * lam * t_l), np.sin(om * lam * t_l)
     u = np.zeros((4, 4) + t_l.shape, dtype=complex)
     # indices: 2*q + c with g=0, e=1
     u[0, 0] = np.exp(0.5j * om * t_l)                       # |gg><gg|
     u[3, 3] = np.exp(-1.5j * om * t_l)                      # |ee><ee|
-    u[2, 2] = np.exp(-0.5j * om * t_l) * c                  # |eg><eg|
-    u[1, 1] = np.exp(-0.5j * om * t_l) * c                  # |ge><ge|
-    u[1, 2] = np.exp(-0.5j * om * t_l) * (-1j * s)          # |ge><eg|
-    u[2, 1] = np.exp(-0.5j * om * t_l) * (-1j * s)          # |eg><ge|
+    u[1, 1] = u[2, 2] = np.exp(-0.5j * om * t_l) * c        # |ge><ge|, |eg><eg|
+    u[1, 2] = u[2, 1] = np.exp(-0.5j * om * t_l) * (-1j * s)  # |ge><eg|, |eg><ge|
     return u
 

@@ -41,10 +41,8 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
         lines.append("// gates")
         for g in circuit.gates:
             args = ", ".join(f"qs[{q}]" for q in g.qubits)
-            if g.angle is None:
-                lines.append(f"{g.kind} {args};")
-            else:
-                lines.append(f"{g.kind}({g.angle!r}) {args};")
+            angle = "" if g.angle is None else f"({g.angle!r})"
+            lines.append(f"{g.kind}{angle} {args};")
         lines.append("")
     lines.append(_MEASUREMENT)
     return "\n".join(lines)

@@ -6,6 +6,7 @@ units the supplied Hamiltonian carries and for any finite dimension.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,7 @@ def _weighted_sum(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
                          | (np.abs(probs.sum(axis=0) - 1.0) > 1e-10))
     if bad.size:
         raise ValueError(f"ensemble probabilities {probs[:, bad[0]]} are not a distribution")
-    total = 0.0
-    for p, value in zip(probs, values):
-        total = total + np.where(p > 0, p * value, 0.0)
-    return total
+    return sum(np.where(p > 0, p * value, 0.0) for p, value in zip(probs, values))
 
 
 def daemonic_ergotropy(ensemble, h: np.ndarray) -> float:
@@ -97,6 +95,13 @@ def stored_energy(rho_avg: np.ndarray, rho0: np.ndarray, h: np.ndarray) -> float
 def efficiencies(w: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Efficiency W/E of every entry, NaN where E is below ENERGY_EPS."""
     return np.divide(w, e, out=np.full_like(e, np.nan), where=e >= tol.ENERGY_EPS)
+
+
+def python_values(column: np.ndarray) -> list:
+    """The entries of a column as Python values, None where it holds NaN: an
+    undefined efficiency is NaN in arrays and None in reports and rows."""
+    values = column.tolist()    # a NaN anywhere makes sum(values) NaN
+    return [None if math.isnan(v) else v for v in values] if math.isnan(sum(values)) else values
 
 
 def report_grid(states: ProtocolGrid, params: ModelParams) -> dict[str, np.ndarray]:
@@ -134,9 +139,8 @@ def report(result: ProtocolResult, params: ModelParams) -> tuple[EnergyReport, E
     states' ergotropy is computed once and also decides its passivity, in
     units of hbar*omega like the tolerance it is compared with.
     """
-    g = report_grid(ProtocolGrid(**{k: np.asarray(v)[None] for k, v in vars(result).items()}),
-                    params)
-    flags = {k: bool(g[k][0]) for k in ("passive_k1", "passive_dco")}
-    return tuple(EnergyReport(E=float(g[e][0]), W=float(g[w][0]),
-                              P=None if np.isnan(g[p][0]) else float(g[p][0]), **flags)
+    states = ProtocolGrid(**{k: np.asarray(v)[None] for k, v in vars(result).items()})
+    g = {k: python_values(v)[0] for k, v in report_grid(states, params).items()}
+    flags = {k: g[k] for k in ("passive_k1", "passive_dco")}
+    return tuple(EnergyReport(E=g[e], W=g[w], P=g[p], **flags)
                  for e, w, p in (("E", "W_ico", "P_ico"), ("E_dco", "W_dco", "P_dco")))

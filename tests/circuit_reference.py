@@ -57,14 +57,6 @@ def final_state(circuit: QuantumCircuit) -> np.ndarray:
     return psi
 
 
-def simulate(circ: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
-    """The 16x16 output density matrix of one circuit run from |0000>,
-    depolarized as (1-p) rho + p I/16."""
-    psi = final_state(circ).ravel()
-    p = noise.depolarizing_p
-    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
-
-
 def charging_gates(theta: float, phi: float) -> tuple:
     """The four controlled charging blocks of build_ico_circuit."""
     circ = build_ico_circuit(theta, phi)

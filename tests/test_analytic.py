@@ -19,6 +19,7 @@ from icobattery.analytic import (
     interference_term,
 )
 from icobattery.model import KET_E, KET_G, ModelParams
+from icobattery.thermo import python_values
 
 from dense_reference import branch_state, ordered_charging_unitary
 
@@ -191,9 +192,8 @@ REPORT_FLOATS = ("C1", "p1", "E", "W_ico", "W_dco", "P_ico", "P_dco")
 
 def grid_reports(cols):
     """The rows of closed_form_grid's columns as ClosedFormReports."""
-    return [ClosedFormReport(**{k: None if k.startswith("P") and np.isnan(v) else v
-                                for k, v in zip(cols, row)})
-            for row in zip(*(col.tolist() for col in cols.values()))]
+    return [ClosedFormReport(**dict(zip(cols, row)))
+            for row in zip(*(python_values(col) for col in cols.values()))]
 
 
 def assert_reports_close(got, want, atol):
@@ -239,6 +239,13 @@ class TestClosedFormGrid:
         monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
         with pytest.raises(ValueError, match=r"normalization .* at t=2\.5"):
             closed_form_grid(P2, [2.5, 3.0])
+
+    def test_non_finite_time_raises(self):
+        # NaN coefficients fail the normalization check instead of giving a report of NaN
+        with pytest.raises(ValueError, match="normalization nan deviates from 1"):
+            closed_form_report(P2, np.nan)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="normalization nan"):
+            closed_form_report(P2, np.inf)      # cos(inf) warns, then the check raises
 
 
 class TestClosedFormReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from circuit_reference import charging_gates, circuit_unitary, simulate
+from circuit_reference import charging_gates, circuit_unitary
 import icobattery.circuit as circuit
 from icobattery.circuit import (
     GATE_KINDS,
@@ -23,6 +23,7 @@ from icobattery.circuit import (
     ico_sample,
     outcome_probabilities,
     sample,
+    simulate,
 )
 from icobattery.model import ModelParams
 from icobattery.protocol import run_ico

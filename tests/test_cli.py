@@ -21,6 +21,7 @@ from icobattery.cli import (
     sweep_rows,
 )
 from icobattery.circuit import OUTCOME_KEYS
+from icobattery.thermo import efficiencies, python_values
 from icobattery.qasm import parse_qasm
 
 import circuit_reference as ref
@@ -163,7 +164,7 @@ def _patch_analytic_rows(monkeypatch, edit):
     def tampered(params, grid):
         cols = real(params, grid)
         rows = [dict(zip(cols, values))
-                for values in zip(*(cli._cells(k, col) for k, col in cols.items()))]
+                for values in zip(*(python_values(col) for col in cols.values()))]
         for row in rows:
             edit(params.n_chargers, row)
         return {k: np.array([np.nan if row[k] is None else row[k] for row in rows]) for k in cols}
@@ -259,6 +260,24 @@ class TestEngineBothEfficiencyBound:
             assert capsys.readouterr().err.startswith(
                 f"invariant violation: engines disagree on {key} by ")
             assert not out.exists()
+
+    def test_efficiency_passes_whenever_energy_and_ergotropy_agree(self):
+        # E and W each moved by up to 0.99 ATOL, at stored energies down to 3e-9
+        atol, rng = cli.tol.ENGINE_AGREE_ATOL, np.random.default_rng(8)
+        e = 10.0 ** rng.uniform(np.log10(3e-9), 0.0, 2000)
+        w = e * rng.uniform(0.0, 1.0, 2000)
+        ana = {"t": np.arange(2000.0), "E": e, "W_ico": w, "W_dco": w, "p1": 0.5 * e,
+               "passive_k1": w < 0, "passive_dco": w < 0}
+        num = {**ana, "E": e + 0.99 * atol * rng.choice([-1, 1], 2000),
+               "W_ico": w + 0.99 * atol * rng.choice([-1, 1], 2000)}
+        for cols in (num, ana):
+            cols["P_ico"] = efficiencies(cols["W_ico"], cols["E"])
+            cols["P_dco"] = efficiencies(cols["W_dco"], cols["E"])
+        dev = cli._engine_deviation(3, num, ana)
+        p_dev = np.abs(num["P_ico"] - ana["P_ico"])
+        assert (dev >= p_dev).all()
+        # dividing by the analytic E instead would fail some of these rows
+        assert (p_dev > atol * (1 + np.abs(ana["P_ico"])) / ana["E"]).any()
 
 
 class TestBursts:
@@ -366,6 +385,33 @@ class TestBootstrap:
                                       cli.BOOTSTRAP_RESAMPLES)
         assert got == want
         assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunked_equals_unchunked(self, monkeypatch, chunk):
+        # 20 rows, some with an empty branch or no excitations, scored 1, 3 or 7 rows per call
+        rng = np.random.default_rng(3)
+        counts = rng.multinomial(6, [0.4, 0.3, 0.2, 0.1], size=20).astype(float)
+        seeds = range(100, 120)
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                se = cli._bootstrap_p_se(counts, 6, (np.random.default_rng(s) for s in seeds))
+            return se, [str(w.message) for w in caught]
+
+        whole = run()
+        calls = []
+        monkeypatch.setattr(cli, "BOOTSTRAP_CHUNK", chunk)
+        real = cli.estimate_counts
+        monkeypatch.setattr(cli, "estimate_counts",
+                            lambda draws, shots: calls.append(len(draws)) or real(draws, shots))
+        assert run() == whole
+        assert calls == [len(part) * cli.BOOTSTRAP_RESAMPLES
+                         for part in np.array_split(counts, range(chunk, 20, chunk))]
+
+    def test_chunk_bounds_draws_per_call(self):
+        assert cli.BOOTSTRAP_CHUNK * 4 * cli.BOOTSTRAP_RESAMPLES <= cli.CHUNK_AMPLITUDES
+        assert 30 <= cli.BOOTSTRAP_CHUNK    # the 30-point circuit study is still one call
 
     @pytest.mark.parametrize("shots, depol_p", [(1, 0.05), (3, 0.0), (40, 0.2)])
     def test_noise_study_warning_count_unchanged(self, shots, depol_p):

@@ -13,6 +13,7 @@ from icobattery.thermo import (
     daemonic_ergotropy,
     ergotropy,
     passive_state,
+    python_values,
     report,
     report_grid,
     stored_energy,
@@ -197,8 +198,7 @@ def pointwise_report(r, params):
 def assert_columns_equal_pointwise(cols, grid, params):
     for i in range(len(grid.t)):
         want = pointwise_report(grid[i], params)
-        got = {k: col[i].item() for k, col in cols.items()}
-        got.update({k: None if np.isnan(got[k]) else got[k] for k in ("P_ico", "P_dco")})
+        got = {k: python_values(col[i:i + 1])[0] for k, col in cols.items()}
         assert repr(got) == repr(want), (i, got, want)   # repr: -0.0 differs from 0.0
 
 
@@ -260,3 +260,10 @@ class TestReportGrid:
         assert undefined[[0, 4, 8]].all() and undefined.sum() == 3
         assert np.isnan(cols["P_ico"][undefined]).all() and np.isnan(cols["P_dco"][undefined]).all()
         assert not np.isnan(cols["P_ico"][~undefined]).any()
+
+
+def test_python_values_turn_nan_into_none_whatever_the_column():
+    assert python_values(np.array([1.5, np.nan])) == [1.5, None]
+    assert [repr(v) for v in python_values(np.array([0.25, -0.0]))] == ["0.25", "-0.0"]
+    assert python_values(np.array([True, False])) == [True, False]
+    assert python_values(np.array([3, 4])) == [3, 4]
