@@ -10,7 +10,7 @@ depolarizing noise.
 from .analytic import (AlphaCoefficients, ClosedFormReport, alpha_coeffs, closed_form_grid,
                        closed_form_report, dco_zero_window, interference_term)
 from .circuit import (Gate, NoiseSpec, QuantumCircuit, ShotResult, angles_of_time,
-                      build_ico_circuit, estimate, sample, simulate)
+                      build_ico_circuit, estimate, sample)
 from .model import ModelParams, battery_hamiltonian, pair_hamiltonian, pair_unitary
 from .protocol import ProtocolGrid, ProtocolResult, run_dco, run_ico, run_ico_grid
 from .qasm import emit_qasm, parse_qasm
@@ -24,7 +24,7 @@ __all__ = [
     "closed_form_grid", "closed_form_report", "daemonic_ergotropy", "dco_zero_window",
     "emit_qasm", "ergotropy", "estimate", "interference_term",
     "pair_hamiltonian", "pair_unitary", "parse_qasm", "passive_state", "report", "report_grid",
-    "run_dco", "run_ico", "run_ico_grid", "sample", "simulate", "stored_energy",
+    "run_dco", "run_ico", "run_ico_grid", "sample", "stored_energy",
 ]
 
 __version__ = "0.1.0"

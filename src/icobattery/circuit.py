@@ -90,9 +90,11 @@ class ShotResult:
             raise ValueError("counts do not sum to shots")
 
 
-def angles_of_time(params: ModelParams, t: float) -> tuple[float, float]:
-    """Map total charging time to (theta, phi) = (w*l*t/2, w*t/2)."""
-    return float(params.omega * params.coupling * t / 2), float(params.omega * t / 2)
+def angles_of_time(params: ModelParams, t):
+    """Map total charging time to (theta, phi) = (w*l*t/2, w*t/2): two floats
+    for one time, two arrays for an array of times, equal entry by entry."""
+    theta, phi = params.omega * params.coupling * t / 2, params.omega * t / 2
+    return (float(theta), float(phi)) if np.ndim(t) == 0 else (theta, phi)
 
 
 def _controlled_block(control_value: int, charger_qubit: int, theta, phi) -> list[tuple]:
@@ -172,11 +174,6 @@ def gate_matrices(kind: str, angles=None) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Matrix on the gate's own qubits (first listed qubit most significant)."""
-    return gate_matrices(gate.kind, gate.angle)
-
-
 def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     """Apply a k-qubit matrix (first listed qubit most significant) to
     `qubits` of `state`, an array of shape (2,) * n followed by any trailing
@@ -232,14 +229,6 @@ def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
         part = slice(lo, lo + chunk)
         probs[part] = _probabilities(_ico_gates(theta[part], phi[part]), len(theta[part]), noise)
     return probs
-
-
-def simulate(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
-    """Run from |0000> and return the 16x16 output density matrix,
-    depolarized as (1-p) rho + p I/16."""
-    psi = _final_states(_gate_triples(circuit), 1).ravel()
-    p = noise.depolarizing_p
-    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 
 
 def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> dict:

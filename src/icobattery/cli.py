@@ -20,11 +20,11 @@ import numpy as np
 
 from . import tolerances as tol
 from .analytic import closed_form_grid, dco_zero_window
-from .circuit import (OUTCOME_KEYS, NoiseSpec, angles_of_time, build_ico_circuit,
-                      estimate_counts, ico_sample)
+from .circuit import (OUTCOME_KEYS, NoiseSpec, _ico_gates, angles_of_time, estimate_counts,
+                      ico_sample)
 from .model import CHUNK_AMPLITUDES, ModelParams
 from .protocol import run_ico_grid
-from .qasm import emit_qasm
+from .qasm import emit_qasm_grid
 from .thermo import python_values, report_grid
 
 ROW_FIELDS = ("N", "t", "E", "W_ico", "P_ico", "W_dco", "P_dco", "p1",
@@ -39,8 +39,12 @@ BOOTSTRAP_CHUNK = max(1, CHUNK_AMPLITUDES // (4 * BOOTSTRAP_RESAMPLES))
 MAX_CHARGERS = 1000
 
 # Largest number of output rows (points x charger counts) accepted.  A sweep
-# holds its rows in memory, 0.45 kB each; --engine both peaks at 0.9 GB here.
+# holds the columns of every N until all are done; here it peaks at 278 MB
+# (--engine numeric) or 271 MB (--engine both) of resident memory.
 MAX_ROWS = 1_000_000
+
+# Rows, or exported circuits, formatted and written per block: bounds memory.
+WRITE_BLOCK = 1 << 14
 
 # Largest phase omega*t_max or omega*lambda*t_max accepted with --engine both.
 # The two engines round these phases differently, by about 1e-16 of their
@@ -139,11 +143,6 @@ class SweepConfig:
         return ModelParams(n, self.omega, self.coupling)
 
 
-def _rows(cols: dict, names) -> list[dict]:
-    """One dict per grid point, keyed by `names`, from the columns `cols`."""
-    return [dict(zip(names, cells)) for cells in zip(*(python_values(cols[k]) for k in names))]
-
-
 def _disagreement(n: int, num: dict, ana: dict, masks, devs: dict, i: int) -> str:
     """The message for time i, from the masks of _engine_deviation: the first
     efficiency only one engine defines, else the first passivity flag that
@@ -202,38 +201,30 @@ def _sweep_columns(config: SweepConfig):
         yield n, cols
 
 
-def sweep_rows(config: SweepConfig) -> list[dict]:
-    """One row per (N, t) in grid order.  Engine `both` records the maximum
-    componentwise deviation between the two engines and fails the run if
-    they disagree (see _engine_deviation)."""
-    names = ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
-    return [row for n, cols in _sweep_columns(config)
-            for row in _rows({"N": np.full(len(cols["t"]), n), **cols}, names)]
+def _cells(column) -> list[str]:
+    """The CSV cells of a column: floats by repr with NaN as an empty cell,
+    bools as true/false, anything else (ints, strings) by str."""
+    column = np.asarray(column)
+    kind, values = column.dtype.kind, column.tolist()
+    if kind == "b":
+        return list(map(("false", "true").__getitem__, values))
+    if kind != "f":
+        return list(map(str, values))
+    cells = list(map(float.__repr__, values))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-# Formatter of each common cell type, looked up by exact type: the same text
-# as _fmt, which formats any other type.
-_FORMATTERS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, str: str,
-               type(None): _fmt, bool: _fmt, np.bool_: _fmt}
-
-
-def write_csv(path, fieldnames, rows) -> None:
-    fmt = _FORMATTERS.get
+def write_csv(path, fieldnames, columns) -> None:
+    """Write the columns named `fieldnames`, from the mapping `columns` of
+    equal-length arrays or lists, as CSV rows; each column's cells are
+    formatted (see _cells) and written WRITE_BLOCK rows at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows([fmt(type(v), _fmt)(v) for v in map(row.get, fieldnames)]
-                         for row in rows)
+        for lo in range(0, len(columns[fieldnames[0]]), WRITE_BLOCK):
+            writer.writerows(zip(*(_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames)))
 
 
 def burst_report(config: SweepConfig) -> dict:
@@ -249,35 +240,35 @@ def burst_report(config: SweepConfig) -> dict:
         intervals = [[float(grid[i]), float(grid[j - 1])] for i, j in zip(edges[::2], edges[1::2])]
         t_star = dco_zero_window(config.params(n))
         t_stars.append(t_star)
-        per_n[str(n)] = {
-            "intervals": intervals,
-            "total_burst_duration": float(sum(b - a for a, b in intervals)),
-            "t_star": t_star,
-        }
+        per_n[str(n)] = {"intervals": intervals,
+                         "total_burst_duration": float(sum(b - a for a, b in intervals)),
+                         "t_star": t_star}
     increasing = all(b > a for a, b in zip(t_stars, t_stars[1:]))
-    return {
-        "tau": config.tau,
-        "eps_dco": config.eps_dco,
-        "per_n": per_n,
-        "monotonicity_verdict": "pass" if increasing else "fail",
-    }
+    return {"tau": config.tau, "eps_dco": config.eps_dco, "per_n": per_n,
+            "monotonicity_verdict": "pass" if increasing else "fail"}
 
 
-def export_circuits(config: SweepConfig, out_dir) -> list[dict]:
-    """One QASM file per grid point plus a manifest mapping t to (theta, phi,
-    filename).  Only the two-charger circuit exists."""
+MANIFEST_FIELDS = ("t", "theta", "phi", "filename")
+
+
+def export_circuits(config: SweepConfig, out_dir) -> dict:
+    """One QASM file per grid point, WRITE_BLOCK points per emit_qasm_grid
+    call, plus a manifest mapping t to (theta, phi, filename), whose columns
+    are returned.  Only the two-charger circuit exists."""
     if config.n_list != [2]:
         raise ConfigError(f"circuit export supports N=2 only, got n_list={config.n_list}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = config.params(2)
-    manifest = []
-    for i, t in enumerate(config.time_grid()):
-        theta, phi = angles_of_time(params, t)
-        name = f"ico_n2_t{i}.qasm"
-        (out_dir / name).write_text(emit_qasm(build_ico_circuit(theta, phi)))
-        manifest.append({"t": t, "theta": theta, "phi": phi, "filename": name})
-    write_csv(out_dir / "manifest.csv", ("t", "theta", "phi", "filename"), manifest)
+    grid = config.time_grid()
+    thetas, phis = angles_of_time(config.params(2), grid)
+    names = [f"ico_n2_t{i}.qasm" for i in range(len(grid))]
+    for lo in range(0, len(grid), WRITE_BLOCK):
+        block = slice(lo, lo + WRITE_BLOCK)
+        texts = emit_qasm_grid(_ico_gates(thetas[block], phis[block]), len(names[block]))
+        for name, text in zip(names[block], texts):
+            (out_dir / name).write_text(text)
+    manifest = {"t": grid, "theta": thetas, "phi": phis, "filename": names}
+    write_csv(out_dir / "manifest.csv", MANIFEST_FIELDS, manifest)
     return manifest
 
 
@@ -302,29 +293,28 @@ NOISE_FIELDS = ("t", "theta", "phi", "shots", "seed", "E_ideal", "P_ico_ideal",
 SHOT_FIELDS = ("t", "theta", "phi", "shots", "seed", "c_pg", "c_pe", "c_mg", "c_me")
 
 
-def noise_study_rows(config: SweepConfig) -> tuple[list[dict], list[dict]]:
-    """Ideal vs shot-sampled noisy estimates per grid point.
-
-    Returns (analysis rows, raw shot-count rows).  Sampling seed for grid
-    index i is seed + i, so runs are reproducible point by point."""
+def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
+    """Ideal vs shot-sampled noisy estimates per grid point, as the columns
+    of NOISE_FIELDS (the analysis) and SHOT_FIELDS (the raw shot counts).
+    Sampling seed for grid index i is seed + i, so runs are reproducible
+    point by point."""
     if config.n_list != [2]:
         raise ConfigError(f"noise study supports N=2 only, got n_list={config.n_list}")
     if config.shots is None or config.depolarizing_p is None:
         raise ConfigError("noise study requires both shots and depolarizing_p")
     params = config.params(2)
     grid = config.time_grid()
-    thetas, phis = np.transpose([angles_of_time(params, t) for t in grid])
+    thetas, phis = angles_of_time(params, grid)
     seeds = list(range(config.seed, config.seed + len(grid)))
     results = ico_sample(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
     counts = np.array([[r.counts[k] for k in OUTCOME_KEYS] for r in results])
     est, ideal = estimate_counts(counts, config.shots), closed_form_grid(params, grid)
     se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
-    cols = {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
+    return {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
             "seed": np.array(seeds), "E_ideal": ideal["E"], "P_ico_ideal": ideal["P_ico"],
             "E_hat": est.E, "se_E": np.sqrt(np.maximum(est.E * (1 - est.E), 0.0) / config.shots),
             "P_hat": est.P, "se_P": np.array(se_p, dtype=float),
             "overestimates_E": est.E > ideal["E"], **dict(zip(SHOT_FIELDS[5:], counts.T))}
-    return _rows(cols, NOISE_FIELDS), _rows(cols, SHOT_FIELDS)
 
 
 # --- argument handling -------------------------------------------------------
@@ -378,9 +368,11 @@ def _require_out(config: SweepConfig) -> str:
 
 
 def _cmd_sweep(config: SweepConfig) -> None:
-    rows = sweep_rows(config)
     names = ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
-    write_csv(_require_out(config), names, rows)
+    # all N are computed and checked before a byte is written; pop frees each part once joined
+    parts = [{"N": np.full(len(cols["t"]), n), **cols} for n, cols in _sweep_columns(config)]
+    write_csv(_require_out(config), names,
+              {k: np.concatenate([part.pop(k) for part in parts]) for k in names})
 
 
 def _cmd_bursts(config: SweepConfig) -> None:
@@ -393,13 +385,16 @@ def _cmd_export(config: SweepConfig) -> None:
 
 
 def _cmd_noise(config: SweepConfig) -> None:
-    rows, shot_rows = noise_study_rows(config)
+    cols = noise_study_rows(config)
     out = Path(_require_out(config))
-    write_csv(out, NOISE_FIELDS, rows)
-    write_csv(out.with_name(out.stem + "_shots.csv"), SHOT_FIELDS, shot_rows)
+    write_csv(out, NOISE_FIELDS, cols)
+    write_csv(out.with_name(out.stem + "_shots.csv"), SHOT_FIELDS, cols)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parse_args leaves it as it was and returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="icobattery",
         description="Cyclic indefinite-causal-order battery charging toolkit")
@@ -409,7 +404,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = build_config(args)
         args.fn(config)

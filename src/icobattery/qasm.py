@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .circuit import Gate, QuantumCircuit
 
 _HEADER = """\
@@ -36,16 +38,26 @@ _MEASUREMENT_MARKER = "// measurement:"
 
 
 def emit_qasm(circuit: QuantumCircuit) -> str:
-    lines = [_HEADER]
-    if circuit.gates:
-        lines.append("// gates")
-        for g in circuit.gates:
-            args = ", ".join(f"qs[{q}]" for q in g.qubits)
-            angle = "" if g.angle is None else f"({g.angle!r})"
-            lines.append(f"{g.kind}{angle} {args};")
-        lines.append("")
-    lines.append(_MEASUREMENT)
-    return "\n".join(lines)
+    """The OpenQASM 3 text of one circuit: emit_qasm_grid at one point."""
+    return next(emit_qasm_grid([(g.kind, g.qubits, g.angle) for g in circuit.gates], 1))
+
+
+def emit_qasm_grid(gates, points: int):
+    """emit_qasm at each of `points` grid points, as an iterator of texts, of
+    (kind, qubits, angle) triples whose angle is None, a float or one per
+    point, as from circuit._ico_gates.  Each triple is checked as a Gate once,
+    with a stand-in angle, and each angle column is formatted once."""
+    lines, columns = [], []
+    for kind, qubits, angle in gates:
+        Gate(kind, qubits, None if angle is None else 0.0)
+        lines.append(f"{kind}{'' if angle is None else '(%s)'} "
+                     f"{', '.join(f'qs[{q}]' for q in qubits)};\n")
+        if angle is not None:
+            angles = np.broadcast_to(np.asarray(angle, dtype=float), (points,))
+            columns.append(list(map(float.__repr__, angles.tolist())))
+    # a %-template: the header's gate bodies hold braces but no %
+    template = _HEADER + ("\n// gates\n" + "".join(lines) if lines else "") + "\n" + _MEASUREMENT
+    return map(template.__mod__, zip(*columns) if columns else [()] * points)
 
 
 _GATE_LINE = re.compile(

@@ -4,7 +4,9 @@ These are the one-circuit-at-a-time forms that `icobattery.circuit` batches
 over a time grid: gate matrices from one angle each, one `tensordot` per gate
 on a single 4-qubit state, the count estimator on one mapping, and the
 bootstrap that calls it once per resample.  `icobattery.circuit` and
-`icobattery.cli` are checked against them.
+`icobattery.cli` are checked against them.  `library_gate_matrix`,
+`circuit_unitary` and `simulate` instead run the library's own kernels; only
+tests use them, so they live here rather than in `icobattery.circuit`.
 """
 from __future__ import annotations
 
@@ -42,6 +44,12 @@ def gate_matrix(gate) -> np.ndarray:
     raise AssertionError(gate.kind)
 
 
+def library_gate_matrix(gate) -> np.ndarray:
+    """`icobattery.circuit.gate_matrices` of one gate's kind and angle: the
+    matrix the library applies, checked against gate_matrix above."""
+    return circuit.gate_matrices(gate.kind, gate.angle)
+
+
 def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     k = len(qubits)
     out = np.tensordot(mat.reshape((2,) * (2 * k)), state, axes=(range(k, 2 * k), qubits))
@@ -57,6 +65,14 @@ def final_state(circuit: QuantumCircuit) -> np.ndarray:
     return psi
 
 
+def simulate(circ: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+    """Run from |0000> through the library's `_final_states` and return the
+    16x16 output density matrix, depolarized as (1-p) rho + p I/16."""
+    psi = circuit._final_states([(g.kind, g.qubits, g.angle) for g in circ.gates], 1).ravel()
+    p = noise.depolarizing_p
+    return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
+
+
 def charging_gates(theta: float, phi: float) -> tuple:
     """The four controlled charging blocks of build_ico_circuit."""
     circ = build_ico_circuit(theta, phi)
@@ -68,7 +84,7 @@ def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
     applied by the library's kernel `icobattery.circuit.apply`."""
     u = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
     for gate in gates:
-        u = circuit.apply(u, circuit.gate_matrix(gate), gate.qubits)
+        u = circuit.apply(u, library_gate_matrix(gate), gate.qubits)
     return u.reshape(2 ** n, 2 ** n)
 
 

@@ -19,12 +19,13 @@ from icobattery.circuit import (
     outcome_probabilities,
     sample,
 )
-from icobattery.cli import SweepConfig, burst_report, main, noise_study_rows
+from icobattery.cli import NOISE_FIELDS, SweepConfig, burst_report, main, noise_study_rows
 from icobattery.model import ModelParams
 from icobattery.protocol import run_ico
 from icobattery.thermo import report
 
 from circuit_reference import charging_gates, circuit_unitary
+from cli_reference import rows as rows_of
 from dense_reference import total_unitary
 
 OMEGA, COUPLING = 1.0, 0.1
@@ -196,7 +197,7 @@ def test_criterion_08_shot_estimator(capsys):
 def test_criterion_09_noise_qualitative(capsys):
     cfg = SweepConfig(n_list=[2], t_min=0.8, t_max=11.0, points=8,
                       shots=240000, depolarizing_p=0.05, seed=7)
-    rows, _ = noise_study_rows(cfg)
+    rows = rows_of(noise_study_rows(cfg), NOISE_FIELDS)
     t_star = dco_zero_window(P2)
     over_ok = all(row["E_hat"] - row["E_ideal"] > 3 * row["se_E"]
                   for row in rows if row["E_ideal"] < 0.4)

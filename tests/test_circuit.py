@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from circuit_reference import charging_gates, circuit_unitary
+from circuit_reference import charging_gates, circuit_unitary, library_gate_matrix, simulate
 import icobattery.circuit as circuit
 from icobattery.circuit import (
     GATE_KINDS,
@@ -18,12 +18,10 @@ from icobattery.circuit import (
     estimate,
     estimate_counts,
     gate_matrices,
-    gate_matrix,
     ico_probabilities,
     ico_sample,
     outcome_probabilities,
     sample,
-    simulate,
 )
 from icobattery.model import ModelParams
 from icobattery.protocol import run_ico
@@ -121,7 +119,7 @@ class TestKernel:
         angle = 0.7 if kind in ("xx", "yy", "cp", "rz") else None
         for qubits in QUBIT_TUPLES[arity]:
             gate = Gate(kind, qubits, angle)
-            expected = kron_embedding(gate_matrix(gate), qubits)
+            expected = kron_embedding(library_gate_matrix(gate), qubits)
             assert np.max(np.abs(circuit_unitary([gate]) - expected)) <= 1e-15, qubits
 
     def test_first_listed_qubit_is_most_significant(self):
@@ -143,12 +141,13 @@ class TestKernel:
         rng = np.random.default_rng(3)
         kets = rng.normal(size=(16, 5, 3)) + 1j * rng.normal(size=(16, 5, 3))
         for gate in (Gate("yy", (3, 0), 1.3), Gate("h", (2,))):
-            out = apply(kets.reshape((2,) * 4 + (5, 3)), gate_matrix(gate), gate.qubits)
+            out = apply(kets.reshape((2,) * 4 + (5, 3)), library_gate_matrix(gate), gate.qubits)
             assert out.shape == (2, 2, 2, 2, 5, 3)
             expected = np.einsum("ij,jab->iab", circuit_unitary([gate]), kets)
             assert np.max(np.abs(out.reshape(16, 5, 3) - expected)) <= 1e-14
             for a, b in ((0, 0), (4, 2)):
-                single = apply(kets[:, a, b].reshape((2,) * 4), gate_matrix(gate), gate.qubits)
+                single = apply(kets[:, a, b].reshape((2,) * 4), library_gate_matrix(gate),
+                               gate.qubits)
                 assert np.max(np.abs(single - out[..., a, b])) <= 1e-14
 
 
@@ -279,14 +278,14 @@ class TestGateMatrices:
         qubits = (0,) if arity == 1 else (1, 2)
         if kind in ("h", "x", "cz"):
             gate = Gate(kind, qubits)
-            assert np.array_equal(gate_matrix(gate), ref.gate_matrix(gate))
+            assert np.array_equal(library_gate_matrix(gate), ref.gate_matrix(gate))
             return
         angles = np.random.default_rng(2).uniform(-40, 40, 25)
         stack = gate_matrices(kind, angles)
         assert stack.shape == (25, 2 ** arity, 2 ** arity)
         for a, mat in zip(angles, stack):
             gate = Gate(kind, qubits, a)
-            assert np.array_equal(mat, gate_matrix(gate))
+            assert np.array_equal(mat, library_gate_matrix(gate))
             assert np.array_equal(mat, ref.gate_matrix(gate))
 
     def test_unknown_kind(self):
@@ -312,7 +311,7 @@ class TestStackedKernel:
     def test_shared_matrix_broadcast_over_grid(self):
         rng = np.random.default_rng(6)
         states = rng.normal(size=(2,) * 4 + (5,)) + 1j * rng.normal(size=(2,) * 4 + (5,))
-        mat = gate_matrix(Gate("yy", (3, 0), 0.4))
+        mat = library_gate_matrix(Gate("yy", (3, 0), 0.4))
         stacked = apply(states, np.broadcast_to(mat, (5, 4, 4)), (3, 0))
         assert np.max(np.abs(stacked - apply(states, mat, (3, 0)))) <= 1e-15
 

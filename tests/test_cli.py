@@ -18,13 +18,13 @@ from icobattery.cli import (
     export_circuits,
     main,
     noise_study_rows,
-    sweep_rows,
 )
-from icobattery.circuit import OUTCOME_KEYS
+from icobattery.circuit import OUTCOME_KEYS, angles_of_time, build_ico_circuit
 from icobattery.thermo import efficiencies, python_values
-from icobattery.qasm import parse_qasm
+from icobattery.qasm import emit_qasm, parse_qasm
 
 import circuit_reference as ref
+from cli_reference import rows as rows_of, sweep_rows
 
 
 def test_config_defaults():
@@ -329,7 +329,7 @@ class TestBursts:
 class TestExportCircuits:
     def test_files_and_manifest(self, tmp_path):
         cfg = SweepConfig(n_list=[2], points=10, t_max=30.0)
-        manifest = export_circuits(cfg, tmp_path)
+        manifest = rows_of(export_circuits(cfg, tmp_path), cli.MANIFEST_FIELDS)
         assert len(manifest) == 10
         for i, row in enumerate(manifest):
             assert row["filename"] == f"ico_n2_t{i}.qasm"
@@ -342,13 +342,41 @@ class TestExportCircuits:
         with pytest.raises(ConfigError):
             export_circuits(SweepConfig(n_list=[3], points=2), tmp_path)
 
+    @pytest.mark.parametrize("points, t_max, omega, coupling", [
+        (2, 30.0, 1.0, 0.1), (30, 4 * math.pi / 0.1, 1.0, 0.1), (30, 1e6, 2.7, 1.3)])
+    def test_files_equal_per_point_circuits(self, tmp_path, points, t_max, omega, coupling):
+        # t = 0 gives theta = 0, whose negated half-angles print as -0.0
+        cfg = SweepConfig(n_list=[2], points=points, t_min=0.0, t_max=t_max, omega=omega,
+                          coupling=coupling, engine="analytic")   # export runs no engine
+        export_circuits(cfg, tmp_path)
+        manifest = (tmp_path / "manifest.csv").read_text().splitlines()
+        assert manifest[0] == "t,theta,phi,filename" and len(manifest) == points + 1
+        for i, t in enumerate(cfg.time_grid()):
+            theta, phi = angles_of_time(cfg.params(2), t)
+            circ = build_ico_circuit(theta, phi)
+            text = (tmp_path / f"ico_n2_t{i}.qasm").read_bytes()
+            assert text == emit_qasm(circ).encode()
+            assert parse_qasm(text.decode()).gates == circ.gates
+            assert manifest[i + 1] == f"{float(t)!r},{theta!r},{phi!r},ico_n2_t{i}.qasm"
+        assert b"(-0.0)" in (tmp_path / "ico_n2_t0.qasm").read_bytes()
+
+    @pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("h", (0, 1), None),
+                                        ("cz", (1,), None), ("xx", (1, 2), None)])
+    def test_broken_template_raises(self, tmp_path, monkeypatch, broken):
+        real = cli._ico_gates
+        monkeypatch.setattr(cli, "_ico_gates", lambda theta, phi: [*real(theta, phi), broken])
+        with pytest.raises(ValueError):
+            export_circuits(SweepConfig(n_list=[2], points=3, t_max=30.0), tmp_path)
+        assert not list(tmp_path.glob("*.qasm"))
+
 
 class TestNoiseStudy:
     @pytest.mark.filterwarnings("ignore:no counts")
     def test_noiseless_consistency(self):
         cfg = SweepConfig(n_list=[2], points=5, t_max=30.0, shots=20000,
                           depolarizing_p=0.0, seed=9)
-        rows, shot_rows = noise_study_rows(cfg)
+        cols = noise_study_rows(cfg)
+        rows, shot_rows = rows_of(cols, cli.NOISE_FIELDS), rows_of(cols, cli.SHOT_FIELDS)
         assert len(rows) == len(shot_rows) == 5
         for row in rows:
             se = max(row["se_E"], 1e-4)
@@ -359,7 +387,7 @@ class TestNoiseStudy:
         # separation needs enough shots near the top of the E < 0.4 range
         cfg = SweepConfig(n_list=[2], t_min=2.0, t_max=9.0, points=4,
                           shots=100000, depolarizing_p=0.05, seed=2)
-        rows, _ = noise_study_rows(cfg)
+        rows = rows_of(noise_study_rows(cfg), cli.NOISE_FIELDS)
         for row in rows:
             if row["E_ideal"] < 0.4:
                 assert row["E_hat"] - row["E_ideal"] > 3 * row["se_E"]
@@ -420,7 +448,8 @@ class TestBootstrap:
                           depolarizing_p=depol_p, seed=5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows, shot_rows = noise_study_rows(cfg)
+            cols = noise_study_rows(cfg)
+        rows, shot_rows = rows_of(cols, cli.NOISE_FIELDS), rows_of(cols, cli.SHOT_FIELDS)
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
             for row, raw in zip(rows, shot_rows):
@@ -433,25 +462,87 @@ class TestBootstrap:
         assert all(w.filename == cli.estimate_counts.__code__.co_filename for w in caught)
 
 
-def _reference_csv(path, fieldnames, rows) -> None:
-    """write_csv with every cell through cli._fmt."""
+def _fmt(value) -> str:
+    """The per-cell rule write_csv follows, type by type."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_csv(path, fieldnames, columns) -> None:
+    """write_csv one cell at a time: every entry through _fmt, NaN as None."""
+    def cell(v):
+        return _fmt(None if isinstance(v, (float, np.floating)) and math.isnan(v) else v)
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([cli._fmt(row.get(k)) for k in fieldnames])
+        writer.writerows(zip(*([cell(v) for v in columns[k]] for k in fieldnames)))
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
-    values = [None, True, False, np.bool_(True), np.bool_(False), 0, -3, 10**20, np.int64(7),
-              0.0, -0.0, 1e-05, 1e16, 1 / 3, np.float64(2.5e-300), np.float32(0.1),
-              float("nan"), "a,b", 'q"x', "ico_n2_t0.qasm", ""]
-    names = ("a", "b", "c", "missing")
-    rows = [{"a": v, "b": values[-1 - i], "c": values[(3 * i) % len(values)]}
-            for i, v in enumerate(values)]
-    cli.write_csv(tmp_path / "fast.csv", names, rows)
-    _reference_csv(tmp_path / "slow.csv", names, rows)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+    edge_values = {
+        "f64": np.array([np.nan, 0.0, -0.0, 1e-05, 1e16, 1 / 3, 2.5e-300, -np.inf]),
+        "f32": np.array([0.1, np.nan, -0.0], dtype=np.float32),
+        "flag": np.array([True, False, False]),
+        "count": np.array([0, -3, 7, 2**62], dtype=np.int64),
+        "text": np.array(["a,b", 'q"x', "", "ico_n2_t0.qasm"]),
+    }
+    names = tuple(edge_values)
+    # a few rows, and one row more than a write block
+    for length in (21, cli.WRITE_BLOCK + 1):
+        columns = {k: np.resize(v, length) for k, v in edge_values.items()}
+        columns["listed"] = [f"ico_n2_t{i}.qasm" for i in range(length)]
+        cli.write_csv(tmp_path / "fast.csv", names + ("listed",), columns)
+        _reference_csv(tmp_path / "slow.csv", names + ("listed",), columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:no counts")
+def test_cached_parser_carries_no_state(tmp_path, capsys):
+    # the second sweep leaves --engine (both) and --t-min at their defaults
+    commands = [
+        ["sweep", "--n", "2,3", "--points", "25", "--engine", "numeric", "--t-min", "0.5",
+         "--out", "sweep.csv"],
+        ["bursts", "--n", "2,3", "--points", "60", "--engine", "analytic", "--out", "bursts.json"],
+        ["export-circuits", "--n", "2", "--points", "5", "--out", "circuits"],
+        ["noise-study", "--n", "2", "--points", "6", "--shots", "500", "--depol-p", "0.05",
+         "--seed", "3", "--out", "noise.csv"],
+        ["sweep", "--n", "4", "--points", "9", "--out", "sweep_again.csv"],
+    ]
+
+    def run(cmd, out_dir):
+        return main([str(out_dir / a) if prev == "--out" else a
+                     for prev, a in zip([None] + cmd, cmd)])
+
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir(), alone.mkdir()
+    cli._parser.cache_clear()
+    for i, cmd in enumerate(commands):
+        assert run(cmd, together) == 0
+        if i == 1:
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--help"])
+            assert exc.value.code == 0
+        if i == 2:
+            assert main(["sweep", "--n", "2", "--points", "1", "--out", "x.csv"]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--n", "2", "--engine", "magic"])
+            assert exc.value.code == 2
+    assert cli._parser.cache_info().misses == 1
+    for cmd in commands:
+        cli._parser.cache_clear()
+        assert run(cmd, alone) == 0
+    capsys.readouterr()
+    files = sorted(p.relative_to(alone) for p in alone.rglob("*") if p.is_file())
+    assert len(files) == 3 + 6 + 2   # 2 sweeps and bursts, 5 circuits and manifest, 2 noise files
+    assert sorted(p.relative_to(together) for p in together.rglob("*") if p.is_file()) == files
+    for rel in files:
+        assert (together / rel).read_bytes() == (alone / rel).read_bytes(), rel
 
 
 class TestMain:

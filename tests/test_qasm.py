@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from icobattery.circuit import Gate, QuantumCircuit, angles_of_time, build_ico_circuit, gate_matrix
+from circuit_reference import library_gate_matrix
+from icobattery.circuit import Gate, QuantumCircuit, _ico_gates, angles_of_time, build_ico_circuit
 from icobattery.model import ModelParams
-from icobattery.qasm import emit_qasm, parse_qasm
+from icobattery.qasm import emit_qasm, emit_qasm_grid, parse_qasm
 
 
 def test_empty_circuit_header_only():
@@ -57,8 +58,35 @@ def test_emitted_gate_definitions_are_sound(theta):
     i2 = np.eye(2)
     zz = CX @ np.kron(i2, rz(theta)) @ CX
     xx_body = np.kron(H, H) @ zz @ np.kron(H, H)
-    assert np.allclose(xx_body, gate_matrix(Gate("xx", (0, 1), theta)), atol=1e-12)
+    assert np.allclose(xx_body, library_gate_matrix(Gate("xx", (0, 1), theta)), atol=1e-12)
     a = rx(-np.pi / 2)
     b = rx(np.pi / 2)
     yy_body = np.kron(a, a) @ zz @ np.kron(b, b)
-    assert np.allclose(yy_body, gate_matrix(Gate("yy", (0, 1), theta)), atol=1e-12)
+    assert np.allclose(yy_body, library_gate_matrix(Gate("yy", (0, 1), theta)), atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [1, 2, 30])
+@pytest.mark.parametrize("t_max, omega, coupling", [(4 * np.pi / 0.1, 1.0, 0.1), (1e6, 2.7, 1.3)])
+def test_grid_texts_equal_per_circuit_texts(points, t_max, omega, coupling):
+    # the grid starts at t = 0, where the negated half-angles are -0.0
+    params = ModelParams(2, omega, coupling)
+    times = np.linspace(0.0, t_max, points)
+    texts = list(emit_qasm_grid(_ico_gates(*angles_of_time(params, times)), points))
+    assert len(texts) == points
+    for t, text in zip(times, texts):
+        circ = build_ico_circuit(*angles_of_time(params, t))
+        assert text == emit_qasm(circ)
+        assert parse_qasm(text).gates == circ.gates
+
+
+def test_grid_of_fixed_gates_repeats_one_text():
+    gates = (Gate("h", (0,)), Gate("cz", (1, 3)))
+    texts = list(emit_qasm_grid([(g.kind, g.qubits, g.angle) for g in gates], 3))
+    assert texts == [emit_qasm(QuantumCircuit(gates=gates))] * 3
+
+
+@pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("rz", (0, 1), 0.3),
+                                    ("cp", (1, 2), None), ("h", (0,), 0.5)])
+def test_grid_checks_the_gate_template(broken):
+    with pytest.raises(ValueError):
+        emit_qasm_grid([("h", (0,), None), broken], 2)
