@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tolerances as tol
-from .analytic import closed_form_grid, dco_zero_window
+from .analytic import closed_form_grid, closed_form_sweep, dco_zero_window
 from .circuit import (OUTCOME_KEYS, NoiseSpec, _ico_gates, angles_of_time, estimate_counts,
                       ico_sample)
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .protocol import run_ico_grid
+from .protocol import ProtocolGrid, run_ico_grid
 from .qasm import emit_qasm_grid
 from .thermo import python_values, report_grid
 
@@ -39,11 +41,13 @@ BOOTSTRAP_CHUNK = max(1, CHUNK_AMPLITUDES // (4 * BOOTSTRAP_RESAMPLES))
 MAX_CHARGERS = 1000
 
 # Largest number of output rows (points x charger counts) accepted.  A sweep
-# holds the columns of every N until all are done; here it peaks at 278 MB
-# (--engine numeric) or 271 MB (--engine both) of resident memory.
+# holds the columns of every batch until all are done; at 4 x 250 000 rows it
+# peaks at 280 MB of resident memory with --engine numeric or both, and at
+# 169 MB with --engine analytic.
 MAX_ROWS = 1_000_000
 
-# Rows, or exported circuits, formatted and written per block: bounds memory.
+# Rows computed per batch of charger counts (one N where its grid is longer),
+# and rows or exported circuits formatted and written per block: bounds memory.
 WRITE_BLOCK = 1 << 14
 
 # Largest phase omega*t_max or omega*lambda*t_max accepted with --engine both.
@@ -143,11 +147,11 @@ class SweepConfig:
         return ModelParams(n, self.omega, self.coupling)
 
 
-def _disagreement(n: int, num: dict, ana: dict, masks, devs: dict, i: int) -> str:
-    """The message for time i, from the masks of _engine_deviation: the first
+def _disagreement(num: dict, ana: dict, masks, devs: dict, i: int) -> str:
+    """The message for row i, from the masks of _engine_deviation: the first
     efficiency only one engine defines, else the first passivity flag that
     differs, else the largest deviation beyond its bound."""
-    where = f"N={n}, t={float(num['t'][i])!r}"
+    where = f"N={int(num['N'][i])}, t={float(num['t'][i])!r}"
     undefined, flags, beyond = ([k for k, bad in m.items() if bad[i]] for m in masks)
     if undefined:
         k = undefined[0]
@@ -161,12 +165,12 @@ def _disagreement(n: int, num: dict, ana: dict, masks, devs: dict, i: int) -> st
     return f"engines disagree on {worst} by {float(devs[worst][i]):g} at {where}"
 
 
-def _engine_deviation(n: int, num: dict, ana: dict) -> np.ndarray:
-    """Largest deviation between the numeric and analytic columns of one N,
-    per time.  E, W and p1 must agree within ENGINE_AGREE_ATOL, and P = W/E
-    within ATOL (1 + |P_ana|) / E_num, which that agreement implies since
-    P_num - P_ana = (dW - P_ana dE) / E_num.  Raises InvariantViolation at
-    the first failing time in grid order (see _disagreement)."""
+def _engine_deviation(num: dict, ana: dict) -> np.ndarray:
+    """Largest deviation between the numeric and analytic columns, per row;
+    the numeric columns name each row's N.  E, W and p1 must agree within
+    ENGINE_AGREE_ATOL, and P = W/E within ATOL (1 + |P_ana|) / E_num, which
+    that agreement implies since P_num - P_ana = (dW - P_ana dE) / E_num.
+    Raises InvariantViolation at the first failing row (see _disagreement)."""
     atol = tol.ENGINE_AGREE_ATOL
     devs = {k: np.abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1", "P_ico", "P_dco")}
     bounds = dict.fromkeys(devs, atol)
@@ -180,51 +184,80 @@ def _engine_deviation(n: int, num: dict, ana: dict) -> np.ndarray:
                   {k: ~(dev <= bounds[k]) for k, dev in devs.items()})
     fails = functools.reduce(np.logical_or, (bad for m in masks for bad in m.values()))
     if fails.any():
-        raise InvariantViolation(_disagreement(n, num, ana, masks, devs, int(np.argmax(fails))))
+        raise InvariantViolation(_disagreement(num, ana, masks, devs, int(np.argmax(fails))))
     return functools.reduce(np.maximum, devs.values())
 
 
 def _sweep_columns(config: SweepConfig):
-    """Yield (N, columns) for every N in order: the analytic engine's
-    columns with --engine analytic, else the numeric engine's, plus the
-    max_engine_dev column with --engine both (see _engine_deviation)."""
+    """Yield the columns of every row (N, t), grouped by N in n_list order,
+    one batch of consecutive charger counts at a time: at most WRITE_BLOCK
+    rows, or one N where its grid is longer.  The columns are N and the
+    analytic engine's with --engine analytic, else N, the numeric engine's
+    and, with --engine both, max_engine_dev (see _engine_deviation)."""
     grid = config.time_grid()
-    for n in config.n_list:
-        params = config.params(n)
+    per_batch = max(1, WRITE_BLOCK // len(grid))
+    for lo in range(0, len(config.n_list), per_batch):
+        ns = config.n_list[lo:lo + per_batch]
+        n_col = np.repeat(ns, len(grid))
         if config.engine == "analytic":
-            yield n, closed_form_grid(params, grid)
+            yield {"N": n_col, **closed_form_sweep(config.omega, config.coupling, ns, grid)}
             continue
-        states = run_ico_grid(params, grid)
-        cols = {"t": states.t, "p1": states.p1, **report_grid(states, params)}
+        states = ProtocolGrid.join([run_ico_grid(config.params(n), grid) for n in ns])
+        cols = {"N": n_col, "t": states.t, "p1": states.p1,
+                **report_grid(states, config.params(ns[0]))}     # report_grid reads omega only
         if config.engine == "both":
-            cols["max_engine_dev"] = _engine_deviation(n, cols, closed_form_grid(params, grid))
-        yield n, cols
+            cols["max_engine_dev"] = _engine_deviation(
+                cols, closed_form_sweep(config.omega, config.coupling, ns, grid))
+        yield cols
+
+
+_QUOTABLE = re.compile('[,"\r\n]')
+
+
+def _text(cell: str) -> str:
+    """A string cell as csv.writer writes it: as it is unless it holds a
+    comma, a quote or a line break, and then quoted by csv's own rule."""
+    if not _QUOTABLE.search(cell):
+        return cell
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([cell, ""])
+    return line.getvalue()[:-2]          # drop the empty second cell's "," and "\n"
 
 
 def _cells(column) -> list[str]:
     """The CSV cells of a column: floats by repr with NaN as an empty cell,
-    bools as true/false, anything else (ints, strings) by str."""
+    bools as true/false, ints by str, strings as csv.writer writes them."""
     column = np.asarray(column)
     kind, values = column.dtype.kind, column.tolist()
     if kind == "b":
         return list(map(("false", "true").__getitem__, values))
-    if kind != "f":
+    if kind in "iu":
         return list(map(str, values))
+    if kind != "f":
+        return list(map(_text, map(str, values)))
     cells = list(map(float.__repr__, values))
     for i in np.flatnonzero(np.isnan(column)).tolist():
         cells[i] = ""
     return cells
 
 
+def _lines(cells: list[list[str]]) -> str:
+    """CSV lines of the rows of equal-length cell lists.  As in csv.writer,
+    a row of one empty cell is written as a pair of quotes."""
+    if len(cells) == 1:
+        cells = [[c or '""' for c in cells[0]]]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def write_csv(path, fieldnames, columns) -> None:
     """Write the columns named `fieldnames`, from the mapping `columns` of
-    equal-length arrays or lists, as CSV rows; each column's cells are
-    formatted (see _cells) and written WRITE_BLOCK rows at a time."""
+    equal-length arrays or lists, as CSV rows, byte for byte as csv.writer
+    with lineterminator "\\n" would; each column's cells are formatted (see
+    _cells) and written WRITE_BLOCK rows at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
+        fh.write(_lines([[_text(name)] for name in fieldnames]))
         for lo in range(0, len(columns[fieldnames[0]]), WRITE_BLOCK):
-            writer.writerows(zip(*(_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames)))
+            fh.write(_lines([_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames]))
 
 
 def burst_report(config: SweepConfig) -> dict:
@@ -234,15 +267,21 @@ def burst_report(config: SweepConfig) -> dict:
     grid = config.time_grid()
     per_n = {}
     t_stars = []
-    for n, cols in _sweep_columns(config):
-        hits = (cols["P_dco"] <= config.eps_dco) & (cols["P_ico"] >= config.tau)  # NaN: no hit
-        edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
-        intervals = [[float(grid[i]), float(grid[j - 1])] for i, j in zip(edges[::2], edges[1::2])]
-        t_star = dco_zero_window(config.params(n))
-        t_stars.append(t_star)
-        per_n[str(n)] = {"intervals": intervals,
-                         "total_burst_duration": float(sum(b - a for a, b in intervals)),
-                         "t_star": t_star}
+    for cols in _sweep_columns(config):
+        hits = ((cols["P_dco"] <= config.eps_dco)
+                & (cols["P_ico"] >= config.tau)).reshape(-1, len(grid))   # NaN: no hit
+        # each row's edges alternate: a run's first hit, then one past its last
+        row, edge = np.nonzero(np.diff(hits, axis=1, prepend=False, append=False))
+        found = [[] for _ in hits]
+        for k, a, b in zip(row[::2].tolist(), grid[edge[::2]].tolist(),
+                           grid[edge[1::2] - 1].tolist()):
+            found[k].append([a, b])
+        for n, intervals in zip(cols["N"][::len(grid)].tolist(), found):
+            t_star = dco_zero_window(config.params(n))
+            t_stars.append(t_star)
+            per_n[str(n)] = {"intervals": intervals,
+                             "total_burst_duration": float(sum(b - a for a, b in intervals)),
+                             "t_star": t_star}
     increasing = all(b > a for a, b in zip(t_stars, t_stars[1:]))
     return {"tau": config.tau, "eps_dco": config.eps_dco, "per_n": per_n,
             "monotonicity_verdict": "pass" if increasing else "fail"}
@@ -368,16 +407,16 @@ def _require_out(config: SweepConfig) -> str:
 
 
 def _cmd_sweep(config: SweepConfig) -> None:
+    out = _require_out(config)
     names = ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
-    # all N are computed and checked before a byte is written; pop frees each part once joined
-    parts = [{"N": np.full(len(cols["t"]), n), **cols} for n, cols in _sweep_columns(config)]
-    write_csv(_require_out(config), names,
-              {k: np.concatenate([part.pop(k) for part in parts]) for k in names})
+    # all N are computed and checked before a byte is written; pop frees each batch once joined
+    batches = list(_sweep_columns(config))
+    write_csv(out, names, {k: np.concatenate([cols.pop(k) for cols in batches]) for k in names})
 
 
 def _cmd_bursts(config: SweepConfig) -> None:
-    report = burst_report(config)
-    Path(_require_out(config)).write_text(json.dumps(report, indent=2) + "\n")
+    out = _require_out(config)
+    Path(out).write_text(json.dumps(burst_report(config), indent=2) + "\n")
 
 
 def _cmd_export(config: SweepConfig) -> None:
@@ -385,8 +424,8 @@ def _cmd_export(config: SweepConfig) -> None:
 
 
 def _cmd_noise(config: SweepConfig) -> None:
-    cols = noise_study_rows(config)
     out = Path(_require_out(config))
+    cols = noise_study_rows(config)
     write_csv(out, NOISE_FIELDS, cols)
     write_csv(out.with_name(out.stem + "_shots.csv"), SHOT_FIELDS, cols)
 

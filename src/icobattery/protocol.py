@@ -107,6 +107,15 @@ class ProtocolGrid:
         return ProtocolResult(**{k: v[i].copy() if v.ndim > 1 else float(v[i])
                                  for k, v in vars(self).items()})
 
+    @staticmethod
+    def join(grids: list[ProtocolGrid]) -> ProtocolGrid:
+        """The points of `grids`, in order, as one ProtocolGrid; one grid is
+        returned as it is."""
+        if len(grids) == 1:
+            return grids[0]
+        return ProtocolGrid(**{k: np.concatenate([vars(g)[k] for g in grids])
+                               for k in vars(grids[0])})
+
 
 def run_ico_grid(params: ModelParams, times) -> ProtocolGrid:
     """`run_ico` at every time of `times`, in order.  The grid is evolved in

@@ -25,5 +25,4 @@ def sweep_rows(config: cli.SweepConfig) -> list[dict]:
     """The rows `sweep` writes, in grid order: every ROW_FIELDS entry, plus
     max_engine_dev with --engine both."""
     names = cli.ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
-    return [row for n, cols in cli._sweep_columns(config)
-            for row in rows({"N": np.full(len(cols["t"]), n), **cols}, names)]
+    return [row for cols in cli._sweep_columns(config) for row in rows(cols, names)]

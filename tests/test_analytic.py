@@ -15,11 +15,12 @@ from icobattery.analytic import (
     alpha_coeffs,
     closed_form_grid,
     closed_form_report,
+    closed_form_sweep,
     dco_zero_window,
     interference_term,
 )
 from icobattery.model import KET_E, KET_G, ModelParams
-from icobattery.thermo import python_values
+from icobattery.thermo import efficiencies, python_values
 
 from dense_reference import branch_state, ordered_charging_unitary
 
@@ -246,6 +247,64 @@ class TestClosedFormGrid:
             closed_form_report(P2, np.nan)
         with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="normalization nan"):
             closed_form_report(P2, np.inf)      # cos(inf) warns, then the check raises
+
+
+def one_n_columns(params, times):
+    """closed_form_grid evaluated for one N on its own, with N a Python int
+    throughout (so (e^{-i w t / 4} cos)^2 takes numpy's square path at
+    N = 2): the per-N reference for the rows of closed_form_sweep."""
+    n, om, lam = params.n_chargers, params.omega, params.coupling
+    c, s = np.cos(om * lam * times / n), np.sin(om * lam * times / n)
+    ph, ph3 = np.exp(-0.5j * om * times / n), np.exp(-1.5j * om * times / n)
+    j = np.arange(1, n + 1)
+    alpha = np.empty((len(times), n + 1), dtype=complex)
+    alpha[:, 0] = (ph * c) ** n
+    alpha[:, 1:] = (ph3[:, None] ** (n - j) * ph[:, None] * (-1j * s)[:, None]
+                    * (ph * c)[:, None] ** (j - 1))
+    pops = np.abs(alpha) ** 2
+    gnd, s2 = pops[:, 0], pops[:, 1:].sum(axis=1)
+    c_term = np.abs(alpha[:, 1:].sum(axis=1)) ** 2 - s2
+    exc = (c_term + s2) / n
+    e, passive_k1, passive_dco = 1.0 - gnd, gnd >= exc, gnd >= 0.5
+    w_ico = np.where(passive_k1, ((n - 1) / n) * s2 - c_term / n, 1.0 - 2.0 * gnd)
+    w_dco = np.where(passive_dco, 0.0, 1.0 - 2.0 * gnd)
+    return {"t": times, "C1": c_term, "p1": gnd + exc, "E": e, "W_ico": w_ico, "W_dco": w_dco,
+            "P_ico": efficiencies(w_ico, e), "P_dco": efficiencies(w_dco, e),
+            "passive_k1": passive_k1, "passive_dco": passive_dco}
+
+
+class TestClosedFormSweep:
+    """Every N's rows of a multi-N call equal that N evaluated alone, bit for bit."""
+
+    @pytest.mark.parametrize("n_list, points, omega, lam, t_min", [
+        (list(range(2, 33)), 8, 1.0, 0.1, 0.0),
+        (list(range(2, 33)), 400, 1.0, 0.1, 0.3),
+        ([32, 3, 2], 77, 2.7, 1.3, 0.0),
+        ([2, 3, 4, 5], 400, 1.0, 0.1, 0.0),
+        ([2, 1000], 50, 1.0, 0.1, 0.0),
+        ([5, 2, 200], 41, 0.5, 2.0, 1.1),
+    ])
+    def test_rows_equal_each_n_alone(self, n_list, points, omega, lam, t_min):
+        times = np.linspace(t_min, 4 * np.pi / (omega * lam), points)
+        got = closed_form_sweep(omega, lam, n_list, times)
+        for k, n in enumerate(n_list):
+            params = ModelParams(n, omega=omega, coupling=lam)
+            rows = slice(k * points, (k + 1) * points)
+            for want in (one_n_columns(params, times), closed_form_grid(params, times)):
+                for key, col in want.items():
+                    assert got[key][rows].tobytes() == col.tobytes(), (n, key)
+
+    def test_chunked_blocks_equal_whole(self, monkeypatch):
+        times = np.linspace(0.0, 4 * np.pi, 9)
+        whole = closed_form_sweep(0.5, 2.0, [3, 200, 2], times)
+        monkeypatch.setattr(icobattery.analytic, "CHUNK_AMPLITUDES", 2 * 201)   # 2 points of N = 200
+        chunked = closed_form_sweep(0.5, 2.0, [3, 200, 2], times)
+        assert all(chunked[k].tobytes() == whole[k].tobytes() for k in whole)
+
+    def test_normalization_failure_names_first_row(self, monkeypatch):
+        monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
+        with pytest.raises(ValueError, match=r"normalization .* at t=2\.5$"):
+            closed_form_sweep(1.0, 0.1, [4, 2], [2.5, 3.0])
 
 
 class TestClosedFormReport:

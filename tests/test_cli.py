@@ -133,6 +133,26 @@ class TestSweep:
         for row in sweep_rows(cfg):
             assert row["W_ico"] >= row["W_dco"] - 1e-10
 
+    @pytest.mark.parametrize("engine", ["numeric", "analytic", "both"])
+    @pytest.mark.parametrize("block", [1, 3, 10, None])    # rows per batch; None: WRITE_BLOCK
+    def test_multi_n_rows_equal_each_n_alone(self, monkeypatch, tmp_path, engine, block):
+        def lines(n_list):
+            out = tmp_path / "s.csv"
+            assert main(["sweep", "--n", ",".join(map(str, n_list)), "--points", "5",
+                         "--t-min", "0.3", "--engine", engine, "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        alone = {n: lines([n]) for n in range(2, 33)}
+        if block is not None:
+            monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+        per_batch = max(1, cli.WRITE_BLOCK // 5)     # 1, 1, 2 and all charger counts
+        for n_list in (list(range(2, 33)), [32, 3, 2]):
+            got = lines(n_list)
+            assert got[0] == alone[2][0]
+            assert got[1:] == [line for n in n_list for line in alone[n][1:]]
+            cfg = SweepConfig(n_list=n_list, points=5, t_min=0.3, engine=engine)
+            assert len(list(cli._sweep_columns(cfg))) == -(-len(n_list) // per_batch)
+
 
 class TestEngineBothStrict:
     """--engine both compares defined-ness of P and the passivity flags too."""
@@ -159,17 +179,17 @@ def _patch_analytic_rows(monkeypatch, edit):
     """Pass every row of the analytic engine's columns, as a dict of Python
     values (None for an undefined P), through edit(N, row) before the
     engines are compared."""
-    real = cli.closed_form_grid
+    real = cli.closed_form_sweep
 
-    def tampered(params, grid):
-        cols = real(params, grid)
+    def tampered(omega, coupling, n_list, grid):
+        cols = real(omega, coupling, n_list, grid)
         rows = [dict(zip(cols, values))
                 for values in zip(*(python_values(col) for col in cols.values()))]
-        for row in rows:
-            edit(params.n_chargers, row)
+        for n, row in zip(np.repeat(n_list, len(grid)).tolist(), rows):
+            edit(n, row)
         return {k: np.array([np.nan if row[k] is None else row[k] for row in rows]) for k in cols}
 
-    monkeypatch.setattr(cli, "closed_form_grid", tampered)
+    monkeypatch.setattr(cli, "closed_form_sweep", tampered)
 
 
 def _tamper_analytic(monkeypatch, edits):
@@ -225,6 +245,28 @@ class TestEngineBothFailureOrder:
         assert capsys.readouterr().err == f"invariant violation: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("block", [cli.WRITE_BLOCK, 4])   # N = 5 and 3 in one batch, or one each
+    @pytest.mark.parametrize("edits, message", [
+        # N = 5 comes before N = 3 in --n 5,3, though its failing row is later in the grid
+        ({(3, T[1]): {"W_ico": lambda v: v + 1e-6}, (5, T[3]): {"E": lambda v: v + 1e-6}},
+         f"engines disagree on E by 1e-06 at N=5, t={T[3]!r}"),
+        # a defined-ness mismatch at N = 3 does not outrank a value mismatch at N = 5
+        ({(3, T[0]): {"P_dco": lambda v: 0.5}, (5, T[2]): {"W_dco": lambda v: v + 1e-5}},
+         f"engines disagree on W_dco by 1e-05 at N=5, t={T[2]!r}"),
+        ({(3, T[1]): {"passive_k1": lambda v: not v},
+          (5, T[1]): {"P_ico": lambda v: None, "p1": lambda v: v + 1e-3}},
+         f"engines disagree on whether P_ico is defined at N=5, t={T[1]!r}: "
+         f"numeric 0.9937633004890684, analytic None"),
+    ])
+    def test_first_failure_across_n(self, monkeypatch, tmp_path, capsys, edits, message, block):
+        monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+        _tamper_analytic(monkeypatch, edits)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "5,3", "--points", "4", "--t-min", "0", "--t-max", "40",
+                     "--engine", "both", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"invariant violation: {message}\n"
+        assert not out.exists()
+
 
 class TestEngineBothEfficiencyBound:
     """P = W/E is compared within ATOL (1 + |P|) / E, the bound that W and E
@@ -266,14 +308,14 @@ class TestEngineBothEfficiencyBound:
         atol, rng = cli.tol.ENGINE_AGREE_ATOL, np.random.default_rng(8)
         e = 10.0 ** rng.uniform(np.log10(3e-9), 0.0, 2000)
         w = e * rng.uniform(0.0, 1.0, 2000)
-        ana = {"t": np.arange(2000.0), "E": e, "W_ico": w, "W_dco": w, "p1": 0.5 * e,
+        ana = {"N": np.full(2000, 3), "t": np.arange(2000.0), "E": e, "W_ico": w, "W_dco": w, "p1": 0.5 * e,
                "passive_k1": w < 0, "passive_dco": w < 0}
         num = {**ana, "E": e + 0.99 * atol * rng.choice([-1, 1], 2000),
                "W_ico": w + 0.99 * atol * rng.choice([-1, 1], 2000)}
         for cols in (num, ana):
             cols["P_ico"] = efficiencies(cols["W_ico"], cols["E"])
             cols["P_dco"] = efficiencies(cols["W_dco"], cols["E"])
-        dev = cli._engine_deviation(3, num, ana)
+        dev = cli._engine_deviation(num, ana)
         p_dev = np.abs(num["P_ico"] - ana["P_ico"])
         assert (dev >= p_dev).all()
         # dividing by the analytic E instead would fail some of these rows
@@ -312,6 +354,27 @@ class TestBursts:
             alone = burst_report(SweepConfig(n_list=[n], points=300, engine="analytic"))
             assert alone["per_n"][str(n)]["intervals"]
             assert rep["per_n"][str(n)] == alone["per_n"][str(n)]
+
+    @pytest.mark.parametrize("engine", ["analytic", "both"])
+    def test_intervals_are_maximal_runs_of_sweep_rows(self, monkeypatch, engine):
+        # one Python loop over each N's rows of the sweep, in batches of 1, 2 and 3 N
+        for block in (300, 600, 900):
+            monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+            cfg = SweepConfig(n_list=[7, 5, 3], points=300, engine=engine)
+            rep = burst_report(cfg)
+            rows = sweep_rows(cfg)
+            for k, n in enumerate(cfg.n_list):
+                runs, start, prev = [], None, None
+                for row in rows[k * 300:(k + 1) * 300] + [{"t": None, "P_dco": None}]:
+                    hit = (row["P_dco"] is not None and row["P_dco"] <= cfg.eps_dco
+                           and row["P_ico"] is not None and row["P_ico"] >= cfg.tau)
+                    if hit and start is None:
+                        start = row["t"]
+                    if not hit and start is not None:
+                        runs.append([start, prev])
+                        start = None
+                    prev = row["t"]
+                assert runs and rep["per_n"][str(n)]["intervals"] == runs, n
 
     def test_first_interval_inside_dco_zero_window(self):
         # later windows recur periodically, but the first burst must close
@@ -502,6 +565,23 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
+def test_write_csv_quotes_strings_like_csv_writer(tmp_path):
+    # csv.writer decides the quoting of every cell that holds a comma, quote or line break
+    text = ["a\rb", "a\nb", "\r\n", 'say "hi"', " x ", "", "é,ü", "plain"]
+    cases = [
+        (("name, with comma", 'q"', "line\nbreak"),
+         {"name, with comma": text, 'q"': np.arange(8), "line\nbreak": np.linspace(0, 1, 8)}),
+        # a row of one empty cell is quoted, whether from a string or a NaN
+        (("only",), {"only": ["", "x", ""]}),
+        (("f",), {"f": np.array([np.nan, 1.5, np.nan])}),
+        (("",), {"": np.array([1, 2])}),
+    ]
+    for names, columns in cases:
+        cli.write_csv(tmp_path / "fast.csv", names, columns)
+        _reference_csv(tmp_path / "slow.csv", names, columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore:no counts")
 def test_cached_parser_carries_no_state(tmp_path, capsys):
     # the second sweep leaves --engine (both) and --t-min at their defaults
@@ -578,8 +658,19 @@ class TestMain:
         assert main(["sweep", "--n", "1", "--out", str(tmp_path / "x.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_out_is_config_error(self):
-        assert main(["sweep", "--n", "2", "--points", "3"]) == 2
+    def test_missing_out_is_config_error(self, monkeypatch, capsys):
+        def engine(*args, **kwargs):
+            raise AssertionError("--out must be checked before any engine runs")
+
+        for name in ("run_ico_grid", "closed_form_sweep", "closed_form_grid", "ico_sample"):
+            monkeypatch.setattr(cli, name, engine)
+        for args in (["sweep", "--n", "2", "--points", "3"],
+                     ["sweep", "--n", "2,3", "--points", "3", "--engine", "numeric"],
+                     ["bursts", "--n", "2,3", "--points", "3"],
+                     ["noise-study", "--n", "2", "--points", "3", "--shots", "10",
+                      "--depol-p", "0.1"]):
+            assert main(args) == 2, args
+            assert capsys.readouterr().err == "error: an output path is required (--out)\n"
 
     def test_bursts_json(self, tmp_path):
         out = tmp_path / "b.json"

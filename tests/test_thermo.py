@@ -262,6 +262,21 @@ class TestReportGrid:
         assert not np.isnan(cols["P_ico"][~undefined]).any()
 
 
+@pytest.mark.parametrize("n_list, omega, lam", [([2, 3, 4, 5], 1.0, 0.1), ([32, 3, 2], 2.7, 1.3),
+                                            ([7, 12], 1e-12, 0.3)])
+def test_report_grid_on_joined_states_equals_each_n_alone(n_list, omega, lam):
+    times = np.linspace(0.0, 4 * np.pi / (omega * lam), 60)
+    grids = [run_ico_grid(ModelParams(n, omega=omega, coupling=lam), times) for n in n_list]
+    joined = ProtocolGrid.join(grids)
+    assert ProtocolGrid.join(grids[:1]) is grids[0]
+    cols = report_grid(joined, ModelParams(n_list[0], omega=omega, coupling=lam))
+    for k, (n, grid) in enumerate(zip(n_list, grids)):
+        alone = report_grid(grid, ModelParams(n, omega=omega, coupling=lam))
+        rows = slice(k * len(times), (k + 1) * len(times))
+        for key, col in alone.items():
+            assert cols[key][rows].tobytes() == col.tobytes(), (n, key)
+
+
 def test_python_values_turn_nan_into_none_whatever_the_column():
     assert python_values(np.array([1.5, np.nan])) == [1.5, None]
     assert [repr(v) for v in python_values(np.array([0.25, -0.0]))] == ["0.25", "-0.0"]
