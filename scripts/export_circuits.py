@@ -10,6 +10,7 @@ from icobattery.cli import main
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results/circuits")
 points = sys.argv[2] if len(sys.argv) > 2 else "20"
+out_dir.parent.mkdir(parents=True, exist_ok=True)
 
 rc = main(["export-circuits", "--n", "2", "--points", points,
            "--out", str(out_dir)])

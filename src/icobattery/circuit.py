@@ -21,6 +21,7 @@ sample or bootstrap resample.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -174,6 +175,16 @@ def gate_matrices(kind: str, angles=None) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+@functools.cache
+def _axis_order(ndim: int, grid: int, qubits: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The transpose of an ndim-axis state that brings its last `grid` axes,
+    then `qubits`, to the front and keeps the other axes in order (what
+    np.moveaxis gives), and the transpose that undoes it."""
+    front = (*range(ndim - grid, ndim), *qubits)
+    order = front + tuple(i for i in range(ndim) if i not in front)
+    return order, tuple(np.argsort(order).tolist())
+
+
 def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     """Apply a k-qubit matrix (first listed qubit most significant) to
     `qubits` of `state`, an array of shape (2,) * n followed by any trailing
@@ -184,22 +195,26 @@ def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     shape G).  A stack is applied as one matrix product per grid index, so
     each index's result is the same however many indices share the call."""
     k, grid = len(qubits), mat.ndim - 2
-    axes = (*range(state.ndim - grid, state.ndim), *qubits)
-    moved = np.moveaxis(state, axes, range(grid + k))
+    order, inverse = _axis_order(state.ndim, grid, tuple(qubits))
+    moved = state.transpose(order)
     out = mat @ moved.reshape(moved.shape[:grid] + (2 ** k, -1))
-    return np.moveaxis(out.reshape(moved.shape), range(grid + k), axes)
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def _final_states(gates, points: int) -> np.ndarray:
     """|0000> evolved through `gates`, (kind, qubits, angle) triples whose
     angle is None, a float, or an array of one angle per point, as
     (2,) * 4 + (points,) amplitudes.  Every gate, fixed ones included, is
-    applied as a stack of one matrix per point."""
+    applied as a stack of one matrix per point: a gate of one matrix (a fixed
+    kind, or a float angle) is broadcast to the points, a column of angles
+    gives its stack as it is."""
     psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
     for kind, qubits, angle in gates:
         mats = gate_matrices(kind, angle)
-        psi = apply(psi, np.broadcast_to(mats, (points,) + mats.shape[-2:]), qubits)
+        if mats.ndim == 2:
+            mats = np.broadcast_to(mats, (points,) + mats.shape)
+        psi = apply(psi, mats, qubits)
     return psi
 
 
@@ -237,27 +252,31 @@ def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec(
     return dict(zip(OUTCOME_KEYS, map(float, probs)))
 
 
-def _sample(probs: np.ndarray, shots: int, seed: int) -> ShotResult:
-    """Multinomial shots from the four outcome probabilities `probs`."""
+def _counts(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Multinomial shots from each row of the (T, 4) outcome probabilities
+    `probs`, row i drawn by default_rng(seeds[i]), as a (T, 4) int64 array."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = np.clip(probs, 0.0, None)
-    p = p / p.sum()
-    draws = np.random.default_rng(seed).multinomial(shots, p)
-    return ShotResult(shots=shots, seed=seed,
-                      counts={k: int(c) for k, c in zip(OUTCOME_KEYS, draws)})
+    p /= p.sum(axis=1, keepdims=True)
+    counts = np.empty(p.shape, dtype=np.int64)
+    for row, p_row, seed in zip(counts, p, seeds, strict=True):
+        row[:] = np.random.default_rng(seed).multinomial(shots, p_row)
+    return counts
 
 
 def sample(circuit: QuantumCircuit, noise: NoiseSpec, shots: int, seed: int) -> ShotResult:
     """Multinomial shot sampling; deterministic for a fixed seed."""
-    return _sample(_probabilities(_gate_triples(circuit), 1, noise)[0], shots, seed)
+    draws = _counts(_probabilities(_gate_triples(circuit), 1, noise), shots, [seed])[0]
+    return ShotResult(shots=shots, seed=seed,
+                      counts={k: int(c) for k, c in zip(OUTCOME_KEYS, draws)})
 
 
-def ico_sample(theta, phi, noise: NoiseSpec, shots: int, seeds) -> list[ShotResult]:
-    """`sample` of build_ico_circuit(theta[i], phi[i]) with seed seeds[i], for
-    every i; the probabilities come from one ico_probabilities pass."""
-    return [_sample(p, shots, seed)
-            for p, seed in zip(ico_probabilities(theta, phi, noise), seeds)]
+def ico_counts(theta, phi, noise: NoiseSpec, shots: int, seeds) -> np.ndarray:
+    """The counts of `sample` of build_ico_circuit(theta[i], phi[i]) with seed
+    seeds[i], for every i, as a (T, 4) int64 array in OUTCOME_KEYS order; the
+    probabilities come from one ico_probabilities pass."""
+    return _counts(ico_probabilities(theta, phi, noise), shots, seeds)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .analytic import closed_form_grid, closed_form_sweep, dco_zero_window
-from .circuit import (OUTCOME_KEYS, NoiseSpec, _ico_gates, angles_of_time, estimate_counts,
-                      ico_sample)
+from .circuit import NoiseSpec, _ico_gates, angles_of_time, estimate_counts, ico_counts
 from .model import CHUNK_AMPLITUDES, ModelParams
 from .protocol import ProtocolGrid, run_ico_grid
 from .qasm import emit_qasm_grid
@@ -139,6 +139,13 @@ class SweepConfig:
             raise ConfigError(f"depolarizing_p must lie in [0, 1], got {self.depolarizing_p!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.out is not None:
+            if not (isinstance(self.out, str) and self.out):
+                raise ConfigError(f"out must be a non-empty path, got {self.out!r}")
+            # the directory that holds the target; "a/b/" names the directory b in a
+            parent = os.path.dirname(self.out.rstrip(os.sep) or os.sep) or os.curdir
+            if not os.path.isdir(parent):
+                raise ConfigError(f"output path {self.out!r}: directory {parent!r} does not exist")
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.points)
@@ -296,8 +303,7 @@ def export_circuits(config: SweepConfig, out_dir) -> dict:
     are returned.  Only the two-charger circuit exists."""
     if config.n_list != [2]:
         raise ConfigError(f"circuit export supports N=2 only, got n_list={config.n_list}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     grid = config.time_grid()
     thetas, phis = angles_of_time(config.params(2), grid)
     names = [f"ico_n2_t{i}.qasm" for i in range(len(grid))]
@@ -305,9 +311,10 @@ def export_circuits(config: SweepConfig, out_dir) -> dict:
         block = slice(lo, lo + WRITE_BLOCK)
         texts = emit_qasm_grid(_ico_gates(thetas[block], phis[block]), len(names[block]))
         for name, text in zip(names[block], texts):
-            (out_dir / name).write_text(text)
+            with open(os.path.join(out_dir, name), "w") as fh:
+                fh.write(text)
     manifest = {"t": grid, "theta": thetas, "phi": phis, "filename": names}
-    write_csv(out_dir / "manifest.csv", MANIFEST_FIELDS, manifest)
+    write_csv(os.path.join(out_dir, "manifest.csv"), MANIFEST_FIELDS, manifest)
     return manifest
 
 
@@ -316,14 +323,22 @@ def _bootstrap_p_se(counts: np.ndarray, shots: int, rngs) -> list[float | None]:
     for each row of an (R, 4) count array, row r resampled with the r-th
     generator of the iterable `rngs`; None where fewer than two resamples
     define an efficiency.  The resamples of BOOTSTRAP_CHUNK rows at a time
-    are scored in one estimate_counts call."""
+    are scored in one estimate_counts call, and the spread of every row of
+    the chunk whose resamples all define P is taken in one np.std call."""
     rngs, se = iter(rngs), []
     for lo in range(0, len(counts), BOOTSTRAP_CHUNK):
         part = counts[lo:lo + BOOTSTRAP_CHUNK]
         draws = np.concatenate([rng.multinomial(shots, c / shots, size=BOOTSTRAP_RESAMPLES)
                                 for c, rng in zip(part, rngs)])
         p = estimate_counts(draws, shots).P.reshape(len(part), BOOTSTRAP_RESAMPLES)
-        se += [float(np.std(v)) if len(v) > 1 else None for v in (r[~np.isnan(r)] for r in p)]
+        full = ~np.isnan(p).any(axis=1)
+        spread = iter(np.std(p[full], axis=1).tolist())
+        for row, all_defined in zip(p, full.tolist()):
+            if all_defined:
+                se.append(next(spread))
+            else:
+                v = row[~np.isnan(row)]
+                se.append(float(np.std(v)) if len(v) > 1 else None)
     return se
 
 
@@ -345,8 +360,7 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
     grid = config.time_grid()
     thetas, phis = angles_of_time(params, grid)
     seeds = list(range(config.seed, config.seed + len(grid)))
-    results = ico_sample(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
-    counts = np.array([[r.counts[k] for k in OUTCOME_KEYS] for r in results])
+    counts = ico_counts(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
     est, ideal = estimate_counts(counts, config.shots), closed_form_grid(params, grid)
     se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
     return {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
@@ -400,10 +414,18 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _require_out(config: SweepConfig) -> str:
-    if config.out is None:
+def _require_out(config: SweepConfig, directory: bool = False) -> str:
+    """The output path, checked before anything is computed: a directory
+    path (an existing directory or a new name) when `directory` is set, else
+    a file path (not a directory and not ending in a separator)."""
+    out = config.out
+    if out is None:
         raise ConfigError("an output path is required (--out)")
-    return config.out
+    if directory and os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output path {out!r} exists and is not a directory")
+    if not directory and (os.path.isdir(out) or out.endswith(os.sep)):
+        raise ConfigError(f"output path {out!r} is a directory, not a file")
+    return out
 
 
 def _cmd_sweep(config: SweepConfig) -> None:
@@ -420,14 +442,18 @@ def _cmd_bursts(config: SweepConfig) -> None:
 
 
 def _cmd_export(config: SweepConfig) -> None:
-    export_circuits(config, _require_out(config))
+    export_circuits(config, _require_out(config, directory=True))
 
 
 def _cmd_noise(config: SweepConfig) -> None:
     out = Path(_require_out(config))
+    shots_out = out.with_name(out.stem + "_shots.csv")
+    if shots_out.is_dir():
+        raise ConfigError(f"shot-count path {str(shots_out)!r} beside output path {str(out)!r} "
+                          f"is a directory, not a file")
     cols = noise_study_rows(config)
     write_csv(out, NOISE_FIELDS, cols)
-    write_csv(out.with_name(out.stem + "_shots.csv"), SHOT_FIELDS, cols)
+    write_csv(shots_out, SHOT_FIELDS, cols)
 
 
 @functools.cache

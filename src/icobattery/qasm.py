@@ -46,15 +46,20 @@ def emit_qasm_grid(gates, points: int):
     """emit_qasm at each of `points` grid points, as an iterator of texts, of
     (kind, qubits, angle) triples whose angle is None, a float or one per
     point, as from circuit._ico_gates.  Each triple is checked as a Gate once,
-    with a stand-in angle, and each angle column is formatted once."""
-    lines, columns = [], []
+    with a stand-in angle, and each distinct angle column is formatted once.
+    Columns are told apart by their bytes, not their values: 0.0 and -0.0
+    are equal but print differently."""
+    lines, columns, formatted = [], [], {}
     for kind, qubits, angle in gates:
         Gate(kind, qubits, None if angle is None else 0.0)
         lines.append(f"{kind}{'' if angle is None else '(%s)'} "
                      f"{', '.join(f'qs[{q}]' for q in qubits)};\n")
         if angle is not None:
             angles = np.broadcast_to(np.asarray(angle, dtype=float), (points,))
-            columns.append(list(map(float.__repr__, angles.tolist())))
+            key = angles.tobytes()
+            if key not in formatted:
+                formatted[key] = list(map(float.__repr__, angles.tolist()))
+            columns.append(formatted[key])
     # a %-template: the header's gate bodies hold braces but no %
     template = _HEADER + ("\n// gates\n" + "".join(lines) if lines else "") + "\n" + _MEASUREMENT
     return map(template.__mod__, zip(*columns) if columns else [()] * points)

@@ -4,7 +4,9 @@ These are the one-circuit-at-a-time forms that `icobattery.circuit` batches
 over a time grid: gate matrices from one angle each, one `tensordot` per gate
 on a single 4-qubit state, the count estimator on one mapping, and the
 bootstrap that calls it once per resample.  `icobattery.circuit` and
-`icobattery.cli` are checked against them.  `library_gate_matrix`,
+`icobattery.cli` are checked against them.  `moveaxis_apply` and
+`moveaxis_final_states` keep the earlier form of the library's grid kernel,
+which the library must reproduce bit for bit.  `library_gate_matrix`,
 `circuit_unitary` and `simulate` instead run the library's own kernels; only
 tests use them, so they live here rather than in `icobattery.circuit`.
 """
@@ -54,6 +56,29 @@ def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     k = len(qubits)
     out = np.tensordot(mat.reshape((2,) * (2 * k)), state, axes=(range(k, 2 * k), qubits))
     return np.moveaxis(out, range(k), qubits)
+
+
+def moveaxis_apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
+    """`icobattery.circuit.apply` in its earlier form, with two np.moveaxis
+    calls per gate: the same matrix product on the same operands, so the
+    library's kernel must equal it bit for bit."""
+    k, grid = len(qubits), mat.ndim - 2
+    axes = (*range(state.ndim - grid, state.ndim), *qubits)
+    moved = np.moveaxis(state, axes, range(grid + k))
+    out = mat @ moved.reshape(moved.shape[:grid] + (2 ** k, -1))
+    return np.moveaxis(out.reshape(moved.shape), range(grid + k), axes)
+
+
+def moveaxis_final_states(gates, points: int) -> np.ndarray:
+    """`icobattery.circuit._final_states` in its earlier form: every gate,
+    a column of angles included, broadcast to a stack of `points` matrices
+    and applied by moveaxis_apply."""
+    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
+    psi[(0,) * N_QUBITS] = 1.0
+    for kind, qubits, angle in gates:
+        mats = circuit.gate_matrices(kind, angle)
+        psi = moveaxis_apply(psi, np.broadcast_to(mats, (points,) + mats.shape[-2:]), qubits)
+    return psi
 
 
 def final_state(circuit: QuantumCircuit) -> np.ndarray:

@@ -18,8 +18,8 @@ from icobattery.circuit import (
     estimate,
     estimate_counts,
     gate_matrices,
+    ico_counts,
     ico_probabilities,
-    ico_sample,
     outcome_probabilities,
     sample,
 )
@@ -316,6 +316,25 @@ class TestStackedKernel:
         assert np.max(np.abs(stacked - apply(states, mat, (3, 0)))) <= 1e-15
 
 
+class TestKernelPinned:
+    """`apply` equals its earlier two-moveaxis form bit for bit."""
+
+    @pytest.mark.parametrize("qubits", [(q,) for q in range(4)]
+                             + [(a, b) for a in range(4) for b in range(4) if a != b])
+    @pytest.mark.parametrize("trailing", [(), (5,), (3, 5)])
+    def test_equals_moveaxis_form(self, qubits, trailing):
+        rng = np.random.default_rng(7)
+        shape = (2,) * 4 + trailing
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        d = 2 ** len(qubits)
+        # one matrix, then one matrix per index of the last 1 or 2 trailing axes
+        for grid in [()] + [trailing[-g:] for g in range(1, len(trailing) + 1)]:
+            mat = rng.normal(size=grid + (d, d)) + 1j * rng.normal(size=grid + (d, d))
+            got = apply(state, mat, qubits)
+            assert got.shape == shape
+            assert np.array_equal(got, ref.moveaxis_apply(state, mat, qubits)), grid
+
+
 class TestIcoProbabilities:
     @pytest.mark.parametrize("omega, lam, times", GRIDS)
     @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
@@ -351,17 +370,26 @@ class TestIcoProbabilities:
         ico_probabilities(np.linspace(0, 1, 10), np.linspace(0, 10, 10))
         assert evolved == [4, 4, 2]
 
-    def test_ico_sample_matches_per_circuit_sample(self):
+    @pytest.mark.parametrize("points", [1, 2, 7, 30, 1000])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+    def test_equals_moveaxis_kernel_bitwise(self, monkeypatch, points, p):
+        _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
+        got = ico_probabilities(theta, phi, NoiseSpec(p))
+        monkeypatch.setattr(circuit, "_final_states", ref.moveaxis_final_states)
+        assert np.array_equal(got, ico_probabilities(theta, phi, NoiseSpec(p)))
+
+    def test_ico_counts_matches_per_circuit_sample(self):
         angles, (theta, phi) = grid_angles(P2, GRIDS[0][2])
         seeds = range(40, 40 + len(angles))
-        results = ico_sample(theta, phi, NoiseSpec(0.05), 3000, seeds)
-        for (th, ph), seed, got in zip(angles, seeds, results):
+        counts = ico_counts(theta, phi, NoiseSpec(0.05), 3000, seeds)
+        assert counts.shape == (len(angles), 4) and counts.dtype == np.int64
+        for (th, ph), seed, got in zip(angles, seeds, counts):
             want = sample(build_ico_circuit(th, ph), NoiseSpec(0.05), 3000, seed)
-            assert (got.shots, got.seed, got.counts) == (want.shots, want.seed, want.counts)
+            assert got.tolist() == [want.counts[k] for k in OUTCOME_KEYS]
 
-    def test_ico_sample_rejects_no_shots(self):
+    def test_ico_counts_rejects_no_shots(self):
         with pytest.raises(ValueError):
-            ico_sample([0.1], [1.0], NoiseSpec(), 0, [0])
+            ico_counts([0.1], [1.0], NoiseSpec(), 0, [0])
 
 
 def random_counts(rng, rows):

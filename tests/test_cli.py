@@ -70,14 +70,45 @@ def test_config_validation():
     ["sweep", "--n", "6", "--points", "6", "--engine", "both", "--lambda", "0.293",
      "--t-min", "48.86", "--t-max", "2.304e16"],
     ["sweep", "--n", "3", "--engine", "both", "--lambda", "1000", "--t-max", "1e5"],
+    # output paths, in {tmp}: an existing directory, "file" an existing file,
+    # "noise_shots.csv" a directory and "out5.json" a config with "out": 5
+    ["sweep", "--n", "2", "--out", "/nonexistent/dir/x.csv"],
+    ["sweep", "--n", "2", "--out", ""],
+    ["sweep", "--n", "2", "--out", "{tmp}/x.csv/"],
+    ["sweep", "--n", "2", "--out", "{tmp}/file/x.csv"],
+    ["bursts", "--n", "2", "--out", "{tmp}"],
+    ["noise-study", "--n", "2", "--shots", "10", "--depol-p", "0.1", "--out", "{tmp}"],
+    ["noise-study", "--n", "2", "--shots", "10", "--depol-p", "0.1", "--out", "{tmp}/noise.csv"],
+    ["export-circuits", "--n", "2", "--out", "{tmp}/file"],
+    ["export-circuits", "--n", "2", "--out", "/nonexistent/dir/circuits"],
+    ["sweep", "--config", "{tmp}/out5.json"],
 ])
-def test_invalid_input_exits_2(tmp_path, capsys, args):
+def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
+    def engine(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any engine runs")
+
+    for name in ("run_ico_grid", "closed_form_sweep", "closed_form_grid", "ico_counts"):
+        monkeypatch.setattr(cli, name, engine)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "noise_shots.csv").mkdir()
+    (tmp_path / "out5.json").write_text(json.dumps({"n_list": [2], "out": 5}))
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     # "--points 3" goes first so that a case's own --points overrides it
-    argv = args[:1] + ["--points", "3"] + args[1:] + ["--out", str(tmp_path / "x.csv")]
+    argv = args[:1] + ["--points", "3"] + args[1:]
+    if "--out" in args:
+        out = args[args.index("--out") + 1]
+    elif "--config" not in args:
+        out = str(tmp_path / "x.csv")
+        argv += ["--out", out]
+    else:
+        out = 5
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+    if "--out" in args or "--config" in args:
+        assert repr(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "noise_shots.csv", "out5.json"]
 
 
 def test_phase_limit_boundary():
@@ -500,6 +531,31 @@ class TestBootstrap:
         assert calls == [len(part) * cli.BOOTSTRAP_RESAMPLES
                          for part in np.array_split(counts, range(chunk, 20, chunk))]
 
+    def test_defined_and_partly_undefined_rows_share_a_chunk(self):
+        # at 20 shots, balanced rows define P in every resample, rows with one
+        # excitation in only some of them, and a row with none in none
+        counts = np.array([[5, 5, 5, 5], [18, 1, 1, 0], [6, 4, 7, 3], [19, 0, 1, 0],
+                           [10, 0, 9, 1], [4, 6, 5, 5]], dtype=float)
+        seeds = range(30, 36)
+        defined = [int(np.count_nonzero(draw[:, 1] + draw[:, 3]))
+                   for draw in (np.random.default_rng(s).multinomial(
+                       20, c / 20, size=cli.BOOTSTRAP_RESAMPLES) for c, s in zip(counts, seeds))]
+        assert defined[0] == defined[2] == defined[5] == cli.BOOTSTRAP_RESAMPLES
+        assert 1 < defined[1] < cli.BOOTSTRAP_RESAMPLES and defined[3] == 0
+        assert 1 < defined[4] < cli.BOOTSTRAP_RESAMPLES
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = cli._bootstrap_p_se(counts, 20, (np.random.default_rng(s) for s in seeds))
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = [ref.bootstrap_p_se(c, 20, np.random.default_rng(s), cli.BOOTSTRAP_RESAMPLES)
+                    for c, s in zip(counts, seeds)]
+        assert len(got) == len(want)
+        for row, (g, w) in enumerate(zip(got, want)):
+            assert g == w, row
+        assert got[3] is None
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
     def test_chunk_bounds_draws_per_call(self):
         assert cli.BOOTSTRAP_CHUNK * 4 * cli.BOOTSTRAP_RESAMPLES <= cli.CHUNK_AMPLITUDES
         assert 30 <= cli.BOOTSTRAP_CHUNK    # the 30-point circuit study is still one call
@@ -662,7 +718,7 @@ class TestMain:
         def engine(*args, **kwargs):
             raise AssertionError("--out must be checked before any engine runs")
 
-        for name in ("run_ico_grid", "closed_form_sweep", "closed_form_grid", "ico_sample"):
+        for name in ("run_ico_grid", "closed_form_sweep", "closed_form_grid", "ico_counts"):
             monkeypatch.setattr(cli, name, engine)
         for args in (["sweep", "--n", "2", "--points", "3"],
                      ["sweep", "--n", "2,3", "--points", "3", "--engine", "numeric"],

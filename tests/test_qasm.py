@@ -90,3 +90,43 @@ def test_grid_of_fixed_gates_repeats_one_text():
 def test_grid_checks_the_gate_template(broken):
     with pytest.raises(ValueError):
         emit_qasm_grid([("h", (0,), None), broken], 2)
+
+
+def gate_statements(text: str) -> list[str]:
+    """The gate lines of an emitted program, between "// gates" and the
+    measurement block."""
+    return text.split("\n// gates\n")[1].split("\n\n")[0].splitlines()
+
+
+def statements_of(gates) -> list[str]:
+    """The gate lines emit_qasm should print for `gates`, each angle by repr."""
+    return [f"{g.kind}{'' if g.angle is None else f'({g.angle!r})'} "
+            f"{', '.join(f'qs[{q}]' for q in g.qubits)};" for g in gates]
+
+
+def test_grid_from_zero_prints_each_signed_zero():
+    # at t = 0 the charging half-angles are 0.0 and their negations -0.0:
+    # equal values, different bits, so one formatted column must not serve both
+    params = ModelParams(2, 1.0, 0.1)
+    times = np.linspace(0.0, 4 * np.pi / 0.1, 9)
+    texts = list(emit_qasm_grid(_ico_gates(*angles_of_time(params, times)), len(times)))
+    assert "xx(-0.0) " in texts[0] and "xx(0.0) " in texts[0]
+    for t, text in zip(times, texts):
+        circ = build_ico_circuit(*angles_of_time(params, t))
+        assert text.encode() == emit_qasm(circ).encode()
+        assert gate_statements(text) == statements_of(circ.gates)
+        assert parse_qasm(text).gates == circ.gates
+
+
+def test_grid_equal_columns_from_separate_arrays():
+    a = np.array([0.0, 0.25, -1.5, 3.0])
+    gates = [("rz", (0,), a), ("cp", (1, 2), a.copy()), ("rz", (3,), -a), ("rz", (1,), 0.25),
+             ("xx", (0, 3), np.full(4, 0.25))]
+    texts = list(emit_qasm_grid(gates, 4))
+    for i, text in enumerate(texts):
+        point = [Gate(kind, qubits, float(np.broadcast_to(angle, (4,))[i]))
+                 for kind, qubits, angle in gates]
+        assert text == emit_qasm(QuantumCircuit(gates=tuple(point)))
+        assert gate_statements(text) == statements_of(point)
+        assert parse_qasm(text).gates == tuple(point)
+    assert gate_statements(texts[0])[2] == "rz(-0.0) qs[3];"
