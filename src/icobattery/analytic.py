@@ -19,20 +19,6 @@ from .thermo import efficiencies, python_values
 
 
 @dataclass(frozen=True)
-class AlphaCoefficients:
-    """Amplitudes (alpha_0 .. alpha_N) of the evolved battery-charger state
-    in the single-excitation basis {|g,h0>, |e,h_1>, ..., |e,h_N>}."""
-
-    t: float
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        s = float(np.sum(np.abs(self.alpha) ** 2))
-        if abs(s - 1.0) > tol.NORM_ATOL:
-            raise ValueError(f"coefficient normalization {s} deviates from 1")
-
-
-@dataclass(frozen=True)
 class ClosedFormReport:
     t: float
     C1: float                 # interference term for the uniform-superposition outcome
@@ -46,20 +32,18 @@ class ClosedFormReport:
     passive_dco: bool
 
 
-def alpha_coeffs(params: ModelParams, t: float) -> AlphaCoefficients:
-    """Coefficients for the reference charging order (1, 2, ..., N):
+def alpha_coeffs(params: ModelParams, t: float) -> np.ndarray:
+    """Coefficients (alpha_0 .. alpha_N) of the evolved battery-charger state
+    for the reference charging order (1, 2, ..., N), in the single-excitation
+    basis {|g,h0>, |e,h_1>, ..., |e,h_N>}:
 
     alpha_0 = (e^{-i w t / 2N} cos(w l t / N))^N
     alpha_j = (e^{-3i w t / 2N})^{N-j} e^{-i w t / 2N} (-i sin(w l t / N))
               (e^{-i w t / 2N} cos(w l t / N))^{j-1}
     """
-    return AlphaCoefficients(t=t, alpha=_alpha_grid(params, np.array([t], dtype=float))[0])
-
-
-def _alpha_grid(params: ModelParams, times: np.ndarray) -> np.ndarray:
-    """`alpha_coeffs` at every time of `times`, as the rows of a (T, N+1) array."""
     n = params.n_chargers
-    return _alpha_block(*_phases(params.omega, params.coupling, n, times), np.arange(n))
+    phases = _phases(params.omega, params.coupling, n, np.array([t], dtype=float))
+    return _alpha_block(*phases, np.arange(n))[0]
 
 
 def _phases(omega: float, coupling: float, n, times: np.ndarray):

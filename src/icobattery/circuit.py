@@ -64,7 +64,6 @@ class QuantumCircuit:
     the z basis (fixed measurement spec)."""
 
     gates: tuple[Gate, ...]
-    n_prep: int = 0  # leading gates that are state preparation, not charging
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,6 @@ class ShotResult:
     shots: int
     seed: int
     counts: dict[tuple[str, str], int] = field(compare=False)
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
 
 
 def angles_of_time(params: ModelParams, t):
@@ -140,8 +133,7 @@ def _ico_gates(theta, phi) -> list[tuple]:
 
 def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
     """Preparation (H on D, X on both chargers) followed by the charging blocks."""
-    return QuantumCircuit(gates=tuple(Gate(*g) for g in _ico_gates(theta, phi)),
-                          n_prep=len(_PREP))
+    return QuantumCircuit(gates=tuple(Gate(*g) for g in _ico_gates(theta, phi)))
 
 
 # --- state-vector simulation -----------------------------------------------
@@ -279,22 +271,11 @@ def ico_counts(theta, phi, noise: NoiseSpec, shots: int, seeds) -> np.ndarray:
     return _counts(ico_probabilities(theta, phi, noise), shots, seeds)
 
 
-@dataclass(frozen=True)
-class CountEstimates:
-    """`estimate` of every row of a count array, as arrays with one entry
-    per row; P is NaN where the efficiency is undefined."""
-
-    E: np.ndarray
-    W: np.ndarray
-    P: np.ndarray
-    passive_k1: np.ndarray
-    passive_dco: np.ndarray
-
-
-def estimate_counts(counts, shots) -> CountEstimates:
+def estimate_counts(counts, shots) -> dict[str, np.ndarray]:
     """Count-based energy accounting for every row of an (R, 4) array of
     counts in OUTCOME_KEYS order, each row out of `shots` (a number, or one
-    per row); fractional counts are allowed.
+    per row); fractional counts are allowed.  Returns the fields of
+    EnergyReport as columns, one entry per row, with NaN for an undefined P.
 
     The conditional battery states are z-diagonal, so counts suffice:
     E = p(e); W = sum_d p(d) max(0, p(e|d) - p(g|d)); both in hbar*omega.
@@ -313,8 +294,8 @@ def estimate_counts(counts, shots) -> CountEstimates:
     gain = (n_d / total[:, None]) * np.maximum(0.0, 2 * pe_d - 1.0)
     e = (counts[:, 1] + counts[:, 3]) / total
     w = gain[:, 0] + gain[:, 1]
-    return CountEstimates(E=e, W=w, P=efficiencies(w, e), passive_k1=pe_d[:, 0] <= 0.5,
-                          passive_dco=e <= 0.5)  # z marginal = definite-order state
+    return {"E": e, "W": w, "P": efficiencies(w, e), "passive_k1": pe_d[:, 0] <= 0.5,
+            "passive_dco": e <= 0.5}  # z marginal = definite-order state
 
 
 def estimate(counts, shots: float | None = None) -> EnergyReport:
@@ -325,5 +306,4 @@ def estimate(counts, shots: float | None = None) -> EnergyReport:
         counts = counts.counts
     total = float(sum(counts.values())) if shots is None else float(shots)
     est = estimate_counts([[counts.get(k, 0) for k in OUTCOME_KEYS]], total)
-    return EnergyReport(E=float(est.E[0]), W=float(est.W[0]), P=python_values(est.P)[0],
-                        passive_k1=bool(est.passive_k1[0]), passive_dco=bool(est.passive_dco[0]))
+    return EnergyReport(**{k: python_values(v)[0] for k, v in est.items()})

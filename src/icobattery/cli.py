@@ -8,9 +8,7 @@ violation detected during the run.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -110,9 +108,7 @@ class SweepConfig:
             raise ConfigError(str(exc)) from exc
         if self.t_max is None:
             rate = self.omega * self.coupling
-            self.t_max = 4 * math.pi / rate if rate > 0 else math.inf
-            if not math.isfinite(self.t_max):
-                raise ConfigError("default t_max 4*pi/(omega*lambda) overflows; give --t-max")
+            self.t_max = 4 * math.pi / rate if rate > 0 else math.inf  # fails the phase check
         if not self.t_min >= 0:
             raise ConfigError(f"t_min must be >= 0, got {self.t_min}")
         if not self.t_min < self.t_max:
@@ -122,11 +118,6 @@ class SweepConfig:
                 and math.isfinite(self.omega * self.coupling * self.t_max)):
             raise ConfigError(f"phases omega*t_max and omega*lambda*t_max overflow "
                               f"at t_max={self.t_max}")
-        phase = max(1.0, self.coupling) * self.omega * self.t_max
-        if self.engine == "both" and phase > MAX_BOTH_PHASE:
-            raise ConfigError(f"phase max(omega, omega*lambda)*t_max = {phase:g} exceeds "
-                              f"{MAX_BOTH_PHASE:g}, beyond which the engines cannot agree "
-                              f"within {tol.ENGINE_AGREE_ATOL:g}; lower t_max or pick one engine")
         if not (_is_int(self.points) and self.points >= 2):
             raise ConfigError(f"need an integer number of grid points >= 2, got {self.points!r}")
         if self.points * len(self.n_list) > MAX_ROWS:
@@ -139,13 +130,6 @@ class SweepConfig:
             raise ConfigError(f"depolarizing_p must lie in [0, 1], got {self.depolarizing_p!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.out is not None:
-            if not (isinstance(self.out, str) and self.out):
-                raise ConfigError(f"out must be a non-empty path, got {self.out!r}")
-            # the directory that holds the target; "a/b/" names the directory b in a
-            parent = os.path.dirname(self.out.rstrip(os.sep) or os.sep) or os.curdir
-            if not os.path.isdir(parent):
-                raise ConfigError(f"output path {self.out!r}: directory {parent!r} does not exist")
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.points)
@@ -200,7 +184,13 @@ def _sweep_columns(config: SweepConfig):
     one batch of consecutive charger counts at a time: at most WRITE_BLOCK
     rows, or one N where its grid is longer.  The columns are N and the
     analytic engine's with --engine analytic, else N, the numeric engine's
-    and, with --engine both, max_engine_dev (see _engine_deviation)."""
+    and, with --engine both, max_engine_dev (see _engine_deviation); there a
+    phase beyond MAX_BOTH_PHASE is a ConfigError raised before any engine runs."""
+    phase = max(1.0, config.coupling) * config.omega * config.t_max
+    if config.engine == "both" and phase > MAX_BOTH_PHASE:
+        raise ConfigError(f"phase max(omega, omega*lambda)*t_max = {phase:g} exceeds "
+                          f"{MAX_BOTH_PHASE:g}, beyond which the engines cannot agree "
+                          f"within {tol.ENGINE_AGREE_ATOL:g}; lower t_max or pick one engine")
     grid = config.time_grid()
     per_batch = max(1, WRITE_BLOCK // len(grid))
     for lo in range(0, len(config.n_list), per_batch):
@@ -218,53 +208,43 @@ def _sweep_columns(config: SweepConfig):
         yield cols
 
 
-_QUOTABLE = re.compile('[,"\r\n]')
-
-
-def _text(cell: str) -> str:
-    """A string cell as csv.writer writes it: as it is unless it holds a
-    comma, a quote or a line break, and then quoted by csv's own rule."""
-    if not _QUOTABLE.search(cell):
-        return cell
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow([cell, ""])
-    return line.getvalue()[:-2]          # drop the empty second cell's "," and "\n"
-
-
 def _cells(column) -> list[str]:
     """The CSV cells of a column: floats by repr with NaN as an empty cell,
-    bools as true/false, ints by str, strings as csv.writer writes them."""
+    bools as true/false, ints and strings by str."""
     column = np.asarray(column)
     kind, values = column.dtype.kind, column.tolist()
     if kind == "b":
         return list(map(("false", "true").__getitem__, values))
-    if kind in "iu":
-        return list(map(str, values))
     if kind != "f":
-        return list(map(_text, map(str, values)))
+        return list(map(str, values))
     cells = list(map(float.__repr__, values))
     for i in np.flatnonzero(np.isnan(column)).tolist():
         cells[i] = ""
     return cells
 
 
-def _lines(cells: list[list[str]]) -> str:
-    """CSV lines of the rows of equal-length cell lists.  As in csv.writer,
-    a row of one empty cell is written as a pair of quotes."""
-    if len(cells) == 1:
-        cells = [[c or '""' for c in cells[0]]]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+_QUOTABLE = re.compile('[,"\r\n]')
 
 
 def write_csv(path, fieldnames, columns) -> None:
-    """Write the columns named `fieldnames`, from the mapping `columns` of
-    equal-length arrays or lists, as CSV rows, byte for byte as csv.writer
-    with lineterminator "\\n" would; each column's cells are formatted (see
-    _cells) and written WRITE_BLOCK rows at a time."""
+    """Write the columns named `fieldnames` of the mapping `columns` (equal-length
+    arrays or lists) as CSV rows, WRITE_BLOCK rows at a time (cells by _cells).
+    Nothing is quoted: a field name or string cell with a comma, quote or line
+    break, or a single column (whose empty cell reads back as no row), raises
+    ValueError naming the column before the file is opened."""
+    if len(fieldnames) < 2:
+        raise ValueError(f"a CSV file needs at least two columns, got {list(fieldnames)}")
+    for name in fieldnames:
+        column = np.asarray(columns[name])
+        strings = column.astype(str).tolist() if column.dtype.kind in "OSU" else []
+        if _QUOTABLE.search("".join([name, *strings])):
+            raise ValueError(f"column {name!r}: its name or a string cell holds a comma, "
+                             f"a quote or a line break")
     with open(path, "w", newline="") as fh:
-        fh.write(_lines([[_text(name)] for name in fieldnames]))
+        fh.write(",".join(fieldnames) + "\n")
         for lo in range(0, len(columns[fieldnames[0]]), WRITE_BLOCK):
-            fh.write(_lines([_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames]))
+            cells = [_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def burst_report(config: SweepConfig) -> dict:
@@ -297,15 +277,24 @@ def burst_report(config: SweepConfig) -> dict:
 MANIFEST_FIELDS = ("t", "theta", "phi", "filename")
 
 
+def _circuit_grid(config: SweepConfig, task: str):
+    """The time grid and its angles theta, phi; only the two-charger circuit exists."""
+    if config.n_list != [2]:
+        raise ConfigError(f"{task} supports N=2 only, got n_list={config.n_list}")
+    grid = config.time_grid()
+    return (grid, *angles_of_time(config.params(2), grid))
+
+
 def export_circuits(config: SweepConfig, out_dir) -> dict:
     """One QASM file per grid point, WRITE_BLOCK points per emit_qasm_grid
     call, plus a manifest mapping t to (theta, phi, filename), whose columns
-    are returned.  Only the two-charger circuit exists."""
-    if config.n_list != [2]:
-        raise ConfigError(f"circuit export supports N=2 only, got n_list={config.n_list}")
+    are returned.  QASM files of points past this grid are removed first."""
+    grid, thetas, phis = _circuit_grid(config, "circuit export")
     os.makedirs(out_dir, exist_ok=True)
-    grid = config.time_grid()
-    thetas, phis = angles_of_time(config.params(2), grid)
+    for name in os.listdir(out_dir):     # the names given below, for i >= len(grid)
+        stale = re.fullmatch(r"ico_n2_t(0|[1-9][0-9]*)\.qasm", name)
+        if stale and int(stale[1]) >= len(grid):
+            os.remove(os.path.join(out_dir, name))
     names = [f"ico_n2_t{i}.qasm" for i in range(len(grid))]
     for lo in range(0, len(grid), WRITE_BLOCK):
         block = slice(lo, lo + WRITE_BLOCK)
@@ -330,7 +319,7 @@ def _bootstrap_p_se(counts: np.ndarray, shots: int, rngs) -> list[float | None]:
         part = counts[lo:lo + BOOTSTRAP_CHUNK]
         draws = np.concatenate([rng.multinomial(shots, c / shots, size=BOOTSTRAP_RESAMPLES)
                                 for c, rng in zip(part, rngs)])
-        p = estimate_counts(draws, shots).P.reshape(len(part), BOOTSTRAP_RESAMPLES)
+        p = estimate_counts(draws, shots)["P"].reshape(len(part), BOOTSTRAP_RESAMPLES)
         full = ~np.isnan(p).any(axis=1)
         spread = iter(np.std(p[full], axis=1).tolist())
         for row, all_defined in zip(p, full.tolist()):
@@ -352,22 +341,19 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
     of NOISE_FIELDS (the analysis) and SHOT_FIELDS (the raw shot counts).
     Sampling seed for grid index i is seed + i, so runs are reproducible
     point by point."""
-    if config.n_list != [2]:
-        raise ConfigError(f"noise study supports N=2 only, got n_list={config.n_list}")
+    grid, thetas, phis = _circuit_grid(config, "noise study")
     if config.shots is None or config.depolarizing_p is None:
         raise ConfigError("noise study requires both shots and depolarizing_p")
-    params = config.params(2)
-    grid = config.time_grid()
-    thetas, phis = angles_of_time(params, grid)
     seeds = list(range(config.seed, config.seed + len(grid)))
     counts = ico_counts(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
-    est, ideal = estimate_counts(counts, config.shots), closed_form_grid(params, grid)
+    est, ideal = estimate_counts(counts, config.shots), closed_form_grid(config.params(2), grid)
     se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
     return {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
             "seed": np.array(seeds), "E_ideal": ideal["E"], "P_ico_ideal": ideal["P_ico"],
-            "E_hat": est.E, "se_E": np.sqrt(np.maximum(est.E * (1 - est.E), 0.0) / config.shots),
-            "P_hat": est.P, "se_P": np.array(se_p, dtype=float),
-            "overestimates_E": est.E > ideal["E"], **dict(zip(SHOT_FIELDS[5:], counts.T))}
+            "E_hat": est["E"], "se_E": np.sqrt(np.maximum(est["E"] * (1 - est["E"]), 0.0)
+                                               / config.shots),
+            "P_hat": est["P"], "se_P": np.array(se_p, dtype=float),
+            "overestimates_E": est["E"] > ideal["E"], **dict(zip(SHOT_FIELDS[5:], counts.T))}
 
 
 # --- argument handling -------------------------------------------------------
@@ -414,18 +400,35 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _require_out(config: SweepConfig, directory: bool = False) -> str:
-    """The output path, checked before anything is computed: a directory
-    path (an existing directory or a new name) when `directory` is set, else
-    a file path (not a directory and not ending in a separator)."""
+def _require_out(config: SweepConfig, directory: bool = False, shots: bool = False) -> str:
+    """The output path, checked before anything is computed: a non-empty
+    string whose parent directory exists, naming a directory (an existing
+    one or a new name) when `directory` is set, else a file (not a directory
+    and not ending in a separator).  With `shots`, the shot-count file
+    beside it (see _shots_path) must not be a directory either."""
     out = config.out
     if out is None:
         raise ConfigError("an output path is required (--out)")
+    if not (isinstance(out, str) and out):
+        raise ConfigError(f"out must be a non-empty path, got {out!r}")
+    # the directory that holds the target; "a/b/" names the directory b in a
+    parent = os.path.dirname(out.rstrip(os.sep) or os.sep) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output path {out!r}: directory {parent!r} does not exist")
     if directory and os.path.exists(out) and not os.path.isdir(out):
         raise ConfigError(f"output path {out!r} exists and is not a directory")
     if not directory and (os.path.isdir(out) or out.endswith(os.sep)):
         raise ConfigError(f"output path {out!r} is a directory, not a file")
+    if shots and os.path.isdir(_shots_path(out)):
+        raise ConfigError(f"shot-count path {_shots_path(out)!r} beside output path {out!r} "
+                          f"is a directory, not a file")
     return out
+
+
+def _shots_path(out: str) -> str:
+    """noise-study's shot-count file beside the output file `out`: <stem>_shots.csv."""
+    path = Path(out)
+    return str(path.with_name(path.stem + "_shots.csv"))
 
 
 def _cmd_sweep(config: SweepConfig) -> None:
@@ -446,14 +449,10 @@ def _cmd_export(config: SweepConfig) -> None:
 
 
 def _cmd_noise(config: SweepConfig) -> None:
-    out = Path(_require_out(config))
-    shots_out = out.with_name(out.stem + "_shots.csv")
-    if shots_out.is_dir():
-        raise ConfigError(f"shot-count path {str(shots_out)!r} beside output path {str(out)!r} "
-                          f"is a directory, not a file")
+    out = _require_out(config, shots=True)
     cols = noise_study_rows(config)
     write_csv(out, NOISE_FIELDS, cols)
-    write_csv(shots_out, SHOT_FIELDS, cols)
+    write_csv(_shots_path(out), SHOT_FIELDS, cols)
 
 
 @functools.cache
@@ -483,6 +482,10 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:      # while writing; the checks before the run cannot foresee it
+        path = config.out if exc.filename is None else os.fsdecode(exc.filename)
+        print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

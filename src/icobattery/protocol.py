@@ -136,14 +136,6 @@ def run_ico_grid(params: ModelParams, times) -> ProtocolGrid:
                         + rest_weight[:, None, None] * rho_rest)
 
 
-def run_dco(params: ModelParams, t: float, j: int) -> np.ndarray:
-    """Battery state after the single definite charging order j (no switch)."""
-    if not 1 <= j <= params.n_chargers:
-        raise ValueError(f"order index {j} out of range 1..{params.n_chargers}")
-    amp = next(_branch_amplitudes(params, np.array([t], dtype=float)))
-    return _density(_battery_populations(amp[j - 1])[0])
-
-
 def run_ico(params: ModelParams, t: float) -> ProtocolResult:
     """Evolve the joint input, measure the switch, and condition the battery.
 

@@ -74,7 +74,7 @@ def _weighted_sum(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Sum over axis 0 (the outcomes) of p * value where p > 0, after checking
     that every column of `probs` is a probability distribution."""
     bad = np.flatnonzero(np.any(probs < -tol.TRACE_ATOL, axis=0)
-                         | (np.abs(probs.sum(axis=0) - 1.0) > 1e-10))
+                         | (np.abs(probs.sum(axis=0) - 1.0) > tol.PROB_SUM_ATOL))
     if bad.size:
         raise ValueError(f"ensemble probabilities {probs[:, bad[0]]} are not a distribution")
     return sum(np.where(p > 0, p * value, 0.0) for p, value in zip(probs, values))

@@ -16,6 +16,7 @@ PROJECTOR_ATOL = 1e-10     # max-entry |P^2 - P| and |P - P^dag|
 EIG_RECONSTRUCT_ATOL = 1e-10   # |V diag(w) V^dag - H| after eigendecomposition
 
 # thermodynamics
+PROB_SUM_ATOL = 1e-10      # deviation from 1 of an ensemble's probability sum
 ENERGY_EPS = 1e-9          # stored energy below which efficiency is undefined
 ERGOTROPY_FLOOR = -1e-12   # ergotropy may round slightly negative; clamp to 0
 PASSIVITY_ATOL = 1e-10     # ergotropy below this counts as passive

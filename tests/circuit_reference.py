@@ -93,15 +93,15 @@ def final_state(circuit: QuantumCircuit) -> np.ndarray:
 def simulate(circ: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     """Run from |0000> through the library's `_final_states` and return the
     16x16 output density matrix, depolarized as (1-p) rho + p I/16."""
-    psi = circuit._final_states([(g.kind, g.qubits, g.angle) for g in circ.gates], 1).ravel()
+    psi = circuit._final_states(circuit._gate_triples(circ), 1).ravel()
     p = noise.depolarizing_p
     return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 
 
 def charging_gates(theta: float, phi: float) -> tuple:
-    """The four controlled charging blocks of build_ico_circuit."""
-    circ = build_ico_circuit(theta, phi)
-    return circ.gates[circ.n_prep:]
+    """The four controlled charging blocks of build_ico_circuit: every gate
+    after the preparation (H on D, X on both chargers)."""
+    return build_ico_circuit(theta, phi).gates[len(circuit._PREP):]
 
 
 def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:

@@ -176,7 +176,7 @@ def branch_state(params: ModelParams, t: float, j: int) -> PureState:
     n = params.n_chargers
     if not 1 <= j <= n:
         raise ValueError(f"order index {j} out of range 1..{n}")
-    alpha = alpha_coeffs(params, t).alpha
+    alpha = alpha_coeffs(params, t)
     layout = battery_charger_layout(n)
     vec = np.zeros(layout.dim, dtype=complex)
     all_e = 2 ** n - 1                       # chargers C1..CN all in |e> = 1

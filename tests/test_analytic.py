@@ -11,7 +11,6 @@ import icobattery.analytic
 from icobattery import tolerances
 from icobattery.analytic import (
     ClosedFormReport,
-    _alpha_grid,
     alpha_coeffs,
     closed_form_grid,
     closed_form_report,
@@ -52,19 +51,19 @@ def test_oracle_imports_neither_protocol_nor_cli():
 
 class TestAlphaCoeffs:
     def test_time_zero(self):
-        a = alpha_coeffs(ModelParams(4), 0.0).alpha
+        a = alpha_coeffs(ModelParams(4), 0.0)
         assert a[0] == pytest.approx(1.0)
         assert np.allclose(a[1:], 0.0)
 
     @given(params=params_strategy(), t=st.floats(0.0, 100.0))
     @settings(max_examples=100, deadline=None)
     def test_normalization(self, params, t):
-        a = alpha_coeffs(params, t).alpha
+        a = alpha_coeffs(params, t)
         assert np.sum(np.abs(a) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_populations(self):
         # read off from brute-force state-vector evolution of branch j=1
-        a2 = np.abs(alpha_coeffs(P2, 2 * np.pi).alpha) ** 2
+        a2 = np.abs(alpha_coeffs(P2, 2 * np.pi)) ** 2
         assert a2[0] == pytest.approx(0.818136, abs=1e-5)
         assert a2[1] == pytest.approx(0.095492, abs=1e-5)
         assert a2[2] == pytest.approx(0.086372, abs=1e-5)
@@ -72,7 +71,7 @@ class TestAlphaCoeffs:
     def test_population_pattern(self):
         params = ModelParams(3, omega=0.8, coupling=0.17)
         t = 4.4
-        a2 = np.abs(alpha_coeffs(params, t).alpha) ** 2
+        a2 = np.abs(alpha_coeffs(params, t)) ** 2
         arg = params.omega * params.coupling * t / 3
         for j in range(1, 4):
             assert a2[j] == pytest.approx(np.sin(arg) ** 2 * np.cos(arg) ** (2 * (j - 1)), abs=1e-12)
@@ -129,7 +128,7 @@ class TestInterferenceTerm:
         for n in (2, 3, 4, 5):
             params = ModelParams(n, omega=1.0, coupling=0.1)
             for t in np.linspace(0.1, 100, 23):
-                s2 = float(np.sum(np.abs(alpha_coeffs(params, t).alpha[1:]) ** 2))
+                s2 = float(np.sum(np.abs(alpha_coeffs(params, t)[1:]) ** 2))
                 assert abs(interference_term(params, t)) <= (n - 1) * s2 + 1e-12
 
 
@@ -166,7 +165,7 @@ def test_interference_matches_table_sum():
     for n in (2, 3, 4, 5):
         params = ModelParams(n, omega=1.0, coupling=0.1)
         t = 7.1
-        a = alpha_coeffs(params, t).alpha
+        a = alpha_coeffs(params, t)
         total = 0.0
         for u in range(1, n):
             inner = sum(a[v] * np.conj(a[cyclic_index(v, u, n)]) for v in range(1, n + 1))
@@ -214,7 +213,7 @@ class TestClosedFormGrid:
     def test_interference_matches_roll_loop(self, n, omega, lam):
         params = ModelParams(n, omega=omega, coupling=lam)
         times = np.linspace(0.0, 4 * np.pi / (omega * lam), 41)
-        loop = [roll_loop_interference(row) for row in _alpha_grid(params, times)]
+        loop = [roll_loop_interference(alpha_coeffs(params, t)) for t in times]
         grid = closed_form_grid(params, times)["C1"]
         assert np.max(np.abs(np.subtract(grid, loop))) <= 1e-13
 
@@ -338,7 +337,7 @@ class TestClosedFormReport:
             params = ModelParams(n, omega=1.0, coupling=0.1)
             for t in np.linspace(0, 60, 31):
                 r = closed_form_report(params, t)
-                s2 = float(np.sum(np.abs(alpha_coeffs(params, t).alpha[1:]) ** 2))
+                s2 = float(np.sum(np.abs(alpha_coeffs(params, t)[1:]) ** 2))
                 assert r.E == pytest.approx(s2, abs=1e-12)
                 assert r.E == pytest.approx(
                     1 - np.cos(params.omega * params.coupling * t / n) ** (2 * n), abs=1e-12)
@@ -347,7 +346,7 @@ class TestClosedFormReport:
         # |a0|^2 + (C + sum)/N + complement weight = 1
         for t in (1.0, 2 * np.pi, 11.0):
             r = closed_form_report(P2, t)
-            a = alpha_coeffs(P2, t).alpha
+            a = alpha_coeffs(P2, t)
             complement = 1 - r.p1
             assert abs(np.abs(a[0]) ** 2 + (r.C1 + r.E) / 2 + complement - 1.0) <= 1e-10
 

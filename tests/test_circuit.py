@@ -421,13 +421,14 @@ class TestEstimateCounts:
         for i, row in enumerate(counts):
             want, caught = run_warned(ref.estimate, dict(zip(OUTCOME_KEYS, row)), totals[i])
             ref_messages += caught
-            assert (est.E[i], est.W[i]) == (want.E, want.W), row
-            assert (want.P is None) == np.isnan(est.P[i]), row
+            assert (est["E"][i], est["W"][i]) == (want.E, want.W), row
+            assert (want.P is None) == np.isnan(est["P"][i]), row
             if want.P is not None:
-                assert est.P[i] == want.P, row
-            assert (est.passive_k1[i], est.passive_dco[i]) == (want.passive_k1, want.passive_dco)
+                assert est["P"][i] == want.P, row
+            assert ((est["passive_k1"][i], est["passive_dco"][i])
+                    == (want.passive_k1, want.passive_dco))
         assert messages == ref_messages
-        assert any(est.E == 0) and any(np.isnan(est.P))
+        assert any(est["E"] == 0) and any(np.isnan(est["P"]))
 
     def test_fixed_shots_and_single_mapping(self):
         counts = random_counts(np.random.default_rng(13), 60)[:60]
@@ -437,7 +438,7 @@ class TestEstimateCounts:
             want, _ = run_warned(ref.estimate, mapping, 10)
             got, _ = run_warned(estimate, mapping, 10)
             assert got == want
-            assert (est.E[i], est.W[i]) == (want.E, want.W)
+            assert (est["E"][i], est["W"][i]) == (want.E, want.W)
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="empty counts"):

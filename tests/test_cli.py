@@ -1,6 +1,9 @@
 import csv
+import errno
 import json
 import math
+import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -70,6 +73,7 @@ def test_config_validation():
     ["sweep", "--n", "6", "--points", "6", "--engine", "both", "--lambda", "0.293",
      "--t-min", "48.86", "--t-max", "2.304e16"],
     ["sweep", "--n", "3", "--engine", "both", "--lambda", "1000", "--t-max", "1e5"],
+    ["bursts", "--n", "3", "--engine", "both", "--lambda", "1000", "--t-max", "1e5"],
     # output paths, in {tmp}: an existing directory, "file" an existing file,
     # "noise_shots.csv" a directory and "out5.json" a config with "out": 5
     ["sweep", "--n", "2", "--out", "/nonexistent/dir/x.csv"],
@@ -112,14 +116,29 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
 
 
 def test_phase_limit_boundary():
+    def sweep(**values):
+        # the limit is checked where the sweep compares the engines
+        return list(cli._sweep_columns(SweepConfig(**values)))
+
     # lambda = 1e-5 at its default t_max (omega*t_max = 1.26e6) runs with --engine both
-    SweepConfig(n_list=[2], coupling=1e-5)
-    SweepConfig(n_list=[2], t_max=cli.MAX_BOTH_PHASE)
+    sweep(n_list=[2], coupling=1e-5)
+    sweep(n_list=[2], t_max=cli.MAX_BOTH_PHASE)
     with pytest.raises(ConfigError, match="phase"):
-        SweepConfig(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01)
+        sweep(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01)
     with pytest.raises(ConfigError, match="phase"):
-        SweepConfig(n_list=[2], coupling=2.0, t_max=cli.MAX_BOTH_PHASE)
-    SweepConfig(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01, engine="analytic")
+        sweep(n_list=[2], coupling=2.0, t_max=cli.MAX_BOTH_PHASE)
+    sweep(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01, engine="analytic")
+
+
+@pytest.mark.filterwarnings("ignore:no counts")
+@pytest.mark.parametrize("args", [
+    ["noise-study", "--n", "2", "--t-max", "3e7", "--points", "3", "--shots", "10",
+     "--depol-p", "0", "--out", "{tmp}/noise.csv"],
+    ["export-circuits", "--n", "2", "--t-max", "3e7", "--points", "3", "--out", "{tmp}/c"],
+])
+def test_phase_limit_spares_commands_that_compare_no_engines(tmp_path, args):
+    # --engine both is the default, but these commands never compare the engines
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in args]) == 0
 
 
 @pytest.mark.parametrize("omega", ["1e-20", "1e-12", "1.39e-235"])
@@ -454,6 +473,27 @@ class TestExportCircuits:
             assert manifest[i + 1] == f"{float(t)!r},{theta!r},{phi!r},ico_n2_t{i}.qasm"
         assert b"(-0.0)" in (tmp_path / "ico_n2_t0.qasm").read_bytes()
 
+    def test_smaller_export_leaves_no_stale_circuits(self, tmp_path):
+        # 6 points then 2 into one directory equal a fresh 2-point export: only
+        # the QASM files of points 2..5 go, and every other file stays as it was
+        def export(points, out):
+            assert main(["export-circuits", "--n", "2", "--points", str(points),
+                         "--out", str(out)]) == 0
+
+        def contents(root):
+            return {p.name: p.read_bytes() for p in root.iterdir()}
+
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        export(6, reused)
+        assert len(contents(reused)) == 7
+        others = {name: name.encode() for name in ("notes.txt", "ico_n2_t07.qasm",
+                                                  "ico_n2_t9.qasm.bak", "ico_n3_t5.qasm")}
+        for name, data in others.items():
+            (reused / name).write_bytes(data)
+        export(2, reused)
+        export(2, fresh)
+        assert contents(reused) == {**contents(fresh), **others}
+
     @pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("h", (0, 1), None),
                                         ("cz", (1,), None), ("xx", (1, 2), None)])
     def test_broken_template_raises(self, tmp_path, monkeypatch, broken):
@@ -609,7 +649,7 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
         "f32": np.array([0.1, np.nan, -0.0], dtype=np.float32),
         "flag": np.array([True, False, False]),
         "count": np.array([0, -3, 7, 2**62], dtype=np.int64),
-        "text": np.array(["a,b", 'q"x', "", "ico_n2_t0.qasm"]),
+        "text": np.array(["", "ico_n2_t0.qasm"]),
     }
     names = tuple(edge_values)
     # a few rows, and one row more than a write block
@@ -621,21 +661,33 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
-def test_write_csv_quotes_strings_like_csv_writer(tmp_path):
-    # csv.writer decides the quoting of every cell that holds a comma, quote or line break
-    text = ["a\rb", "a\nb", "\r\n", 'say "hi"', " x ", "", "é,ü", "plain"]
-    cases = [
-        (("name, with comma", 'q"', "line\nbreak"),
-         {"name, with comma": text, 'q"': np.arange(8), "line\nbreak": np.linspace(0, 1, 8)}),
-        # a row of one empty cell is quoted, whether from a string or a NaN
-        (("only",), {"only": ["", "x", ""]}),
-        (("f",), {"f": np.array([np.nan, 1.5, np.nan])}),
-        (("",), {"": np.array([1, 2])}),
-    ]
-    for names, columns in cases:
-        cli.write_csv(tmp_path / "fast.csv", names, columns)
-        _reference_csv(tmp_path / "slow.csv", names, columns)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+def test_write_csv_rejects_cells_that_need_quoting(tmp_path):
+    # no cell is quoted: a comma, quote or line break in a field name or a
+    # string cell is an error raised before the file is opened, and so is a
+    # file of one column, whose row of one empty cell would read as no row
+    def rejects(names, columns, match):
+        with pytest.raises(ValueError, match=match):
+            cli.write_csv(tmp_path / "bad.csv", names, columns)
+        assert not (tmp_path / "bad.csv").exists()
+
+    for bad in ("a\rb", "a\nb", "\r\n", 'say "hi"', "é,ü", ","):
+        rejects(("t", "s"), {"t": np.arange(3), "s": ["plain", bad, ""]}, "column 's'")
+        rejects(("t", "s"), {"t": np.arange(3), "s": np.array(["", "x", bad])}, "column 's'")
+        rejects(("t", "s" + bad), {"t": np.arange(3), "s" + bad: np.arange(3)},
+                re.escape(repr("s" + bad)))
+    # a bad cell past the first write block still leaves no file
+    long = [f"ico_n2_t{i}.qasm" for i in range(cli.WRITE_BLOCK)] + ["x,y"]
+    rejects(("t", "filename"), {"t": np.arange(len(long)), "filename": long}, "'filename'")
+    for names, columns in ((("only",), {"only": ["", "x", ""]}),
+                           (("f",), {"f": np.array([np.nan, 1.5, np.nan])}),
+                           (("",), {"": np.array([1, 2])})):
+        rejects(names, columns, "at least two columns")
+    # what needs no quoting is written as csv.writer writes it
+    text = [" x ", "", "plain", "é", "ico_n2_t7.qasm"]
+    columns = {"s": text, "f": np.array([np.nan, 1.5, np.nan, -0.0, 2.0])}
+    cli.write_csv(tmp_path / "fast.csv", ("s", "f"), columns)
+    _reference_csv(tmp_path / "slow.csv", ("s", "f"), columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore:no counts")
@@ -745,6 +797,25 @@ class TestMain:
         assert len(shots) == 4
         row = shots[1].split(",")
         assert sum(int(c) for c in row[5:]) == 2000
+
+
+@pytest.mark.filterwarnings("ignore:no counts")
+@pytest.mark.parametrize("args, target", [
+    (["sweep", "--n", "2", "--engine", "analytic", "--out", "{tmp}/out.csv"], "out.csv"),
+    (["bursts", "--n", "2", "--engine", "analytic", "--out", "{tmp}/out.json"], "out.json"),
+    (["noise-study", "--n", "2", "--shots", "10", "--depol-p", "0.1", "--out", "{tmp}/n.csv"],
+     "n_shots.csv"),
+    (["export-circuits", "--n", "2", "--out", "{tmp}"], "manifest.csv"),
+])
+def test_write_error_exits_2_naming_the_path(tmp_path, capsys, args, target):
+    # a dangling symlink passes every check made before the run and fails at open
+    # (a read-only directory would not fail when run as root)
+    (tmp_path / target).symlink_to(tmp_path / "nonexistent" / "x.csv")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in args] + ["--points", "3"]
+    assert main(argv) == 2
+    path = str(tmp_path / target)
+    assert capsys.readouterr().err == (f"error: cannot write {path!r}: "
+                                       f"{os.strerror(errno.ENOENT)}\n")
 
 
 @pytest.mark.filterwarnings("ignore:no counts")

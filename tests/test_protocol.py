@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from icobattery.model import ModelParams
-from icobattery.protocol import cyclic_sequence, run_dco, run_ico, run_ico_grid
+from icobattery.protocol import (_battery_populations, _branch_amplitudes, cyclic_sequence,
+                                 run_ico, run_ico_grid)
 
 import dense_reference
 from dense_reference import initial_state, sector_indices, switch_projector, total_unitary
@@ -122,27 +123,35 @@ class TestRunIco:
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
 
+def branch_populations(params, t):
+    """Battery populations (g, e) left by each definite order j = 1..N alone,
+    as the rows of an (N, 2) array, from the sector engine's branches."""
+    amp = next(_branch_amplitudes(params, np.array([t])))
+    return _battery_populations(amp)[:, 0]
+
+
 class TestRunDco:
+    """The definite-order states: branch j is the battery state that order j
+    alone leaves, and branch 1 is run_ico's reference state rho_bar."""
+
     def test_time_zero(self):
-        assert np.allclose(run_dco(P2, 0.0, 1), KET_GG, atol=1e-12)
+        assert np.allclose(run_ico(P2, 0.0).rho_bar, KET_GG, atol=1e-12)
+        assert np.allclose(branch_populations(P2, 0.0), [[1.0, 0.0]] * 2, atol=1e-12)
 
     def test_order_independent(self):
         for n in (2, 3):
             params = ModelParams(n, omega=1.0, coupling=0.1)
-            states = [run_dco(params, 6.1, j) for j in range(1, n + 1)]
-            for s in states[1:]:
-                assert np.max(np.abs(s - states[0])) <= 1e-12
+            pops = branch_populations(params, 6.1)
+            assert np.max(np.abs(pops - pops[0])) <= 1e-12
+            assert np.max(np.abs(np.diag(run_ico(params, 6.1).rho_bar) - pops[0])) <= 1e-12
 
     def test_frozen_excited_population(self):
         # closed form 1 - cos^4(omega*lambda*t/2)
-        rho = run_dco(P2, 2 * np.pi, 1)
+        rho = run_ico(P2, 2 * np.pi).rho_bar
         assert rho[1, 1].real == pytest.approx(0.181864, abs=1e-5)
         exact = 1 - np.cos(0.1 * np.pi) ** 4
         assert rho[1, 1].real == pytest.approx(exact, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            run_dco(P2, 1.0, 3)
+        assert branch_populations(P2, 2 * np.pi)[:, 1] == pytest.approx([exact] * 2, abs=1e-12)
 
     def test_energy_equality_with_ico(self):
         for t in (1.1, 2 * np.pi, 8.8):
