@@ -40,33 +40,40 @@ def alpha_coeffs(params: ModelParams, t: float) -> np.ndarray:
     alpha_0 = (e^{-i w t / 2N} cos(w l t / N))^N
     alpha_j = (e^{-3i w t / 2N})^{N-j} e^{-i w t / 2N} (-i sin(w l t / N))
               (e^{-i w t / 2N} cos(w l t / N))^{j-1}
+
+    multiplied out as in _alpha_block.
     """
     n = params.n_chargers
-    phases = _phases(params.omega, params.coupling, n, np.array([t], dtype=float))
-    return _alpha_block(*phases, np.arange(n))[0]
+    t = np.array([t], dtype=float)
+    return _alpha_block(params.omega * t / n, params.omega * params.coupling * t / n, n)[0]
 
 
-def _phases(omega: float, coupling: float, n, times: np.ndarray):
-    """e^{-i w t / 2N} cos(w l t / N), -i sin(w l t / N), e^{-i w t / 2N} and
-    e^{-3i w t / 2N} at every time; n is one N or an array with one N per time."""
-    ph = np.exp(-0.5j * omega * times / n)
-    return (ph * np.cos(omega * coupling * times / n), -1j * np.sin(omega * coupling * times / n),
-            ph, np.exp(-1.5j * omega * times / n))
+def _log_cos(y: np.ndarray):
+    """log|cos y| and whether cos y < 0, at every y.  Where |cos y| > 1/2 the
+    log is 0.5 log1p(-sin^2 y), which keeps its relative accuracy as cos y
+    nears +-1: there the log of the rounded cos y is off by about 1e-16, and
+    a power |cos y|^k = exp(k log|cos y|) by k times that."""
+    c, s2 = np.cos(y), np.sin(y) ** 2
+    near = np.abs(c) > 0.5
+    return np.where(near, 0.5 * np.log1p(-np.where(near, s2, 0.0)), np.log(np.abs(c))), c < 0
 
 
-def _alpha_block(phc: np.ndarray, msin: np.ndarray, ph: np.ndarray, ph3: np.ndarray,
-                 powers: np.ndarray) -> np.ndarray:
-    """The (T, N+1) coefficients of one N from its rows' phases, with
-    phc = e^{-i w t / 2N} cos(w l t / N), msin = -i sin(w l t / N) and
-    powers = 0, 1, ..., N-1 (j - 1 for j = 1..N)."""
-    n = len(powers)
-    alpha = np.empty((len(phc), n + 1), dtype=complex)
-    alpha[:, 0] = phc ** n        # a scalar power: numpy squares N = 2 on its own path
-    rest = alpha[:, 1:]
-    np.power(ph3[:, None], powers[::-1], out=rest)
-    rest *= ph[:, None]
-    rest *= msin[:, None]
-    rest *= phc[:, None] ** powers
+def _alpha_block(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """The (T, N+1) coefficients of one N at its rows' x = w t / N and
+    y = w l t / N, multiplied out as
+
+        alpha_0 = e^{-iNx/2} cos^N y,
+        alpha_j = -i sin y cos^{j-1} y e^{-i(3N/2 - j) x},
+
+    each power of cos y one exp (see _log_cos) and each phase one complex
+    exp of a real angle, so no power is formed by repeated multiplication."""
+    log_c, neg = _log_cos(y)
+    power = np.concatenate([[n], np.arange(n)])                  # of cos y
+    turns = np.concatenate([[0.5 * n], 1.5 * n - np.arange(1, n + 1)])   # of e^{-ix}
+    alpha = np.exp(-1j * np.multiply.outer(x, turns))
+    alpha *= np.where(neg[:, None] & (power % 2 == 1), -1.0, 1.0)
+    alpha *= np.exp(np.multiply.outer(log_c, power))
+    alpha[:, 1:] *= (-1j * np.sin(y))[:, None]
     return alpha
 
 
@@ -111,43 +118,81 @@ def closed_form_sweep(omega: float, coupling: float, n_list, times) -> dict[str,
     """The columns of `closed_form_grid` for every row (N, t) of n_list x
     times, grouped by N in n_list order.
 
-    The phases, the flags, W and P are evaluated once over all rows.  Per N
-    remain its (T, N+1) coefficients, built in chunks of at most
-    CHUNK_AMPLITUDES, their normalization check and their two row sums.
-    Raises ValueError, naming the time, if the coefficients at some row are
-    not normalized.
+    Every column is evaluated once over all rows, each row in O(1) (see
+    _row_sums).  Raises ValueError, naming the time, if the coefficients of
+    some row that _row_sums sums one by one are not normalized.
     """
     times = np.asarray(times, dtype=float)
     n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
-    phc, msin, ph, ph3 = _phases(omega, coupling, n_row, t)
-    powers = np.arange(max(n_list))
-    gnd, s2, norm = (np.empty(len(t)) for _ in range(3))
-    alpha_sum = np.empty(len(t), dtype=complex)
-    for k, n in enumerate(n_list):
-        end, chunk = (k + 1) * len(times), max(1, CHUNK_AMPLITUDES // (n + 1))
-        for lo in range(k * len(times), end, chunk):
-            part = slice(lo, min(lo + chunk, end))
-            alpha = _alpha_block(phc[part], msin[part], ph[part], ph3[part], powers[:n])
-            pops = np.abs(alpha) ** 2
-            np.add.reduce(pops, axis=1, out=norm[part])
-            np.add.reduce(pops[:, 1:], axis=1, out=s2[part])
-            np.add.reduce(alpha[:, 1:], axis=1, out=alpha_sum[part])
-            gnd[part] = pops[:, 0]
-    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= tol.NORM_ATOL))   # NaN too
-    if bad.size:
-        raise ValueError(f"coefficient normalization {norm[bad[0]]} deviates from 1 "
-                         f"at t={float(t[bad[0]])!r}")
-    c_term = np.abs(alpha_sum) ** 2 - s2     # see interference_term
-    exc = (c_term + s2) / n_row
+    gnd, e, sum_sq = _row_sums(omega, coupling, n_row, t)   # E = sum_{j>=1} |alpha_j|^2
+    c_term = sum_sq - e      # see interference_term
+    exc = (c_term + e) / n_row
 
-    e = 1.0 - gnd            # = 1 - cos(w l t / N)^(2N)
     passive_k1 = gnd >= exc
-    w_ico = np.where(passive_k1, ((n_row - 1) / n_row) * s2 - c_term / n_row, 1.0 - 2.0 * gnd)
+    w_ico = np.where(passive_k1, ((n_row - 1) / n_row) * e - c_term / n_row, 1.0 - 2.0 * gnd)
     passive_dco = gnd >= 0.5
     w_dco = np.where(passive_dco, 0.0, 1.0 - 2.0 * gnd)
     return {"t": t, "C1": c_term, "p1": gnd + exc, "E": e, "W_ico": w_ico, "W_dco": w_dco,
             "P_ico": efficiencies(w_ico, e), "P_dco": efficiencies(w_dco, e),
             "passive_k1": passive_k1, "passive_dco": passive_dco}
+
+
+# Smallest |d| (see _row_sums) at which a row's sums take their closed form.
+_MIN_GAP = 1e-3
+
+
+def _row_sums(omega: float, coupling: float, n: np.ndarray, t: np.ndarray):
+    """|alpha_0|^2, sum_{j>=1} |alpha_j|^2 and |sum_{j>=1} alpha_j|^2 at
+    every row (n[i], t[i]), in O(1) per row.
+
+    With x = w t / N, y = w l t / N, r = e^{-3ix/2} and q = e^{-ix/2} cos y,
+    alpha_j = r^{N-j} e^{-ix/2} (-i sin y) q^{j-1} (see alpha_coeffs), so
+    the two sums are geometric series:
+
+        sum_{j>=1} |alpha_j|^2 = 1 - |alpha_0|^2 = 1 - cos^{2N} y,
+        |sum_{j>=1} alpha_j|^2 = sin^2 y |e^{-iNx} - cos^N y|^2 / |d|^2,
+
+    with d = e^{-ix} - cos y = e^{ix/2} (r - q) and Nx formed from the same
+    rounded x.  _dist2 takes both squared distances as sums of two
+    non-negative terms and powers of cos y are formed as in _alpha_block, so
+    nothing cancels.  On these rows the coefficients are normalized by
+    construction.  Where sin y = 0 (t = 0 among them) every alpha_j, j >= 1,
+    is exactly 0.  The other rows where |d| < _MIN_GAP, or is NaN, sum their
+    coefficients from _alpha_block, one N at a time in chunks of at most
+    CHUNK_AMPLITUDES; only these are checked, and ValueError names the time
+    of the first one whose coefficients are not normalized.
+    """
+    x, y = omega * t / n, omega * coupling * t / n
+    log_c, neg = _log_cos(y)
+    sin_y = np.sin(y)
+    gnd, s2 = np.exp(2 * n * log_c), -np.expm1(2 * n * log_c)
+    gap2 = _dist2(log_c, neg, x)
+    closed = gap2 >= _MIN_GAP ** 2       # NaN fails
+    sum_sq = np.divide(sin_y * sin_y * _dist2(n * log_c, neg & (n % 2 == 1), n * x), gap2,
+                       out=np.zeros_like(gap2), where=closed)
+    slow = np.flatnonzero(~closed & (sin_y != 0))
+    norm = np.ones(len(t))
+    for n_k in dict.fromkeys(n[slow].tolist()):
+        rows, chunk = slow[n[slow] == n_k], max(1, CHUNK_AMPLITUDES // (n_k + 1))
+        for lo in range(0, len(rows), chunk):
+            part = rows[lo:lo + chunk]
+            alpha = _alpha_block(x[part], y[part], n_k)
+            pops = np.abs(alpha) ** 2
+            gnd[part], s2[part], norm[part] = pops[:, 0], pops[:, 1:].sum(axis=1), pops.sum(axis=1)
+            sum_sq[part] = np.abs(alpha[:, 1:].sum(axis=1)) ** 2
+    bad = slow[~(np.abs(norm[slow] - 1.0) <= tol.NORM_ATOL)]     # NaN too
+    if bad.size:
+        raise ValueError(f"coefficient normalization {norm[bad[0]]} deviates from 1 "
+                         f"at t={float(t[bad[0]])!r}")
+    return gnd, s2, sum_sq
+
+
+def _dist2(log_rho: np.ndarray, neg: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|e^{-i phi} - rho|^2 for rho = +-e^{log_rho}, negative where neg:
+    (1 - |rho|)^2 + 4 |rho| sin^2(phi/2) for rho >= 0, and with cos^2(phi/2)
+    in place of sin^2(phi/2) for rho < 0."""
+    half = np.where(neg, np.cos(phi / 2), np.sin(phi / 2))
+    return np.expm1(log_rho) ** 2 + 4.0 * np.exp(log_rho) * half * half
 
 
 def dco_zero_window(params: ModelParams) -> float:

@@ -152,18 +152,22 @@ def _disagreement(num: dict, ana: dict, masks, devs: dict, i: int) -> str:
     if flags:
         k = flags[0]
         return f"engines disagree on {k} at {where}: numeric {num[k][i]}, analytic {ana[k][i]}"
-    worst = max(beyond, key=lambda k: float(devs[k][i]))
+    worst = max(beyond, key=lambda k: (k != "E_dco", float(devs[k][i])))    # E_dco if alone
     return f"engines disagree on {worst} by {float(devs[worst][i]):g} at {where}"
 
 
 def _engine_deviation(num: dict, ana: dict) -> np.ndarray:
     """Largest deviation between the numeric and analytic columns, per row;
     the numeric columns name each row's N.  E, W and p1 must agree within
-    ENGINE_AGREE_ATOL, and P = W/E within ATOL (1 + |P_ana|) / E_num, which
-    that agreement implies since P_num - P_ana = (dW - P_ana dE) / E_num.
-    Raises InvariantViolation at the first failing row (see _disagreement)."""
+    ENGINE_AGREE_ATOL, and so must the numeric E_dco with the analytic E (the
+    two protocols store the same energy).  P = W/E must agree within
+    ATOL (1 + |P_ana|) / E_num, which that agreement implies since
+    P_num - P_ana = (dW - P_ana dE) / E_num.  Raises InvariantViolation at
+    the first failing row (see _disagreement; E_dco is named there only when
+    no other check fails on the row)."""
     atol = tol.ENGINE_AGREE_ATOL
     devs = {k: np.abs(num[k] - ana[k]) for k in ("E", "W_ico", "W_dco", "p1", "P_ico", "P_dco")}
+    devs["E_dco"] = np.abs(num["E_dco"] - ana["E"])
     bounds = dict.fromkeys(devs, atol)
     for k in ("P_ico", "P_dco"):
         defined = ~np.isnan(num[k])

@@ -236,9 +236,11 @@ class TestClosedFormGrid:
         assert_reports_close(chunked, whole, 1e-14)
 
     def test_normalization_failure_names_t(self, monkeypatch):
+        # only rows summed one by one are checked: t = 40 pi (x = 20 pi, y = 2 pi, so
+        # |d| ~ 2e-15) and t = 1e-3 (|d| ~ 5e-4) at N = 2; t = 3 has |d| = 1.36
         monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
-        with pytest.raises(ValueError, match=r"normalization .* at t=2\.5"):
-            closed_form_grid(P2, [2.5, 3.0])
+        with pytest.raises(ValueError, match=r"normalization .* at t=125\.66370614359172$"):
+            closed_form_grid(P2, [3.0, 40 * np.pi, 1e-3])
 
     def test_non_finite_time_raises(self):
         # NaN coefficients fail the normalization check instead of giving a report of NaN
@@ -249,9 +251,9 @@ class TestClosedFormGrid:
 
 
 def one_n_columns(params, times):
-    """closed_form_grid evaluated for one N on its own, with N a Python int
-    throughout (so (e^{-i w t / 4} cos)^2 takes numpy's square path at
-    N = 2): the per-N reference for the rows of closed_form_sweep."""
+    """The columns of closed_form_grid for one N by the O(N) sums over
+    alpha_coeffs' formulas, its powers taken by numpy's complex power: the
+    per-N reference for the rows of closed_form_sweep."""
     n, om, lam = params.n_chargers, params.omega, params.coupling
     c, s = np.cos(om * lam * times / n), np.sin(om * lam * times / n)
     ph, ph3 = np.exp(-0.5j * om * times / n), np.exp(-1.5j * om * times / n)
@@ -272,8 +274,68 @@ def one_n_columns(params, times):
             "passive_k1": passive_k1, "passive_dco": passive_dco}
 
 
+def long_double_columns(params, times):
+    """C1, E, W_ico and W_dco by the O(N) sums over alpha_coeffs' formulas in
+    np.longdouble, from x = w t / N and y = w l t / N rounded to long double:
+    the accuracy reference for closed_form_sweep and one_n_columns."""
+    ld, cld = np.longdouble, np.clongdouble
+    n = params.n_chargers
+    t = np.asarray(times, dtype=ld)
+    x, y = ld(params.omega) * t / n, ld(params.omega) * ld(params.coupling) * t / n
+    ph, r = np.exp(cld(-0.5j) * x), np.exp(cld(-1.5j) * x)
+    q = ph * np.cos(y)
+    j = np.arange(1, n + 1)
+    alpha = r[:, None] ** (n - j) * (ph * cld(-1j) * np.sin(y))[:, None] * q[:, None] ** (j - 1)
+    gnd, s2 = np.abs(q ** n) ** 2, (np.abs(alpha) ** 2).sum(axis=1)
+    c_term = np.abs(alpha.sum(axis=1)) ** 2 - s2
+    passive_k1 = gnd >= (c_term + s2) / n
+    return {"C1": c_term, "E": s2,
+            "W_ico": np.where(passive_k1, ((n - 1) / ld(n)) * s2 - c_term / n, 1 - 2 * gnd),
+            "W_dco": np.where(gnd >= 0.5, 0, 1 - 2 * gnd)}
+
+
+# Largest deviation from long_double_columns at N = 5, 32 and 1000 over
+# GRID_PARAMS at 101 points, pinned from measurement: of closed_form_grid
+# (at most 7.0e-15 in C1, 4.7e-16 in E and W) and of one_n_columns (1.6e-12
+# in C1 and 2.8e-13 in E at N = 1000, where its powers carry N rounding errors).
+CLOSED_FORM_ERR = {"C1": 1e-14, "E": 1e-15, "W_ico": 1e-15, "W_dco": 1e-15}
+ONE_N_ERR = {"C1": 3e-12, "E": 5e-13, "W_ico": 5e-14, "W_dco": 5e-14}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+class TestLongDoubleReference:
+    @pytest.mark.parametrize("n", [5, 32, 1000])
+    @pytest.mark.parametrize("omega, lam", GRID_PARAMS)
+    def test_error_bounds(self, n, omega, lam):
+        params = ModelParams(n, omega=omega, coupling=lam)
+        times = np.linspace(0.0, 4 * np.pi / (omega * lam), 101)
+        ref = long_double_columns(params, times)
+        for cols, bounds in ((closed_form_grid(params, times), CLOSED_FORM_ERR),
+                             (one_n_columns(params, times), ONE_N_ERR)):
+            for key, bound in bounds.items():
+                assert np.max(np.abs(cols[key] - ref[key])) <= bound, key
+
+
+def assert_columns_close(got, want, atol):
+    """Equal flags and undefined efficiencies, the other columns within atol,
+    and P = W/E within atol (1 + |P|) / E, which E and W within atol imply."""
+    for key, col in want.items():
+        if col.dtype == bool:
+            assert (got[key] == col).all(), key
+        elif key.startswith("P_"):
+            defined = ~np.isnan(col)
+            assert (np.isnan(got[key]) == ~defined).all(), key
+            bound = atol * (1.0 + np.abs(col[defined])) / want["E"][defined]
+            assert (np.abs(got[key][defined] - col[defined]) <= bound).all(), key
+        else:
+            assert np.max(np.abs(got[key] - col)) <= atol, key
+
+
 class TestClosedFormSweep:
-    """Every N's rows of a multi-N call equal that N evaluated alone, bit for bit."""
+    """Every N's rows of a multi-N call equal that N evaluated alone: bit for
+    bit through closed_form_grid, and within the pinned errors of both
+    evaluations through one_n_columns."""
 
     @pytest.mark.parametrize("n_list, points, omega, lam, t_min", [
         (list(range(2, 33)), 8, 1.0, 0.1, 0.0),
@@ -289,21 +351,27 @@ class TestClosedFormSweep:
         for k, n in enumerate(n_list):
             params = ModelParams(n, omega=omega, coupling=lam)
             rows = slice(k * points, (k + 1) * points)
-            for want in (one_n_columns(params, times), closed_form_grid(params, times)):
-                for key, col in want.items():
-                    assert got[key][rows].tobytes() == col.tobytes(), (n, key)
+            for key, col in closed_form_grid(params, times).items():
+                assert got[key][rows].tobytes() == col.tobytes(), (n, key)
+            assert_columns_close({key: col[rows] for key, col in got.items()},
+                                 one_n_columns(params, times),
+                                 max(CLOSED_FORM_ERR.values()) + max(ONE_N_ERR.values()))
 
     def test_chunked_blocks_equal_whole(self, monkeypatch):
-        times = np.linspace(0.0, 4 * np.pi, 9)
+        # the last four times are summed one by one at N = 200 (|d| < 1e-3), so they span
+        # two blocks; the first of them is at N = 3 and 2 too
+        times = np.concatenate([np.linspace(0.0, 4 * np.pi, 9), np.linspace(1e-4, 0.3, 4)])
         whole = closed_form_sweep(0.5, 2.0, [3, 200, 2], times)
         monkeypatch.setattr(icobattery.analytic, "CHUNK_AMPLITUDES", 2 * 201)   # 2 points of N = 200
         chunked = closed_form_sweep(0.5, 2.0, [3, 200, 2], times)
         assert all(chunked[k].tobytes() == whole[k].tobytes() for k in whole)
 
     def test_normalization_failure_names_first_row(self, monkeypatch):
+        # rows summed one by one: (4, 3e-3), (4, 1e-3) and (2, 1e-3); (2, 3e-3) has
+        # |d| = 1.5e-3.  The first in row order is named.
         monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
-        with pytest.raises(ValueError, match=r"normalization .* at t=2\.5$"):
-            closed_form_sweep(1.0, 0.1, [4, 2], [2.5, 3.0])
+        with pytest.raises(ValueError, match=r"normalization .* at t=0\.003$"):
+            closed_form_sweep(1.0, 0.1, [4, 2], [3e-3, 1e-3])
 
 
 class TestClosedFormReport:

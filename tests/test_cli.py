@@ -318,6 +318,43 @@ class TestEngineBothFailureOrder:
         assert not out.exists()
 
 
+class TestEngineBothDefiniteOrderEnergy:
+    """The numeric E_dco is compared with the analytic E: inside the passive
+    window W_dco = 0, so P_dco = 0 whatever E_dco is, and no other column
+    would show a wrong definite-order energy."""
+
+    @staticmethod
+    def _scale_passive_e_dco(monkeypatch):
+        real = cli.report_grid
+
+        def scaled(states, params):
+            cols = real(states, params)
+            cols["E_dco"] = np.where(cols["W_dco"] == 0, 1.5 * cols["E_dco"], cols["E_dco"])
+            return cols
+
+        monkeypatch.setattr(cli, "report_grid", scaled)
+
+    def test_scaled_e_dco_exits_3_naming_it(self, monkeypatch, tmp_path, capsys):
+        self._scale_passive_e_dco(monkeypatch)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", ",".join(map(str, range(2, 33))), "--points", "400",
+                     "--engine", "both", "--out", str(out)]) == 3
+        t = np.linspace(0.0, 40 * np.pi, 400).tolist()[1]     # t = 0 stores nothing
+        assert re.fullmatch(rf"invariant violation: engines disagree on E_dco by \S+ "
+                            rf"at N=2, t={re.escape(repr(t))}\n", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_other_failure_on_the_row_is_named_first(self, monkeypatch, tmp_path, capsys):
+        t = TestEngineBothFailureOrder.T[1]      # inside N = 3's passive window
+        self._scale_passive_e_dco(monkeypatch)
+        _tamper_analytic(monkeypatch, {(3, t): {"W_ico": lambda v: v + 1e-6}})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "3", "--points", "4", "--t-min", "0", "--t-max", "40",
+                     "--engine", "both", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"invariant violation: engines disagree on W_ico by 1e-06 at N=3, t={t!r}\n")
+
+
 class TestEngineBothEfficiencyBound:
     """P = W/E is compared within ATOL (1 + |P|) / E, the bound that W and E
     agreeing within ATOL implies; E, W and p1 keep the absolute bound."""
@@ -362,6 +399,7 @@ class TestEngineBothEfficiencyBound:
                "passive_k1": w < 0, "passive_dco": w < 0}
         num = {**ana, "E": e + 0.99 * atol * rng.choice([-1, 1], 2000),
                "W_ico": w + 0.99 * atol * rng.choice([-1, 1], 2000)}
+        num["E_dco"] = num["E"]     # both protocols store the same energy
         for cols in (num, ana):
             cols["P_ico"] = efficiencies(cols["W_ico"], cols["E"])
             cols["P_dco"] = efficiencies(cols["W_dco"], cols["E"])
@@ -370,6 +408,34 @@ class TestEngineBothEfficiencyBound:
         assert (dev >= p_dev).all()
         # dividing by the analytic E instead would fail some of these rows
         assert (p_dev > atol * (1 + np.abs(ana["P_ico"])) / ana["E"]).any()
+
+
+@given(n=st.sampled_from([2, 3, 5, 8]), omega=st.floats(0.2, 3.0), lam=st.floats(0.05, 1.0),
+       start=st.floats(0.0, 0.5), points=st.integers(2, 60),
+       s=st.one_of(st.integers(-12, 12).map(lambda k: 2.0 ** k), st.floats(1e-3, 1e3)))
+@settings(max_examples=40, deadline=None)
+def test_time_scaling_leaves_columns_unchanged(n, omega, lam, start, points, s):
+    # every phase is omega t or omega lambda t, and energies are in units of hbar omega,
+    # so (omega, t) -> (omega / s, s t) changes only t; bit for bit where s is a power of 2
+    t_max = 4 * math.pi / (omega * lam)
+    t_min = start * t_max
+    exact = math.frexp(s)[0] == 0.5       # s is a power of 2
+    for engine in ("numeric", "analytic"):
+        [base], [scaled] = (list(cli._sweep_columns(SweepConfig(
+            n_list=[n], omega=om, coupling=lam, t_min=scale * t_min, t_max=scale * t_max,
+            points=points, engine=engine))) for om, scale in ((omega, 1.0), (omega / s, s)))
+        assert base.keys() == scaled.keys()
+        for key in base.keys() - {"t"}:
+            a, b = base[key], scaled[key]
+            if exact or a.dtype != float:
+                assert a.tobytes() == b.tobytes(), (engine, key)
+            elif key.startswith("P_"):
+                defined = ~np.isnan(a)
+                assert (np.isnan(b) == ~defined).all(), (engine, key)
+                bound = cli.tol.ENGINE_AGREE_ATOL * (1.0 + np.abs(a)) / base["E"]
+                assert (np.abs(a - b)[defined] <= bound[defined]).all(), (engine, key)
+            else:
+                assert np.max(np.abs(a - b)) <= cli.tol.ENGINE_AGREE_ATOL, (engine, key)
 
 
 class TestBursts:
