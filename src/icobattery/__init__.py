@@ -12,7 +12,7 @@ from .analytic import (ClosedFormReport, alpha_coeffs, closed_form_grid, closed_
 from .circuit import (Gate, NoiseSpec, QuantumCircuit, ShotResult, angles_of_time,
                       build_ico_circuit, estimate, sample)
 from .model import ModelParams, battery_hamiltonian, pair_hamiltonian, pair_unitary
-from .protocol import ProtocolGrid, ProtocolResult, run_ico, run_ico_grid
+from .protocol import ProtocolGrid, ProtocolResult, run_ico, run_ico_grid, run_ico_sweep
 from .qasm import emit_qasm, parse_qasm
 from .thermo import (EnergyReport, daemonic_ergotropy, ergotropy, passive_state, report,
                      report_grid, stored_energy)
@@ -24,7 +24,7 @@ __all__ = [
     "closed_form_grid", "closed_form_report", "daemonic_ergotropy", "dco_zero_window",
     "emit_qasm", "ergotropy", "estimate", "interference_term",
     "pair_hamiltonian", "pair_unitary", "parse_qasm", "passive_state", "report", "report_grid",
-    "run_ico", "run_ico_grid", "sample", "stored_energy",
+    "run_ico", "run_ico_grid", "run_ico_sweep", "sample", "stored_energy",
 ]
 
 __version__ = "0.1.0"

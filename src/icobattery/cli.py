@@ -23,7 +23,7 @@ from . import tolerances as tol
 from .analytic import closed_form_grid, closed_form_sweep, dco_zero_window
 from .circuit import NoiseSpec, _ico_gates, angles_of_time, estimate_counts, ico_counts
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .protocol import ProtocolGrid, run_ico_grid
+from .protocol import run_ico_sweep
 from .qasm import emit_qasm_grid
 from .thermo import python_values, report_grid
 
@@ -203,7 +203,7 @@ def _sweep_columns(config: SweepConfig):
         if config.engine == "analytic":
             yield {"N": n_col, **closed_form_sweep(config.omega, config.coupling, ns, grid)}
             continue
-        states = ProtocolGrid.join([run_ico_grid(config.params(n), grid) for n in ns])
+        states = run_ico_sweep(config.omega, config.coupling, ns, grid)
         cols = {"N": n_col, "t": states.t, "p1": states.p1,
                 **report_grid(states, config.params(ns[0]))}     # report_grid reads omega only
         if config.engine == "both":

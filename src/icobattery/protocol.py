@@ -45,35 +45,36 @@ class ProtocolResult:
     rho_avg: np.ndarray       # p1 * rho_given_1 + rest_weight * rho_rest
 
 
-def _branch_amplitudes(params: ModelParams, times: np.ndarray):
-    """Evolve every branch along its cyclic order, one chunk of the grid at a
-    time.  Yields the amplitudes of each chunk, shape (N, N+1, T_chunk): axis
+def _branch_amplitudes(n: int, block: np.ndarray) -> np.ndarray:
+    """Evolve every branch of N chargers along its cyclic order.  `block` is
+    the single-excitation block (2, 2, T) of pair_unitary at the step times
+    t/N, divided by its |ee> phase.  Returns the amplitudes (N, N+1, T): axis
     0 is the order index j - 1, axis 1 the sector component, axis 2 the time,
-    last so that each step reads and writes contiguous rows."""
-    n = params.n_chargers
-    orders = np.array([cyclic_sequence(j, n) for j in range(1, n + 1)])
-    branch = np.arange(n)
-    chunk = max(1, CHUNK_AMPLITUDES // (n * (n + 1)))
-    for lo in range(0, max(len(times), 1), chunk):      # an empty grid is one empty chunk
-        u = pair_unitary(params, times[lo:lo + chunk] / n)   # indices 2q + c: |ge> = 1, |eg> = 2
-        (m00, m01), (m10, m11) = u[1:3, 1:3] / u[3, 3]
-        amp = np.zeros((n, n + 1, len(m00)), dtype=complex)
-        amp[:, 0] = 1.0
-        for k in range(n):
-            charger = orders[:, k]
-            a0 = amp[:, 0].copy()
-            al = amp[branch, charger]
-            amp[:, 0] = m00 * a0 + m01 * al
-            amp[branch, charger] = m10 * a0 + m11 * al
-        yield amp
+    last so that each step reads and writes contiguous rows.  Step k of order
+    j acts on charger (j - 1 + k) % N + 1, entry j - 1 of chargers[k:k + N]."""
+    (m00, m01), (m10, m11) = block
+    branch, chargers = np.arange(n), np.arange(2 * n) % n + 1
+    amp = np.zeros((n, n + 1, block.shape[-1]), dtype=complex)
+    amp[:, 0] = 1.0
+    for k in range(n):
+        charger = chargers[k:k + n]
+        a0 = amp[:, 0].copy()
+        al = amp[branch, charger]
+        amp[:, 0] = m00 * a0 + m01 * al
+        amp[branch, charger] = m10 * a0 + m11 * al
+    return amp
 
 
 def _battery_populations(amp: np.ndarray) -> np.ndarray:
     """Unnormalized battery populations (..., T, 2), (g, e) last, of sector
     amplitudes whose axes end in (component, time).  Components 0 and c
-    differ in the chargers, so the battery state is diagonal."""
+    differ in the chargers, so the battery state is diagonal.  numpy sums the
+    components of several times in order but of one time pairwise, so one
+    time's are summed in order by cumsum: a row's bits ignore the chunking."""
     pops = amp.real ** 2 + amp.imag ** 2
-    return np.stack([pops[..., 0, :], pops[..., 1:, :].sum(axis=-2)], axis=-1)
+    excited = pops[..., 1:, :]
+    excited = excited.sum(axis=-2) if pops.shape[-1] > 1 else excited.cumsum(axis=-2)[..., -1, :]
+    return np.stack([pops[..., 0, :], excited], axis=-1)
 
 
 def _density(pops: np.ndarray) -> np.ndarray:
@@ -92,8 +93,9 @@ def _conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class ProtocolGrid:
-    """`run_ico` at every time of a grid: the fields of ProtocolResult as
-    arrays with a leading time axis.  Item i is time i's ProtocolResult."""
+    """`run_ico` at every row of a grid or sweep: the fields of
+    ProtocolResult as arrays with a leading row axis.  Item i is row i's
+    ProtocolResult."""
 
     t: np.ndarray
     p1: np.ndarray
@@ -107,33 +109,58 @@ class ProtocolGrid:
         return ProtocolResult(**{k: v[i].copy() if v.ndim > 1 else float(v[i])
                                  for k, v in vars(self).items()})
 
-    @staticmethod
-    def join(grids: list[ProtocolGrid]) -> ProtocolGrid:
-        """The points of `grids`, in order, as one ProtocolGrid; one grid is
-        returned as it is."""
-        if len(grids) == 1:
-            return grids[0]
-        return ProtocolGrid(**{k: np.concatenate([vars(g)[k] for g in grids])
-                               for k in vars(grids[0])})
+
+def _chunks(n_list, points: int):
+    """(lo, hi) of consecutive spans of the rows of n_list x points, a row of
+    N holding N(N+1) amplitudes: each span holds at most CHUNK_AMPLITUDES
+    of them, or one row, and ends only where its next row would not fit."""
+    lo = row = used = 0
+    for k, n in enumerate(n_list):
+        while row < (k + 1) * points:
+            fit = min((CHUNK_AMPLITUDES - used) // (n * (n + 1)), (k + 1) * points - row)
+            if fit < 1 and row > lo:
+                yield lo, row
+                lo, used = row, 0
+            else:
+                row, used = row + max(fit, 1), used + max(fit, 1) * n * (n + 1)
+    if row > lo:
+        yield lo, row
 
 
-def run_ico_grid(params: ModelParams, times) -> ProtocolGrid:
-    """`run_ico` at every time of `times`, in order.  The grid is evolved in
-    chunks of at most CHUNK_AMPLITUDES amplitudes, each reduced to battery
-    populations before the next one starts."""
+def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
+    """`run_ico_grid` for every row (N, t) of n_list x times, grouped by N in
+    n_list order.  The rows are evolved in chunks of consecutive rows, N and
+    t alike, holding at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row) or
+    one row: one pair_unitary call per chunk and one step loop per N in it.
+    Each chunk is reduced to battery populations before the next one starts,
+    and the states of all rows are formed from these at once."""
     times = np.asarray(times, dtype=float)
-    chunks = []
-    for amp in _branch_amplitudes(params, times):
-        mean = amp.mean(axis=0)          # outcome k = 1 keeps the mean branch
-        chunks.append((_battery_populations(mean), _battery_populations(amp - mean).mean(axis=0),
-                       _battery_populations(amp[0])))
-    sigma_1, sigma_rest, bar = (np.concatenate(c) for c in zip(*chunks))
+    params = ModelParams(min(n_list, default=2), omega, coupling)   # checks every N, omega, lambda
+    n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
+    sigma_1, sigma_rest, bar = np.empty((3, len(t), 2))
+    for lo, hi in _chunks(n_list, len(times)):
+        u = pair_unitary(params, t[lo:hi] / n_row[lo:hi])   # indices 2q + c: |ge> = 1, |eg> = 2
+        block = u[1:3, 1:3] / u[3, 3]
+        del u                                               # 16 entries a row; block keeps 4
+        cuts = [lo, *range((lo // len(times) + 1) * len(times), hi, len(times)), hi]
+        for a, b in zip(cuts, cuts[1:]):                    # one N each
+            amp = _branch_amplitudes(n_list[a // len(times)], block[..., a - lo:b - lo])
+            mean = amp.mean(axis=0)          # outcome k = 1 keeps the mean branch
+            sigma_1[a:b] = _battery_populations(mean)
+            sigma_rest[a:b] = _battery_populations(amp - mean).mean(axis=0)
+            bar[a:b] = _battery_populations(amp[0])
     p1, rho_given_1 = _conditional(sigma_1, KET_G)
     rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
-    return ProtocolGrid(t=times, p1=p1, rho_given_1=rho_given_1, rest_weight=rest_weight,
+    return ProtocolGrid(t=t, p1=p1, rho_given_1=rho_given_1, rest_weight=rest_weight,
                         rho_rest=rho_rest, rho_bar=_density(bar),
                         rho_avg=p1[:, None, None] * rho_given_1
                         + rest_weight[:, None, None] * rho_rest)
+
+
+def run_ico_grid(params: ModelParams, times) -> ProtocolGrid:
+    """`run_ico` at every time of `times`, in order: the one-N case of
+    `run_ico_sweep`."""
+    return run_ico_sweep(params.omega, params.coupling, [params.n_chargers], times)
 
 
 def run_ico(params: ModelParams, t: float) -> ProtocolResult:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import KET_G, ModelParams, battery_hamiltonian
+from .model import CHUNK_AMPLITUDES, KET_G, ModelParams, battery_hamiltonian
 from .protocol import ProtocolGrid, ProtocolResult
 
 
@@ -52,7 +52,7 @@ def _passive_state(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
     """Tr[rho H] - Tr[phi H] with phi the passive state; clamped to >= 0."""
     rho, h = _as_pair(rho, h)
-    return float(_ergotropies(rho[None], h, np.linalg.eigh(h)[1])[0])
+    return float(_ergotropies([rho[None]], h, np.linalg.eigh(h)[1])[0, 0])
 
 
 def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -60,13 +60,30 @@ def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.trace(rho @ h, axis1=1, axis2=2).real
 
 
-def _ergotropies(rho: np.ndarray, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Ergotropy of every state of a stack (T, d, d), given the eigenvectors
-    `vecs` of h, so that one decomposition of h serves the whole stack."""
-    w = _energies(rho - _passive_state(rho, vecs), h)
+def _stacked(fn, stacks) -> np.ndarray:
+    """fn, one value per state of a stack, over K stacks (T, d, d) of equal
+    length, as (K, T): one call per block of rows of the K stacks
+    concatenated in order.  A block holds at most CHUNK_AMPLITUDES / 4
+    entries, so that it and the two or three temporaries fn makes of its
+    size stay within CHUNK_AMPLITUDES."""
+    (t, d, _), k = stacks[0].shape, len(stacks)
+    out = np.empty((k, t))
+    block = max(1, CHUNK_AMPLITUDES // (4 * k * d * d))
+    for lo in range(0, t, block):
+        rho = np.concatenate([s[lo:lo + block] for s in stacks])
+        out[:, lo:lo + block] = fn(rho).reshape(k, -1)
+    return out
+
+
+def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Ergotropy (K, T) of every state of K stacks (T, d, d), given the
+    eigenvectors `vecs` of h, so that one decomposition of h serves them all
+    (see _stacked).  Raises ValueError at the first state below the floor,
+    stack by stack."""
+    w = _stacked(lambda rho: _energies(rho - _passive_state(rho, vecs), h), stacks)
     low = np.flatnonzero(w < tol.ERGOTROPY_FLOOR)
     if low.size:
-        raise ValueError(f"ergotropy {w[low[0]]:g} below numerical floor")
+        raise ValueError(f"ergotropy {w.flat[low[0]]:g} below numerical floor")
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -107,21 +124,22 @@ def python_values(column: np.ndarray) -> list:
 def report_grid(states: ProtocolGrid, params: ModelParams) -> dict[str, np.ndarray]:
     """`report` at every point of `states`, as columns: E (the ICO stored
     energy), W_ico, P_ico, E_dco, W_dco, P_dco, passive_k1 and passive_dco,
-    with NaN for an undefined P.  Each stack of states takes one batched
-    eigvalsh and one batched trace, and H is decomposed once; nothing
-    assumes the states are diagonal.  Raises ValueError at the first point,
-    in grid order, that fails a check of `report`."""
+    with NaN for an undefined P.  The ergotropies of rho_given_1, rho_rest
+    and rho_bar, in that order, take one batched eigvalsh and trace, and the
+    energies of rho_avg and rho_bar one batched trace (see _stacked); H is
+    decomposed once, and nothing assumes the states are diagonal.  Raises
+    ValueError at the first failing check of `report`, in that order."""
     h = battery_hamiltonian(params)
     vecs = np.linalg.eigh(h)[1]
     rho0 = np.outer(KET_G, KET_G.conj())
     unit = params.omega  # hbar*omega with hbar = 1
 
-    w_given_1, w_rest, w_bar = (_ergotropies(rho, h, vecs) for rho in
-                                (states.rho_given_1, states.rho_rest, states.rho_bar))
-    e_ico = _energies(states.rho_avg - rho0, h) / unit
+    w_given_1, w_rest, w_bar = _ergotropies(
+        [states.rho_given_1, states.rho_rest, states.rho_bar], h, vecs)
+    e_ico, e_dco = _stacked(lambda rho: _energies(rho - rho0, h),
+                            [states.rho_avg, states.rho_bar]) / unit
     w_ico = _weighted_sum(np.stack([states.p1, states.rest_weight]),
                           np.stack([w_given_1, w_rest])) / unit
-    e_dco = _energies(states.rho_bar - rho0, h) / unit
     w_dco = w_bar / unit
     return {"E": e_ico, "W_ico": w_ico, "P_ico": efficiencies(w_ico, e_ico),
             "E_dco": e_dco, "W_dco": w_dco, "P_dco": efficiencies(w_dco, e_dco),

@@ -91,7 +91,7 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
         raise AssertionError("bad input must be rejected before any engine runs")
 
-    for name in ("run_ico_grid", "closed_form_sweep", "closed_form_grid", "ico_counts"):
+    for name in ("run_ico_sweep", "closed_form_sweep", "closed_form_grid", "ico_counts"):
         monkeypatch.setattr(cli, name, engine)
     (tmp_path / "file").write_text("")
     (tmp_path / "noise_shots.csv").mkdir()
@@ -836,7 +836,7 @@ class TestMain:
         def engine(*args, **kwargs):
             raise AssertionError("--out must be checked before any engine runs")
 
-        for name in ("run_ico_grid", "closed_form_sweep", "closed_form_grid", "ico_counts"):
+        for name in ("run_ico_sweep", "closed_form_sweep", "closed_form_grid", "ico_counts"):
             monkeypatch.setattr(cli, name, engine)
         for args in (["sweep", "--n", "2", "--points", "3"],
                      ["sweep", "--n", "2,3", "--points", "3", "--engine", "numeric"],

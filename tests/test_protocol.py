@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from icobattery.model import ModelParams
-from icobattery.protocol import (_battery_populations, _branch_amplitudes, cyclic_sequence,
-                                 run_ico, run_ico_grid)
+import icobattery.protocol as protocol
+from icobattery.model import ModelParams, pair_unitary
+from icobattery.protocol import (_battery_populations, _branch_amplitudes, _chunks,
+                                 cyclic_sequence, run_ico, run_ico_grid, run_ico_sweep)
 
 import dense_reference
 from dense_reference import initial_state, sector_indices, switch_projector, total_unitary
@@ -22,6 +27,16 @@ def test_cyclic_sequence():
         cyclic_sequence(0, 4)
     with pytest.raises(ValueError):
         cyclic_sequence(5, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 51))
+def test_steps_follow_the_columns_of_cyclic_sequence(n):
+    # this block doubles component 0 and copies it into the charger the step
+    # acts on, so order j leaves 2^k on the charger that its step k acts on
+    amp = _branch_amplitudes(n, np.array([[2.0, 0.0], [1.0, 0.0]])[..., None])
+    steps = np.log2(amp[:, 1:, 0].real).astype(int)
+    assert steps.tolist() == [[cyclic_sequence(j, n).index(c) for c in range(1, n + 1)]
+                              for j in range(1, n + 1)]
 
 
 class TestTotalUnitary:
@@ -126,8 +141,9 @@ class TestRunIco:
 def branch_populations(params, t):
     """Battery populations (g, e) left by each definite order j = 1..N alone,
     as the rows of an (N, 2) array, from the sector engine's branches."""
-    amp = next(_branch_amplitudes(params, np.array([t])))
-    return _battery_populations(amp)[:, 0]
+    n = params.n_chargers
+    u = pair_unitary(params, np.array([t / n]))
+    return _battery_populations(_branch_amplitudes(n, u[1:3, 1:3] / u[3, 3]))[:, 0]
 
 
 class TestRunDco:
@@ -218,3 +234,39 @@ class TestSectorEngine:
             ana = closed_form_report(params, t)
             assert abs(r.p1 - ana.p1) <= 1e-12
             assert abs(r.rho_avg[1, 1].real - ana.E) <= 1e-12
+
+
+@given(n_list=st.lists(st.integers(2, 14), max_size=5), points=st.integers(0, 6),
+       limit=st.integers(1, 400))
+@settings(max_examples=300, deadline=None)
+def test_chunks_are_greedy_spans_within_the_bound(n_list, points, limit):
+    sizes = [n * (n + 1) for n in n_list for _ in range(points)]
+    with mock.patch.object(protocol, "CHUNK_AMPLITUDES", limit):
+        spans = list(_chunks(n_list, points))
+    assert [lo for lo, _ in spans] + [len(sizes)] == [0] + [hi for _, hi in spans]
+    for lo, hi in spans:
+        assert hi - lo == 1 or sum(sizes[lo:hi]) <= limit
+        assert hi == len(sizes) or sum(sizes[lo:hi + 1]) > limit
+
+
+@given(n_list=st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True),
+       points=st.integers(0, 7), omega=st.sampled_from([1.0, 2.7]),
+       lam=st.sampled_from([0.1, 1.3]), chunk=st.integers(1, 800))
+@example(n_list=[9, 3, 2], points=5, omega=1.0, lam=0.1, chunk=90 + 2 * 12)
+@example(n_list=[5, 2], points=0, omega=1.0, lam=0.1, chunk=30)
+@settings(max_examples=60, deadline=None)
+def test_sweep_rows_equal_each_n_alone(n_list, points, omega, lam, chunk):
+    # chunk (in amplitudes, N(N+1) a row) splits an N's rows, straddles charger
+    # counts or holds one row.  In the example every row of N = 9 is alone in its
+    # chunk or in its part of one, the last chunk but one holds a row of N = 9
+    # and two of N = 3, and the last the rest of N = 3 and all of N = 2
+    times = np.linspace(0.0, 4 * np.pi / (omega * lam), points)
+    with mock.patch.object(protocol, "CHUNK_AMPLITUDES", chunk):
+        swept = run_ico_sweep(omega, lam, n_list, times)
+    assert swept.t.shape == (len(n_list) * points,)
+    for k, n in enumerate(n_list):
+        alone = run_ico_grid(ModelParams(n, omega=omega, coupling=lam), times)
+        rows = slice(k * points, (k + 1) * points)
+        for key, col in vars(alone).items():
+            assert vars(swept)[key].shape[1:] == col.shape[1:] == ((2, 2) if col.ndim > 1 else ())
+            assert vars(swept)[key][rows].tobytes() == col.tobytes(), (n, key)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
-from icobattery.protocol import ProtocolGrid, run_ico, run_ico_grid
+from icobattery.protocol import ProtocolGrid, run_ico, run_ico_grid, run_ico_sweep
 from icobattery.thermo import (
     daemonic_ergotropy,
     ergotropy,
@@ -237,7 +237,7 @@ class TestReportGrid:
         rng = np.random.default_rng(dim)
         h = random_hermitian(rng, dim)
         states = random_states(rng, 2000, dim)
-        got = thermo._ergotropies(states, h, np.linalg.eigh(h)[1])
+        got = thermo._ergotropies([states], h, np.linalg.eigh(h)[1])[0]
         want = [pointwise_ergotropy(rho, h) for rho in states]
         assert got.tolist() == want
         assert [ergotropy(rho, h) for rho in states[:50]] == want[:50]
@@ -248,6 +248,40 @@ class TestReportGrid:
         monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
         with pytest.raises(ValueError, match=r"^ergotropy 0 below numerical floor$"):
             report_grid(grid, params)
+
+    def test_blocks_leave_columns_unchanged(self, monkeypatch):
+        params = ModelParams(3, omega=1.0, coupling=0.1)
+        grid = run_ico_grid(params, np.linspace(0.0, 40.0, 11))
+        whole = report_grid(grid, params)
+        monkeypatch.setattr(thermo, "CHUNK_AMPLITUDES", 4 * 3 * 4 * 2)    # 2 rows of 3 stacks
+        blocked = report_grid(grid, params)
+        assert [blocked[k].tobytes() for k in whole] == [whole[k].tobytes() for k in whole]
+
+    @pytest.mark.parametrize("chunk", [None, 4 * 3 * 4])     # one block; a row per block
+    def test_first_state_below_floor_is_named_stack_by_stack(self, monkeypatch, chunk):
+        # rho_bar falls below the floor at point 1 and rho_rest at point 2: rho_rest's
+        # is named, as when each stack was checked on its own, given_1 then rest then bar
+        if chunk is not None:
+            monkeypatch.setattr(thermo, "CHUNK_AMPLITUDES", chunk)
+        params = ModelParams(2, omega=1.0, coupling=0.1)
+        h = battery_hamiltonian(params)
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        given_1, rest, bar = (np.array([excited] * 4) for _ in range(3))
+        rest[2] = np.diag([0.5 - 1e-7, 0.5 + 1e-7])      # ergotropy 2e-7
+        bar[1] = np.diag([0.5 - 2e-7, 0.5 + 2e-7])       # ergotropy 4e-7
+        p1 = np.full(4, 0.5)
+        grid = ProtocolGrid(t=np.arange(4.0), p1=p1, rho_given_1=given_1, rest_weight=1.0 - p1,
+                            rho_rest=rest, rho_bar=bar, rho_avg=0.5 * (given_1 + rest))
+        monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
+        vecs = np.linalg.eigh(h)[1]
+        thermo._ergotropies([given_1], h, vecs)       # passes
+        with pytest.raises(ValueError) as each:
+            thermo._ergotropies([rest], h, vecs)
+        w = pointwise_ergotropy(rest[2], h)
+        assert str(each.value) == f"ergotropy {w:g} below numerical floor"
+        with pytest.raises(ValueError) as whole:
+            report_grid(grid, params)
+        assert str(whole.value) == str(each.value)
 
     def test_undefined_efficiency_is_nan_without_warnings(self):
         params = ModelParams(4, omega=1.0, coupling=0.1)
@@ -265,11 +299,11 @@ class TestReportGrid:
 @pytest.mark.parametrize("n_list, omega, lam", [([2, 3, 4, 5], 1.0, 0.1), ([32, 3, 2], 2.7, 1.3),
                                             ([7, 12], 1e-12, 0.3)])
 def test_report_grid_on_joined_states_equals_each_n_alone(n_list, omega, lam):
+    # the states of every N of a sweep, reported at once
     times = np.linspace(0.0, 4 * np.pi / (omega * lam), 60)
     grids = [run_ico_grid(ModelParams(n, omega=omega, coupling=lam), times) for n in n_list]
-    joined = ProtocolGrid.join(grids)
-    assert ProtocolGrid.join(grids[:1]) is grids[0]
-    cols = report_grid(joined, ModelParams(n_list[0], omega=omega, coupling=lam))
+    cols = report_grid(run_ico_sweep(omega, lam, n_list, times),
+                       ModelParams(n_list[0], omega=omega, coupling=lam))
     for k, (n, grid) in enumerate(zip(n_list, grids)):
         alone = report_grid(grid, ModelParams(n, omega=omega, coupling=lam))
         rows = slice(k * len(times), (k + 1) * len(times))
