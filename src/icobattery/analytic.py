@@ -32,22 +32,6 @@ class ClosedFormReport:
     passive_dco: bool
 
 
-def alpha_coeffs(params: ModelParams, t: float) -> np.ndarray:
-    """Coefficients (alpha_0 .. alpha_N) of the evolved battery-charger state
-    for the reference charging order (1, 2, ..., N), in the single-excitation
-    basis {|g,h0>, |e,h_1>, ..., |e,h_N>}:
-
-    alpha_0 = (e^{-i w t / 2N} cos(w l t / N))^N
-    alpha_j = (e^{-3i w t / 2N})^{N-j} e^{-i w t / 2N} (-i sin(w l t / N))
-              (e^{-i w t / 2N} cos(w l t / N))^{j-1}
-
-    multiplied out as in _alpha_block.
-    """
-    n = params.n_chargers
-    t = np.array([t], dtype=float)
-    return _alpha_block(params.omega * t / n, params.omega * params.coupling * t / n, n)[0]
-
-
 def _log_cos(y: np.ndarray):
     """log|cos y| and whether cos y < 0, at every y.  Where |cos y| > 1/2 the
     log is 0.5 log1p(-sin^2 y), which keeps its relative accuracy as cos y
@@ -59,14 +43,18 @@ def _log_cos(y: np.ndarray):
 
 
 def _alpha_block(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """The (T, N+1) coefficients of one N at its rows' x = w t / N and
-    y = w l t / N, multiplied out as
+    """Coefficients (alpha_0 .. alpha_N) of the evolved battery-charger state
+    for the reference charging order (1, 2, ..., N), in the single-excitation
+    basis {|g,h0>, |e,h_1>, ..., |e,h_N>}, as (T, N+1) for one N at the rows'
+    x = w t / N and y = w l t / N:
 
-        alpha_0 = e^{-iNx/2} cos^N y,
-        alpha_j = -i sin y cos^{j-1} y e^{-i(3N/2 - j) x},
+        alpha_0 = (e^{-ix/2} cos y)^N = e^{-iNx/2} cos^N y,
+        alpha_j = (e^{-3ix/2})^{N-j} e^{-ix/2} (-i sin y) (e^{-ix/2} cos y)^{j-1}
+                = -i sin y cos^{j-1} y e^{-i(3N/2 - j) x},
 
-    each power of cos y one exp (see _log_cos) and each phase one complex
-    exp of a real angle, so no power is formed by repeated multiplication."""
+    formed in their right-hand forms: each power of cos y is one exp (see
+    _log_cos) and each phase one complex exp of a real angle, so no power is
+    formed by repeated multiplication."""
     log_c, neg = _log_cos(y)
     power = np.concatenate([[n], np.arange(n)])                  # of cos y
     turns = np.concatenate([[0.5 * n], 1.5 * n - np.arange(1, n + 1)])   # of e^{-ix}
@@ -75,25 +63,6 @@ def _alpha_block(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     alpha *= np.exp(np.multiply.outer(log_c, power))
     alpha[:, 1:] *= (-1j * np.sin(y))[:, None]
     return alpha
-
-
-def interference_term(params: ModelParams, t: float) -> float:
-    """Cross-ordering coherence contribution to the uniform-outcome excited
-    population:
-
-        C = (2/N) sum_{u=1}^{N-1} (N-u) Re[ sum_{v=1}^{N} alpha_v alpha*_{v(+)u} ]
-
-    where v(+)u is 1-based cyclic index addition: ((v - 1 + u) mod N) + 1.
-    For v < N and v + u <= N this is plain v + u; the wrap covers v = N and
-    any overflow past N.
-
-    The inner sum r_u has Re r_u = Re r_{N-u}, so pairing u with N - u makes
-    every weight N/2 and C = sum_{u=1}^{N-1} Re r_u.  Over all shifts,
-    u = 0 included, the r_u sum to |sum_v alpha_v|^2, and r_0 is
-    sum_v |alpha_v|^2; so C = |sum_v alpha_v|^2 - sum_v |alpha_v|^2, which
-    is how `closed_form_sweep` evaluates it.
-    """
-    return closed_form_report(params, t).C1
 
 
 def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
@@ -118,6 +87,16 @@ def closed_form_sweep(omega: float, coupling: float, n_list, times) -> dict[str,
     """The columns of `closed_form_grid` for every row (N, t) of n_list x
     times, grouped by N in n_list order.
 
+    The interference term of the uniform outcome, column C1, is
+
+        C = (2/N) sum_{u=1}^{N-1} (N-u) Re[ sum_{v=1}^{N} alpha_v alpha*_{v(+)u} ],
+
+    with v(+)u = ((v - 1 + u) mod N) + 1.  Its inner sum r_u has
+    Re r_u = Re r_{N-u}, so pairing u with N - u makes every weight N/2 and
+    C = sum_{u=1}^{N-1} Re r_u.  Over all shifts, u = 0 included, the r_u sum
+    to |sum_v alpha_v|^2, and r_0 is sum_v |alpha_v|^2; so
+    C = |sum_v alpha_v|^2 - sum_v |alpha_v|^2.
+
     Every column is evaluated once over all rows, each row in O(1) (see
     _row_sums).  Raises ValueError, naming the time, if the coefficients of
     some row that _row_sums sums one by one are not normalized.
@@ -125,7 +104,7 @@ def closed_form_sweep(omega: float, coupling: float, n_list, times) -> dict[str,
     times = np.asarray(times, dtype=float)
     n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
     gnd, e, sum_sq = _row_sums(omega, coupling, n_row, t)   # E = sum_{j>=1} |alpha_j|^2
-    c_term = sum_sq - e      # see interference_term
+    c_term = sum_sq - e
     exc = (c_term + e) / n_row
 
     passive_k1 = gnd >= exc
@@ -146,7 +125,7 @@ def _row_sums(omega: float, coupling: float, n: np.ndarray, t: np.ndarray):
     every row (n[i], t[i]), in O(1) per row.
 
     With x = w t / N, y = w l t / N, r = e^{-3ix/2} and q = e^{-ix/2} cos y,
-    alpha_j = r^{N-j} e^{-ix/2} (-i sin y) q^{j-1} (see alpha_coeffs), so
+    alpha_j = r^{N-j} e^{-ix/2} (-i sin y) q^{j-1} (see _alpha_block), so
     the two sums are geometric series:
 
         sum_{j>=1} |alpha_j|^2 = 1 - |alpha_0|^2 = 1 - cos^{2N} y,

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .thermo import EnergyReport, efficiencies, python_values
+from .thermo import efficiencies
 
 N_QUBITS = 4
 GATE_KINDS = ("h", "x", "cz", "xx", "yy", "cp", "rz")
@@ -75,13 +75,6 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
             raise ValueError(f"depolarizing probability {self.depolarizing_p} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    shots: int
-    seed: int
-    counts: dict[tuple[str, str], int] = field(compare=False)
 
 
 def angles_of_time(params: ModelParams, t):
@@ -220,15 +213,11 @@ def _probabilities(gates, points: int, noise: NoiseSpec) -> np.ndarray:
     return diag.reshape(points, 4, 4).sum(axis=2)
 
 
-def _gate_triples(circuit: QuantumCircuit) -> list[tuple]:
-    return [(g.kind, g.qubits, g.angle) for g in circuit.gates]
-
-
 def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     """Outcome probabilities of build_ico_circuit(theta[i], phi[i]) for every
     i, as a (T, 4) array in OUTCOME_KEYS order, from one pass through the
     gate sequence per chunk of at most CHUNK_AMPLITUDES amplitudes.  Row i
-    equals outcome_probabilities of point i's circuit bit for bit."""
+    equals _probabilities of point i's circuit alone bit for bit."""
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     chunk = max(1, CHUNK_AMPLITUDES // 2 ** N_QUBITS)
     probs = np.empty((len(theta), 4))
@@ -236,12 +225,6 @@ def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
         part = slice(lo, lo + chunk)
         probs[part] = _probabilities(_ico_gates(theta[part], phi[part]), len(theta[part]), noise)
     return probs
-
-
-def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> dict:
-    """Born probabilities of (D in x basis, Q in z basis), chargers traced out."""
-    probs = _probabilities(_gate_triples(circuit), 1, noise)[0]
-    return dict(zip(OUTCOME_KEYS, map(float, probs)))
 
 
 def _counts(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
@@ -257,17 +240,11 @@ def _counts(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
     return counts
 
 
-def sample(circuit: QuantumCircuit, noise: NoiseSpec, shots: int, seed: int) -> ShotResult:
-    """Multinomial shot sampling; deterministic for a fixed seed."""
-    draws = _counts(_probabilities(_gate_triples(circuit), 1, noise), shots, [seed])[0]
-    return ShotResult(shots=shots, seed=seed,
-                      counts={k: int(c) for k, c in zip(OUTCOME_KEYS, draws)})
-
-
 def ico_counts(theta, phi, noise: NoiseSpec, shots: int, seeds) -> np.ndarray:
-    """The counts of `sample` of build_ico_circuit(theta[i], phi[i]) with seed
-    seeds[i], for every i, as a (T, 4) int64 array in OUTCOME_KEYS order; the
-    probabilities come from one ico_probabilities pass."""
+    """Multinomial shots from build_ico_circuit(theta[i], phi[i]) for every i,
+    drawn by default_rng(seeds[i]), as a (T, 4) int64 array in OUTCOME_KEYS
+    order (see _counts); the probabilities come from one ico_probabilities
+    pass, so a point's counts do not depend on the grid it is drawn in."""
     return _counts(ico_probabilities(theta, phi, noise), shots, seeds)
 
 
@@ -296,14 +273,3 @@ def estimate_counts(counts, shots) -> dict[str, np.ndarray]:
     w = gain[:, 0] + gain[:, 1]
     return {"E": e, "W": w, "P": efficiencies(w, e), "passive_k1": pe_d[:, 0] <= 0.5,
             "passive_dco": e <= 0.5}  # z marginal = definite-order state
-
-
-def estimate(counts, shots: float | None = None) -> EnergyReport:
-    """`estimate_counts` of one ShotResult or raw mapping (fractional counts
-    allowed), out of `shots`, or of the sum of the counts when shots is None."""
-    if isinstance(counts, ShotResult):
-        shots = counts.shots
-        counts = counts.counts
-    total = float(sum(counts.values())) if shots is None else float(shots)
-    est = estimate_counts([[counts.get(k, 0) for k in OUTCOME_KEYS]], total)
-    return EnergyReport(**{k: python_values(v)[0] for k, v in est.items()})

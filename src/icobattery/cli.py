@@ -53,6 +53,9 @@ WRITE_BLOCK = 1 << 14
 # size, and beyond about 1e7 they disagree by more than ENGINE_AGREE_ATOL.
 MAX_BOTH_PHASE = 2e6
 
+# Largest shot count accepted: Generator.multinomial draws int64 counts.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+
 
 class ConfigError(Exception):
     pass
@@ -123,8 +126,8 @@ class SweepConfig:
         if self.points * len(self.n_list) > MAX_ROWS:
             raise ConfigError(f"points x charger counts = {self.points * len(self.n_list)} "
                               f"exceeds the row limit {MAX_ROWS}")
-        if self.shots is not None and not (_is_int(self.shots) and self.shots >= 1):
-            raise ConfigError(f"shots must be an integer >= 1, got {self.shots!r}")
+        if self.shots is not None and not (_is_int(self.shots) and 1 <= self.shots <= MAX_SHOTS):
+            raise ConfigError(f"shots must be an integer in [1, {MAX_SHOTS}], got {self.shots!r}")
         if self.depolarizing_p is not None and not (
                 _is_real(self.depolarizing_p) and 0.0 <= self.depolarizing_p <= 1.0):
             raise ConfigError(f"depolarizing_p must lie in [0, 1], got {self.depolarizing_p!r}")
@@ -387,6 +390,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         known = {f.name for f in fields(SweepConfig)}
         unknown = set(loaded) - known
         if unknown:
@@ -415,6 +420,8 @@ def _require_out(config: SweepConfig, directory: bool = False, shots: bool = Fal
         raise ConfigError("an output path is required (--out)")
     if not (isinstance(out, str) and out):
         raise ConfigError(f"out must be a non-empty path, got {out!r}")
+    if "\0" in out:
+        raise ConfigError(f"output path {out!r} holds a NUL byte")
     # the directory that holds the target; "a/b/" names the directory b in a
     parent = os.path.dirname(out.rstrip(os.sep) or os.sep) or os.curdir
     if not os.path.isdir(parent):

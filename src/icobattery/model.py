@@ -1,4 +1,4 @@
-"""Physical model: battery/charger Hamiltonians and the two-body charging unitary.
+"""Physical model: the battery Hamiltonian and the two-body charging unitary.
 
 Basis convention: |g> = index 0, |e> = index 1 on every two-level system, so
 sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order.
@@ -19,11 +19,7 @@ CHUNK_AMPLITUDES = 1 << 20
 KET_G = np.array([1.0, 0.0], dtype=complex)
 KET_E = np.array([0.0, 1.0], dtype=complex)
 
-# sigma_z = |e><e| - |g><g|, sigma_x = |e><g| + |g><e|, sigma_y = -i|e><g| + i|g><e|
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-IDENT_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -48,21 +44,12 @@ def battery_hamiltonian(params: ModelParams) -> np.ndarray:
     return (params.omega / 2) * SIGMA_Z
 
 
-def pair_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Battery-charger Hamiltonian on Q (x) C:
-
-    H = (omega/2)(sigma_z^C + 1) + (omega/2) sigma_z^Q
-        + (omega*lambda/2)(sigma_x^Q sigma_x^C + sigma_y^Q sigma_y^C)
-    """
-    om, lam = params.omega, params.coupling
-    h = (om / 2) * (np.kron(IDENT_2, SIGMA_Z) + np.kron(IDENT_2, IDENT_2))
-    h += (om / 2) * np.kron(SIGMA_Z, IDENT_2)
-    h += (om * lam / 2) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
-    return h
-
-
 def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
-    """Closed-form charging unitary U(t_l) = exp(-i H t_l) on Q (x) C.
+    """Closed-form charging unitary U(t_l) = exp(-i H t_l) on Q (x) C, for the
+    battery-charger Hamiltonian
+
+        H = (omega/2)(sigma_z^C + 1) + (omega/2) sigma_z^Q
+            + (omega*lambda/2)(sigma_x^Q sigma_x^C + sigma_y^Q sigma_y^C).
 
     Phases exp(-3i*omega*t/2) on |ee>, exp(+i*omega*t/2) on |gg>, and a
     cos / -i*sin exchange envelope with argument omega*lambda*t on the

@@ -25,13 +25,6 @@ from . import tolerances as tol
 from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, pair_unitary
 
 
-def cyclic_sequence(j: int, n: int) -> tuple[int, ...]:
-    """The j-th cyclic charging order: (j, j+1, ..., N, 1, ..., j-1)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"order index {j} out of range 1..{n}")
-    return tuple((j - 1 + k) % n + 1 for k in range(n))
-
-
 @dataclass(frozen=True)
 class ProtocolResult:
     """Conditional battery states at one time point (all 2x2, |g> = index 0)."""

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .circuit import Gate, QuantumCircuit, _gate_triples
+from .circuit import Gate, QuantumCircuit
 
 _HEADER = """\
 OPENQASM 3.0;
@@ -39,7 +39,7 @@ _MEASUREMENT_MARKER = "// measurement:"
 
 def emit_qasm(circuit: QuantumCircuit) -> str:
     """The OpenQASM 3 text of one circuit: emit_qasm_grid at one point."""
-    return next(emit_qasm_grid(_gate_triples(circuit), 1))
+    return next(emit_qasm_grid([(g.kind, g.qubits, g.angle) for g in circuit.gates], 1))
 
 
 def emit_qasm_grid(gates, points: int):

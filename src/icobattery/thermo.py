@@ -1,8 +1,8 @@
 """Passive states, ergotropy, daemonic ergotropy, stored energy, efficiency.
 
-Energies in EnergyReport are expressed in units of hbar*omega; the raw
-operator-level functions (ergotropy, stored_energy, ...) work in whatever
-units the supplied Hamiltonian carries and for any finite dimension.
+Energies in EnergyReport and report_grid are in units of hbar*omega; the
+stacked helpers (_ergotropies, _energies, ...) work in whatever units the
+supplied Hamiltonian carries and for any finite dimension.
 """
 from __future__ import annotations
 
@@ -25,34 +25,12 @@ class EnergyReport:
     passive_dco: bool
 
 
-def _as_pair(rho: np.ndarray, h: np.ndarray):
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if rho.shape != h.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, Hamiltonian {h.shape}")
-    return rho, h
-
-
-def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Populations of rho sorted descending onto energy eigenstates sorted ascending.
-
-    Degenerate populations keep eigensolver order; ergotropy is tie-invariant.
-    """
-    rho, h = _as_pair(rho, h)
-    return _passive_state(rho, np.linalg.eigh(h)[1])
-
-
 def _passive_state(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """`passive_state` given the energy eigenvectors `vecs`, ascending; rho
-    may be a stack (..., d, d) of states."""
+    """Populations of rho sorted descending onto the energy eigenvectors
+    `vecs`, sorted ascending; rho may be a stack (..., d, d) of states.
+    Degenerate populations keep eigensolver order; ergotropy is tie-invariant."""
     pops = np.linalg.eigvalsh(rho)[..., None, ::-1]          # descending
     return (vecs * pops) @ vecs.conj().T
-
-
-def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
-    """Tr[rho H] - Tr[phi H] with phi the passive state; clamped to >= 0."""
-    rho, h = _as_pair(rho, h)
-    return float(_ergotropies([rho[None]], h, np.linalg.eigh(h)[1])[0, 0])
 
 
 def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -95,18 +73,6 @@ def _weighted_sum(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"ensemble probabilities {probs[:, bad[0]]} are not a distribution")
     return sum(np.where(p > 0, p * value, 0.0) for p, value in zip(probs, values))
-
-
-def daemonic_ergotropy(ensemble, h: np.ndarray) -> float:
-    """Probability-weighted ergotropy of a conditional ensemble."""
-    probs, values = np.array([(p, ergotropy(rho, h)) for p, rho in ensemble], dtype=float).T
-    return float(_weighted_sum(probs[:, None], values[:, None])[0])
-
-
-def stored_energy(rho_avg: np.ndarray, rho0: np.ndarray, h: np.ndarray) -> float:
-    """Tr[rho_avg H] - Tr[rho0 H]."""
-    rho_avg, h = _as_pair(rho_avg, h)
-    return float(_energies((rho_avg - np.asarray(rho0, dtype=complex))[None], h)[0])
 
 
 def efficiencies(w: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -90,10 +90,16 @@ def final_state(circuit: QuantumCircuit) -> np.ndarray:
     return psi
 
 
+def triples(circ: QuantumCircuit) -> list[tuple]:
+    """The (kind, qubits, angle) of each gate of `circ`, as the library's
+    simulator takes them."""
+    return [(g.kind, g.qubits, g.angle) for g in circ.gates]
+
+
 def simulate(circ: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
     """Run from |0000> through the library's `_final_states` and return the
     16x16 output density matrix, depolarized as (1-p) rho + p I/16."""
-    psi = circuit._final_states(circuit._gate_triples(circ), 1).ravel()
+    psi = circuit._final_states(triples(circ), 1).ravel()
     p = noise.depolarizing_p
     return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 

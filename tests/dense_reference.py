@@ -4,9 +4,10 @@ The register is D (x) Q (x) C1..CN with D leftmost (most significant).  The
 switch-controlled unitary is built as a dense block-diagonal matrix of
 ordered products of embedded pair unitaries, so its size is N 2^(N+1); the
 library's excitation-sector engine (`icobattery.protocol`) is checked
-against it.  `branch_state` lays the closed-form coefficients of
-`icobattery.analytic` out on the battery-charger register, so they can be
-checked against the dense evolution too.
+against it, and `pair_unitary` against the exponential of
+`pair_hamiltonian`.  `branch_state` lays the closed-form coefficients of
+`icobattery.analytic` (`alpha_coeffs`) out on the battery-charger register,
+so they can be checked against the dense evolution too.
 """
 from __future__ import annotations
 
@@ -15,10 +16,41 @@ import math
 import numpy as np
 
 from icobattery import tolerances as tol
-from icobattery.analytic import alpha_coeffs
-from icobattery.model import KET_E, KET_G, ModelParams, pair_unitary
-from icobattery.protocol import ProtocolResult, cyclic_sequence
+from icobattery.analytic import _alpha_block
+from icobattery.model import KET_E, KET_G, SIGMA_Z, ModelParams, pair_unitary
+from icobattery.protocol import ProtocolResult
 from labeled_linalg import PAIR_LAYOUT, Layout, Operator, PureState, battery_charger_layout
+
+# sigma_x = |e><g| + |g><e|, sigma_y = -i|e><g| + i|g><e|
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
+IDENT_2 = np.eye(2, dtype=complex)
+
+
+def pair_hamiltonian(params: ModelParams) -> np.ndarray:
+    """Battery-charger Hamiltonian on Q (x) C:
+
+    H = (omega/2)(sigma_z^C + 1) + (omega/2) sigma_z^Q
+        + (omega*lambda/2)(sigma_x^Q sigma_x^C + sigma_y^Q sigma_y^C)
+    """
+    om, lam = params.omega, params.coupling
+    h = (om / 2) * (np.kron(IDENT_2, SIGMA_Z) + np.kron(IDENT_2, IDENT_2))
+    h += (om / 2) * np.kron(SIGMA_Z, IDENT_2)
+    h += (om * lam / 2) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
+    return h
+
+
+def cyclic_sequence(j: int, n: int) -> tuple[int, ...]:
+    """The j-th cyclic charging order: (j, j+1, ..., N, 1, ..., j-1)."""
+    if not 1 <= j <= n:
+        raise ValueError(f"order index {j} out of range 1..{n}")
+    return tuple((j - 1 + k) % n + 1 for k in range(n))
+
+
+def alpha_coeffs(params: ModelParams, t: float) -> np.ndarray:
+    """The (N+1,) closed-form coefficients of `analytic._alpha_block` at one time."""
+    n, t = params.n_chargers, np.array([t], dtype=float)
+    return _alpha_block(params.omega * t / n, params.omega * params.coupling * t / n, n)[0]
 
 
 def switch_register_layout(n_chargers: int) -> Layout:

@@ -17,6 +17,13 @@ import numpy as np
 
 from icobattery import tolerances as tol
 
+# Invariants of the dense oracle, checked nowhere in the library.
+HERMITIAN_ATOL = 1e-12         # max-entry |A - A^dag|
+UNITARY_ATOL = 1e-10           # max-entry |U^dag U - I|
+PSD_EIG_FLOOR = -1e-12         # smallest admissible density eigenvalue
+PROJECTOR_ATOL = 1e-10         # max-entry |P^2 - P| and |P - P^dag|
+EIG_RECONSTRUCT_ATOL = 1e-10   # |V diag(w) V^dag - H| after eigendecomposition
+
 
 @dataclass(frozen=True)
 class Layout:
@@ -88,19 +95,19 @@ class Operator:
             raise ValueError("non-finite matrix entry")
 
 
-def require_hermitian(op: Operator, atol: float = tol.HERMITIAN_ATOL) -> None:
+def require_hermitian(op: Operator, atol: float = HERMITIAN_ATOL) -> None:
     dev = np.max(np.abs(op.mat - op.mat.conj().T))
     if dev > atol:
         raise ValueError(f"operator is not Hermitian: max |A - A^dag| = {dev:g}")
 
 
-def require_unitary(op: Operator, atol: float = tol.UNITARY_ATOL) -> None:
+def require_unitary(op: Operator, atol: float = UNITARY_ATOL) -> None:
     dev = np.max(np.abs(op.mat.conj().T @ op.mat - np.eye(op.layout.dim)))
     if dev > atol:
         raise ValueError(f"operator is not unitary: max |U^dag U - I| = {dev:g}")
 
 
-def require_projector(op: Operator, atol: float = tol.PROJECTOR_ATOL) -> None:
+def require_projector(op: Operator, atol: float = PROJECTOR_ATOL) -> None:
     dev = max(
         np.max(np.abs(op.mat @ op.mat - op.mat)),
         np.max(np.abs(op.mat - op.mat.conj().T)),
@@ -116,7 +123,7 @@ def require_density(op: Operator, weight: float = 1.0) -> None:
     if abs(tr - weight) > tol.TRACE_ATOL:
         raise ValueError(f"trace {tr} deviates from {weight}")
     w = np.linalg.eigvalsh(op.mat)
-    if w.min() < tol.PSD_EIG_FLOOR:
+    if w.min() < PSD_EIG_FLOOR:
         raise ValueError(f"negative eigenvalue {w.min():g}")
 
 
@@ -155,7 +162,7 @@ def hermitian_eig(h: Operator):
     require_hermitian(h)
     w, v = np.linalg.eigh(h.mat)
     dev = np.max(np.abs((v * w) @ v.conj().T - h.mat))
-    if dev > tol.EIG_RECONSTRUCT_ATOL:
+    if dev > EIG_RECONSTRUCT_ATOL:
         raise ValueError(f"eigendecomposition reconstruction error {dev:g}")
     return w, v
 

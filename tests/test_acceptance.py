@@ -11,14 +11,8 @@ import pytest
 from scipy.optimize import brentq
 
 from icobattery.analytic import closed_form_report, dco_zero_window
-from icobattery.circuit import (
-    NoiseSpec,
-    angles_of_time,
-    build_ico_circuit,
-    estimate,
-    outcome_probabilities,
-    sample,
-)
+from icobattery.circuit import (NoiseSpec, angles_of_time, estimate_counts, ico_counts,
+                                ico_probabilities)
 from icobattery.cli import NOISE_FIELDS, SweepConfig, burst_report, main, noise_study_rows
 from icobattery.model import ModelParams
 from icobattery.protocol import run_ico
@@ -167,30 +161,26 @@ def test_criterion_07_circuit_equivalence(capsys):
 def test_criterion_08_shot_estimator(capsys):
     t = 2 * np.pi
     exact = closed_form_report(P2, t)
-    circ = build_ico_circuit(*angles_of_time(P2, t))
-    probs = outcome_probabilities(circ)
-    prob_vec = np.array([probs[k] for k in (("+", "g"), ("+", "e"),
-                                            ("-", "g"), ("-", "e"))])
-    prob_vec = np.clip(prob_vec, 0.0, None)
+    angles = [[angle] for angle in angles_of_time(P2, t)]     # a grid of one point
+    prob_vec = np.clip(ico_probabilities(*angles)[0], 0.0, None)  # (+,g), (+,e), (-,g), (-,e)
     prob_vec /= prob_vec.sum()
     details, ok = [], True
     for shots, seed in ((20000, 17), (10**6, 18)):
-        res = sample(circ, NoiseSpec(), shots, seed)
-        est = estimate(res)
-        p_plus = (res.counts[("+", "g")] + res.counts[("+", "e")]) / shots
+        counts = ico_counts(*angles, NoiseSpec(), shots, [seed])
+        est = {k: col[0] for k, col in estimate_counts(counts, shots).items()}
+        p_plus = (counts[0, 0] + counts[0, 1]) / shots
         se_p1 = np.sqrt(exact.p1 * (1 - exact.p1) / shots)
         se_e = np.sqrt(exact.E * (1 - exact.E) / shots)
         # efficiency has no single binomial margin; bootstrap it from the
         # exact outcome distribution at this shot count
         boot = np.random.default_rng(1000 + seed)
-        se_eff = np.std([estimate(dict(zip(probs, draw)), shots).P
-                         for draw in boot.multinomial(shots, prob_vec, size=300)])
+        se_eff = np.std(estimate_counts(boot.multinomial(shots, prob_vec, size=300), shots)["P"])
         ok &= abs(p_plus - exact.p1) <= 3 * se_p1
-        ok &= abs(est.E - exact.E) <= 3 * se_e
-        ok &= abs(est.P - exact.P_ico) <= 3 * se_eff
+        ok &= abs(est["E"] - exact.E) <= 3 * se_e
+        ok &= abs(est["P"] - exact.P_ico) <= 3 * se_eff
         details.append(f"{shots} shots: |dp|={abs(p_plus - exact.p1):.1e}<=3x{se_p1:.1e}, "
-                       f"|dE|={abs(est.E - exact.E):.1e}<=3x{se_e:.1e}, "
-                       f"|dP|={abs(est.P - exact.P_ico):.1e}<=3x{se_eff:.1e}")
+                       f"|dE|={abs(est['E'] - exact.E):.1e}<=3x{se_e:.1e}, "
+                       f"|dP|={abs(est['P'] - exact.P_ico):.1e}<=3x{se_eff:.1e}")
     _verdict(capsys, 8, "shot estimator", ok, "; ".join(details))
 
 

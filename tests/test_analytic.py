@@ -11,17 +11,15 @@ import icobattery.analytic
 from icobattery import tolerances
 from icobattery.analytic import (
     ClosedFormReport,
-    alpha_coeffs,
     closed_form_grid,
     closed_form_report,
     closed_form_sweep,
     dco_zero_window,
-    interference_term,
 )
 from icobattery.model import KET_E, KET_G, ModelParams
 from icobattery.thermo import efficiencies, python_values
 
-from dense_reference import branch_state, ordered_charging_unitary
+from dense_reference import alpha_coeffs, branch_state, ordered_charging_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
@@ -109,27 +107,27 @@ class TestBranchState:
 
 class TestInterferenceTerm:
     def test_time_zero(self):
-        assert interference_term(ModelParams(4), 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert closed_form_report(ModelParams(4), 0.0).C1 == pytest.approx(0.0, abs=1e-12)
 
     def test_destructive_point(self):
-        assert interference_term(P2, 2 * np.pi) == pytest.approx(-0.181637, abs=1e-5)
+        assert closed_form_report(P2, 2 * np.pi).C1 == pytest.approx(-0.181637, abs=1e-5)
 
     def test_constructive_point(self):
-        assert interference_term(P2, 4 * np.pi) == pytest.approx(0.559017, abs=1e-5)
+        assert closed_form_report(P2, 4 * np.pi).C1 == pytest.approx(0.559017, abs=1e-5)
 
     def test_n2_closed_form(self):
         # C = 2 cos(w t / 2) sin^2(w l t / 2) cos(w l t / 2)
         for t in (1.3, 2 * np.pi, 9.7):
             w, l = P2.omega, P2.coupling
             expected = 2 * np.cos(w * t / 2) * np.sin(w * l * t / 2) ** 2 * np.cos(w * l * t / 2)
-            assert interference_term(P2, t) == pytest.approx(expected, abs=1e-12)
+            assert closed_form_report(P2, t).C1 == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_by_triangle_inequality(self):
         for n in (2, 3, 4, 5):
             params = ModelParams(n, omega=1.0, coupling=0.1)
             for t in np.linspace(0.1, 100, 23):
                 s2 = float(np.sum(np.abs(alpha_coeffs(params, t)[1:]) ** 2))
-                assert abs(interference_term(params, t)) <= (n - 1) * s2 + 1e-12
+                assert abs(closed_form_report(params, t).C1) <= (n - 1) * s2 + 1e-12
 
 
 def cyclic_index(v: int, u: int, n: int) -> int:
@@ -170,12 +168,12 @@ def test_interference_matches_table_sum():
         for u in range(1, n):
             inner = sum(a[v] * np.conj(a[cyclic_index(v, u, n)]) for v in range(1, n + 1))
             total += (n - u) * inner.real
-        assert interference_term(params, t) == pytest.approx(2 * total / n, abs=1e-12)
+        assert closed_form_report(params, t).C1 == pytest.approx(2 * total / n, abs=1e-12)
 
 
 def roll_loop_interference(alpha: np.ndarray) -> float:
-    """The interference sum as `interference_term` defines it, one np.roll per
-    shift u: the reference for the closed form that `closed_form_grid` uses."""
+    """The interference sum as `closed_form_sweep` defines it, one np.roll per
+    shift u: the reference for the closed form that it evaluates."""
     a = alpha[1:]
     n = len(a)
     total = 0.0

@@ -15,21 +15,23 @@ from icobattery.circuit import (
     angles_of_time,
     apply,
     build_ico_circuit,
-    estimate,
     estimate_counts,
     gate_matrices,
     ico_counts,
     ico_probabilities,
-    outcome_probabilities,
-    sample,
 )
 from icobattery.model import ModelParams
 from icobattery.protocol import run_ico
-from icobattery.thermo import report
+from icobattery.thermo import python_values, report
 
 from dense_reference import total_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
+
+
+def at(t):
+    """([theta], [phi]) of the circuit at time t on P2: a grid of one point."""
+    return [[angle] for angle in angles_of_time(P2, t)]
 
 
 def frobenius_up_to_phase(a, b):
@@ -164,14 +166,11 @@ class TestSimulate:
         assert np.allclose(rho, np.eye(16) / 16, atol=1e-12)
 
     def test_depolarizing_inflates_small_energy(self):
-        # (1-p)E + p/2 > E whenever E < 1/2
-        t = 1.0
-        theta, phi = angles_of_time(P2, t)
-        circ = build_ico_circuit(theta, phi)
-        ideal = outcome_probabilities(circ)
-        noisy = outcome_probabilities(circ, NoiseSpec(0.05))
-        e_ideal = ideal[("+", "e")] + ideal[("-", "e")]
-        e_noisy = noisy[("+", "e")] + noisy[("-", "e")]
+        # (1-p)E + p/2 > E whenever E < 1/2; OUTCOME_KEYS 1 and 3 hold Q = e
+        ideal = ico_probabilities(*at(1.0))[0]
+        noisy = ico_probabilities(*at(1.0), NoiseSpec(0.05))[0]
+        e_ideal = ideal[1] + ideal[3]
+        e_noisy = noisy[1] + noisy[3]
         assert e_ideal < 0.5
         assert e_noisy > e_ideal
         assert e_noisy == pytest.approx(0.95 * e_ideal + 0.05 * 0.5, abs=1e-12)
@@ -180,84 +179,76 @@ class TestSimulate:
         # p(+) equals the uniform-projector outcome weight; z marginal of Q
         # equals the battery mixture populations
         for t in (1.7, 2 * np.pi, 9.2):
-            theta, phi = angles_of_time(P2, t)
-            probs = outcome_probabilities(build_ico_circuit(theta, phi))
+            p_pg, p_pe, _, p_me = ico_probabilities(*at(t))[0]
             r = run_ico(P2, t)
-            assert probs[("+", "g")] + probs[("+", "e")] == pytest.approx(r.p1, abs=1e-10)
-            p_e = probs[("+", "e")] + probs[("-", "e")]
-            assert p_e == pytest.approx(r.rho_avg[1, 1].real, abs=1e-10)
+            assert p_pg + p_pe == pytest.approx(r.p1, abs=1e-10)
+            assert p_pe + p_me == pytest.approx(r.rho_avg[1, 1].real, abs=1e-10)
 
 
 class TestSample:
     def test_deterministic_given_seed(self):
-        circ = build_ico_circuit(*angles_of_time(P2, 2 * np.pi))
-        a = sample(circ, NoiseSpec(), 5000, seed=7)
-        b = sample(circ, NoiseSpec(), 5000, seed=7)
-        assert a.counts == b.counts
+        a = ico_counts(*at(2 * np.pi), NoiseSpec(), 5000, [7])
+        b = ico_counts(*at(2 * np.pi), NoiseSpec(), 5000, [7])
+        assert a.tolist() == b.tolist()
 
     def test_trivial_circuit_all_plus_ground(self):
-        circ = build_ico_circuit(0.0, 0.0)
-        res = sample(circ, NoiseSpec(), 10**6, seed=1)
-        assert res.counts[("+", "g")] == 10**6
+        counts = ico_counts([0.0], [0.0], NoiseSpec(), 10**6, [1])[0]
+        assert counts[OUTCOME_KEYS.index(("+", "g"))] == 10**6
 
     def test_counts_sum_to_shots(self):
-        circ = build_ico_circuit(*angles_of_time(P2, 5.0))
-        res = sample(circ, NoiseSpec(0.02), 12345, seed=3)
-        assert sum(res.counts.values()) == 12345
+        counts = ico_counts(*at(5.0), NoiseSpec(0.02), 12345, [3])[0]
+        assert counts.sum() == 12345
 
     def test_plus_probability_within_binomial_error(self):
         shots = 20000
-        circ = build_ico_circuit(*angles_of_time(P2, 2 * np.pi))
-        res = sample(circ, NoiseSpec(), shots, seed=11)
-        p_plus = (res.counts[("+", "g")] + res.counts[("+", "e")]) / shots
+        c_pg, c_pe, _, _ = ico_counts(*at(2 * np.pi), NoiseSpec(), shots, [11])[0]
+        p_plus = (c_pg + c_pe) / shots
         p_exact = 0.818250
         se = np.sqrt(p_exact * (1 - p_exact) / shots)
         assert abs(p_plus - p_exact) <= 3 * se
 
 
 class TestEstimate:
+    # count rows in OUTCOME_KEYS order: (+, g), (+, e), (-, g), (-, e)
     def test_all_plus_ground(self):
         with pytest.warns(UserWarning, match="no counts"):
-            rep = estimate({("+", "g"): 100}, 100)
-        assert rep.E == 0.0
-        assert rep.P is None
+            est = estimate_counts([[100, 0, 0, 0]], 100)
+        assert est["E"][0] == 0.0
+        assert np.isnan(est["P"][0])
 
     def test_fully_charged(self):
-        rep = estimate({("+", "e"): 50, ("-", "e"): 50}, 100)
-        assert rep.E == pytest.approx(1.0)
-        assert rep.W == pytest.approx(1.0)
-        assert rep.P == pytest.approx(1.0)
+        est = estimate_counts([[0, 50, 0, 50]], 100)
+        assert est["E"][0] == pytest.approx(1.0)
+        assert est["W"][0] == pytest.approx(1.0)
+        assert est["P"][0] == pytest.approx(1.0)
 
     def test_exact_probabilities_reproduce_efficiency(self):
         # feed Born probabilities as fractional counts
-        probs = outcome_probabilities(build_ico_circuit(*angles_of_time(P2, 2 * np.pi)))
-        rep = estimate(probs, 1.0)
-        assert rep.P == pytest.approx(0.99937, abs=1e-4)
+        est = estimate_counts(ico_probabilities(*at(2 * np.pi)), 1.0)
+        assert est["P"][0] == pytest.approx(0.99937, abs=1e-4)
 
     def test_zero_count_branch_warns(self):
         with pytest.warns(UserWarning, match="no counts"):
-            rep = estimate({("+", "g"): 60, ("+", "e"): 40}, 100)
-        assert rep.E == pytest.approx(0.4)
+            est = estimate_counts([[60, 40, 0, 0]], 100)
+        assert est["E"][0] == pytest.approx(0.4)
 
     def test_matches_thermo_pipeline_at_high_shots(self):
         t = 2 * np.pi
         shots = 10**6
-        circ = build_ico_circuit(*angles_of_time(P2, t))
-        rep = estimate(sample(circ, NoiseSpec(), shots, seed=5))
+        est = estimate_counts(ico_counts(*at(t), NoiseSpec(), shots, [5]), shots)
         ico, _ = report(run_ico(P2, t), P2)
         se_e = np.sqrt(ico.E * (1 - ico.E) / shots)
-        assert abs(rep.E - ico.E) <= 3 * se_e
-        assert abs(rep.P - ico.P) <= 0.01
+        assert abs(est["E"][0] - ico.E) <= 3 * se_e
+        assert abs(est["P"][0] - ico.P) <= 0.01
 
 
 class TestNoiseQualitative:
     def test_efficiency_drop_in_first_burst(self):
         # depolarizing noise lowers the estimated efficiency inside the burst
         for t in (2 * np.pi, 8.0, 10.0):
-            circ = build_ico_circuit(*angles_of_time(P2, t))
-            ideal = estimate(outcome_probabilities(circ), 1.0)
-            noisy = estimate(outcome_probabilities(circ, NoiseSpec(0.05)), 1.0)
-            assert noisy.P < ideal.P
+            ideal, noisy = (estimate_counts(ico_probabilities(*at(t), noise), 1.0)["P"][0]
+                            for noise in (NoiseSpec(), NoiseSpec(0.05)))
+            assert noisy < ideal
 
 
 def grid_angles(params, times):
@@ -345,8 +336,7 @@ class TestIcoProbabilities:
         assert grid.shape == (len(times), 4)
         for (th, ph), row in zip(angles, grid):
             circ = build_ico_circuit(th, ph)
-            probs = outcome_probabilities(circ, noise)
-            assert list(row) == [probs[k] for k in OUTCOME_KEYS]
+            assert row.tolist() == circuit._probabilities(ref.triples(circ), 1, noise)[0].tolist()
             # the one-gate-at-a-time tensordot oracle
             assert np.max(np.abs(row - ref.outcome_probabilities(circ, noise))) <= 1e-15
 
@@ -384,8 +374,9 @@ class TestIcoProbabilities:
         counts = ico_counts(theta, phi, NoiseSpec(0.05), 3000, seeds)
         assert counts.shape == (len(angles), 4) and counts.dtype == np.int64
         for (th, ph), seed, got in zip(angles, seeds, counts):
-            want = sample(build_ico_circuit(th, ph), NoiseSpec(0.05), 3000, seed)
-            assert got.tolist() == [want.counts[k] for k in OUTCOME_KEYS]
+            probs = circuit._probabilities(ref.triples(build_ico_circuit(th, ph)), 1,
+                                           NoiseSpec(0.05))
+            assert got.tolist() == circuit._counts(probs, 3000, [seed])[0].tolist()
 
     def test_ico_counts_rejects_no_shots(self):
         with pytest.raises(ValueError):
@@ -436,8 +427,8 @@ class TestEstimateCounts:
         for i, row in enumerate(counts):
             mapping = dict(zip(OUTCOME_KEYS, row))
             want, _ = run_warned(ref.estimate, mapping, 10)
-            got, _ = run_warned(estimate, mapping, 10)
-            assert got == want
+            one_row, _ = run_warned(estimate_counts, row[None], 10)
+            assert {k: python_values(col)[0] for k, col in one_row.items()} == vars(want)
             assert (est["E"][i], est["W"][i]) == (want.E, want.W)
 
     def test_empty_counts_rejected(self):

@@ -67,6 +67,7 @@ def test_config_validation():
     ["noise-study", "--n", "2", "--shots", "0", "--depol-p", "0.05"],
     ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "1.5"],
     ["noise-study", "--n", "2", "--shots", "100", "--depol-p", "0.05", "--seed", "-1"],
+    ["noise-study", "--n", "2", "--shots", "9223372036854775808", "--depol-p", "0.05"],
     ["sweep", "--n", "2", "--points", "1000000000000", "--engine", "analytic"],
     # phases too large for the two engines to agree within 1e-9
     ["sweep", "--n", "3,6", "--points", "40", "--lambda", "1e-7", "--engine", "both"],
@@ -75,7 +76,7 @@ def test_config_validation():
     ["sweep", "--n", "3", "--engine", "both", "--lambda", "1000", "--t-max", "1e5"],
     ["bursts", "--n", "3", "--engine", "both", "--lambda", "1000", "--t-max", "1e5"],
     # output paths, in {tmp}: an existing directory, "file" an existing file,
-    # "noise_shots.csv" a directory and "out5.json" a config with "out": 5
+    # "noise_shots.csv" a directory, and the config files of CONFIGS
     ["sweep", "--n", "2", "--out", "/nonexistent/dir/x.csv"],
     ["sweep", "--n", "2", "--out", ""],
     ["sweep", "--n", "2", "--out", "{tmp}/x.csv/"],
@@ -86,6 +87,12 @@ def test_config_validation():
     ["export-circuits", "--n", "2", "--out", "{tmp}/file"],
     ["export-circuits", "--n", "2", "--out", "/nonexistent/dir/circuits"],
     ["sweep", "--config", "{tmp}/out5.json"],
+    ["sweep", "--config", "{tmp}/out_nul.json"],
+    ["export-circuits", "--config", "{tmp}/out_nul.json"],
+    ["sweep", "--config", "{tmp}/int.json"],
+    ["sweep", "--config", "{tmp}/null.json"],
+    ["sweep", "--config", "{tmp}/list.json"],
+    ["sweep", "--config", "{tmp}/str.json"],
 ])
 def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
@@ -95,7 +102,14 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
         monkeypatch.setattr(cli, name, engine)
     (tmp_path / "file").write_text("")
     (tmp_path / "noise_shots.csv").mkdir()
-    (tmp_path / "out5.json").write_text(json.dumps({"n_list": [2], "out": 5}))
+    # config files, each with what its error must name
+    configs = {"out5.json": ({"n_list": [2], "out": 5}, "5"),
+               "out_nul.json": ({"n_list": [2], "out": f"{tmp_path}/x\0.csv"},
+                                repr(f"{tmp_path}/x\0.csv")),
+               "int.json": (5, "got int"), "null.json": (None, "got NoneType"),
+               "list.json": (["seed"], "got list"), "str.json": ("abc", "got str")}
+    for name, (value, _) in configs.items():
+        (tmp_path / name).write_text(json.dumps(value))
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     # "--points 3" goes first so that a case's own --points overrides it
     argv = args[:1] + ["--points", "3"] + args[1:]
@@ -104,15 +118,16 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     elif "--config" not in args:
         out = str(tmp_path / "x.csv")
         argv += ["--out", out]
-    else:
-        out = 5
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
-    if "--out" in args or "--config" in args:
+    if "--out" in args:
         assert repr(out) in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "noise_shots.csv", "out5.json"]
+    elif "--config" in args:
+        assert configs[Path(args[args.index("--config") + 1]).name][1] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["file", "noise_shots.csv",
+                                                                 *configs])
 
 
 def test_phase_limit_boundary():

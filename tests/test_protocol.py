@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import icobattery.protocol as protocol
 from icobattery.model import ModelParams, pair_unitary
-from icobattery.protocol import (_battery_populations, _branch_amplitudes, _chunks,
-                                 cyclic_sequence, run_ico, run_ico_grid, run_ico_sweep)
+from icobattery.protocol import (_battery_populations, _branch_amplitudes, _chunks, run_ico,
+                                 run_ico_grid, run_ico_sweep)
 
 import dense_reference
-from dense_reference import initial_state, sector_indices, switch_projector, total_unitary
+from dense_reference import (cyclic_sequence, initial_state, sector_indices, switch_projector,
+                             total_unitary)
 from labeled_linalg import PAIR_LAYOUT, battery_charger_layout, require_unitary, Operator
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)

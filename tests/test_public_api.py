@@ -17,6 +17,15 @@ def test_all_names_resolve():
     assert [name for name in icobattery.__all__ if not hasattr(icobattery, name)] == []
 
 
+def test_public_names_are_the_grid_api_and_the_circuit_round_trip():
+    assert sorted(icobattery.__all__) == sorted([
+        "ClosedFormReport", "EnergyReport", "Gate", "ModelParams", "NoiseSpec", "ProtocolGrid",
+        "ProtocolResult", "QuantumCircuit", "angles_of_time", "battery_hamiltonian",
+        "build_ico_circuit", "closed_form_grid", "closed_form_report", "dco_zero_window",
+        "emit_qasm", "pair_unitary", "parse_qasm", "report", "report_grid",
+        "run_ico", "run_ico_grid", "run_ico_sweep"])
+
+
 def test_benchmark_check_imports_resolve():
     # read as text, not imported: the checks module stays as it is
     imported = []

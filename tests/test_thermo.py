@@ -9,18 +9,11 @@ from hypothesis import strategies as st
 from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
 from icobattery.protocol import ProtocolGrid, run_ico, run_ico_grid, run_ico_sweep
-from icobattery.thermo import (
-    daemonic_ergotropy,
-    ergotropy,
-    passive_state,
-    python_values,
-    report,
-    report_grid,
-    stored_energy,
-)
+from icobattery.thermo import python_values, report, report_grid
 from conftest import random_density, random_hermitian
 
 H_Q = battery_hamiltonian(ModelParams(2, omega=1.0))  # (1/2) sigma_z, |e> = index 1
+VECS_Q = np.linalg.eigh(H_Q)[1]
 GG = np.diag([1.0, 0.0]).astype(complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
 
@@ -36,30 +29,27 @@ def brute_force_ergotropy(rho, h):
 
 class TestPassiveState:
     def test_inverted_population(self):
-        assert np.allclose(passive_state(EE, H_Q), GG, atol=1e-12)
+        assert np.allclose(thermo._passive_state(EE, VECS_Q), GG, atol=1e-12)
 
     def test_fixed_point(self):
         rho = np.diag([0.7, 0.3]).astype(complex)
-        assert np.allclose(passive_state(rho, H_Q), rho, atol=1e-12)
+        assert np.allclose(thermo._passive_state(rho, VECS_Q), rho, atol=1e-12)
 
     def test_two_level_sort(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
-        assert np.allclose(passive_state(rho, H_Q), np.diag([0.7, 0.3]), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            passive_state(np.eye(4) / 4, H_Q)
+        assert np.allclose(thermo._passive_state(rho, VECS_Q), np.diag([0.7, 0.3]), atol=1e-12)
 
 
 class TestErgotropy:
     def test_ground_state(self):
-        assert ergotropy(GG, H_Q) == 0.0
+        assert thermo._ergotropies([GG[None]], H_Q, VECS_Q)[0, 0] == 0.0
 
     def test_excited_state(self):
-        assert ergotropy(EE, H_Q) == pytest.approx(1.0, abs=1e-12)
+        assert thermo._ergotropies([EE[None]], H_Q, VECS_Q)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_inversion(self):
-        assert ergotropy(np.diag([0.3, 0.7]).astype(complex), H_Q) == pytest.approx(0.4, abs=1e-12)
+        rho = np.diag([0.3, 0.7]).astype(complex)
+        assert thermo._ergotropies([rho[None]], H_Q, VECS_Q)[0, 0] == pytest.approx(0.4, abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
     @settings(max_examples=40, deadline=None)
@@ -67,24 +57,29 @@ class TestErgotropy:
         rng = np.random.default_rng(seed)
         rho = random_density(rng, dim)
         h = random_hermitian(rng, dim)
-        assert ergotropy(rho, h) == pytest.approx(brute_force_ergotropy(rho, h), abs=1e-10)
+        w = thermo._ergotropies([rho[None]], h, np.linalg.eigh(h)[1])[0, 0]
+        assert w == pytest.approx(brute_force_ergotropy(rho, h), abs=1e-10)
 
 
 class TestDaemonicErgotropy:
+    """The probability-weighted ergotropy of an ensemble: _weighted_sum over
+    the outcomes (axis 0) of the ergotropies of its states."""
+
     def test_single_outcome_reduces_to_plain(self):
         rho = np.diag([0.2, 0.8]).astype(complex)
-        assert daemonic_ergotropy([(1.0, rho)], H_Q) == pytest.approx(ergotropy(rho, H_Q))
+        w = thermo._ergotropies([rho[None]], H_Q, VECS_Q)
+        assert thermo._weighted_sum(np.ones((1, 1)), w)[0] == pytest.approx(w[0, 0])
 
     def test_dominates_average_state(self):
-        ens = [(0.5, GG), (0.5, EE)]
-        assert daemonic_ergotropy(ens, H_Q) == pytest.approx(0.5, abs=1e-12)
-        avg = 0.5 * GG + 0.5 * EE
-        assert ergotropy(avg, H_Q) == 0.0
+        w = thermo._ergotropies([np.array([GG, EE, 0.5 * GG + 0.5 * EE])], H_Q, VECS_Q)[0]
+        assert thermo._weighted_sum(np.full((2, 1), 0.5), w[:2, None])[0] == pytest.approx(
+            0.5, abs=1e-12)
+        assert w[2] == 0.0
 
     def test_identical_states(self):
         rho = np.diag([0.1, 0.9]).astype(complex)
-        ens = [(0.25, rho)] * 4
-        assert daemonic_ergotropy(ens, H_Q) == pytest.approx(ergotropy(rho, H_Q))
+        w = thermo._ergotropies([np.array([rho] * 4)], H_Q, VECS_Q)[0]
+        assert thermo._weighted_sum(np.full((4, 1), 0.25), w[:, None])[0] == pytest.approx(w[0])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -92,24 +87,26 @@ class TestDaemonicErgotropy:
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(3))
         states = [random_density(rng, 2) for _ in range(3)]
-        ens = list(zip(probs, states))
-        avg = sum(p * r for p, r in ens)
-        assert daemonic_ergotropy(ens, H_Q) >= ergotropy(avg, H_Q) - 1e-10
+        avg = sum(p * r for p, r in zip(probs, states))
+        w = thermo._ergotropies([np.array(states + [avg])], H_Q, VECS_Q)[0]
+        assert thermo._weighted_sum(probs[:, None], w[:3, None])[0] >= w[3] - 1e-10
 
 
 class TestStoredEnergy:
+    """Tr[rho H] - Tr[rho0 H] as _energies of the difference."""
+
     def test_no_change(self):
         rho = np.diag([0.4, 0.6]).astype(complex)
-        assert stored_energy(rho, rho, H_Q) == pytest.approx(0.0, abs=1e-12)
+        assert thermo._energies((rho - rho)[None], H_Q)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_inversion(self):
-        assert stored_energy(EE, GG, H_Q) == pytest.approx(1.0, abs=1e-12)
+        assert thermo._energies((EE - GG)[None], H_Q)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_point(self):
         # closed form 1 - cos^4(omega*lambda*t/2) at t = 2 pi
         params = ModelParams(2, omega=1.0, coupling=0.1)
         r = run_ico(params, 2 * np.pi)
-        e = stored_energy(r.rho_avg, GG, H_Q)
+        e = thermo._energies((r.rho_avg - GG)[None], H_Q)[0]
         assert e == pytest.approx(0.181864, abs=1e-5)
 
 
@@ -237,10 +234,11 @@ class TestReportGrid:
         rng = np.random.default_rng(dim)
         h = random_hermitian(rng, dim)
         states = random_states(rng, 2000, dim)
-        got = thermo._ergotropies([states], h, np.linalg.eigh(h)[1])[0]
+        vecs = np.linalg.eigh(h)[1]
+        got = thermo._ergotropies([states], h, vecs)[0]
         want = [pointwise_ergotropy(rho, h) for rho in states]
         assert got.tolist() == want
-        assert [ergotropy(rho, h) for rho in states[:50]] == want[:50]
+        assert [thermo._ergotropies([rho[None]], h, vecs)[0, 0] for rho in states[:50]] == want[:50]
 
     def test_raises_below_ergotropy_floor(self, monkeypatch):
         params = ModelParams(3, omega=1.0, coupling=0.1)
