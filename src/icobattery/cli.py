@@ -39,13 +39,14 @@ BOOTSTRAP_CHUNK = max(1, CHUNK_AMPLITUDES // (4 * BOOTSTRAP_RESAMPLES))
 MAX_CHARGERS = 1000
 
 # Largest number of output rows (points x charger counts) accepted.  A sweep
-# holds the columns of every batch until all are done; at 4 x 250 000 rows it
-# peaks at 280 MB of resident memory with --engine numeric or both, and at
-# 169 MB with --engine analytic.
+# holds its output columns of every row until all batches are checked; at
+# 4 x 250 000 rows it peaks at 141 MB of resident memory with --engine both,
+# 134 MB with --engine numeric and 122 MB with --engine analytic.
 MAX_ROWS = 1_000_000
 
-# Rows computed per batch of charger counts (one N where its grid is longer),
-# and rows or exported circuits formatted and written per block: bounds memory.
+# Rows computed per batch (whole grids of consecutive charger counts, or a
+# block of consecutive times of one N), and rows or exported circuits
+# formatted and written per block: bounds memory.
 WRITE_BLOCK = 1 << 14
 
 # Largest phase omega*t_max or omega*lambda*t_max accepted with --engine both.
@@ -90,6 +91,9 @@ class SweepConfig:
     eps_dco: float = 1e-9
 
     def __post_init__(self):
+        if not isinstance(self.n_list, list):
+            raise ConfigError(f"n_list must be a list of charger counts, "
+                              f"got {type(self.n_list).__name__}")
         if not self.n_list:
             raise ConfigError("n_list must not be empty")
         for n in self.n_list:
@@ -188,11 +192,12 @@ def _engine_deviation(num: dict, ana: dict) -> np.ndarray:
 
 def _sweep_columns(config: SweepConfig):
     """Yield the columns of every row (N, t), grouped by N in n_list order,
-    one batch of consecutive charger counts at a time: at most WRITE_BLOCK
-    rows, or one N where its grid is longer.  The columns are N and the
-    analytic engine's with --engine analytic, else N, the numeric engine's
-    and, with --engine both, max_engine_dev (see _engine_deviation); there a
-    phase beyond MAX_BOTH_PHASE is a ConfigError raised before any engine runs."""
+    in batches of at most WRITE_BLOCK rows: whole grids of consecutive
+    charger counts, or, where a grid is longer, a block of consecutive times
+    of one N.  The columns are N and the analytic engine's with --engine
+    analytic, else N, the numeric engine's and, with --engine both,
+    max_engine_dev (see _engine_deviation); there a phase beyond
+    MAX_BOTH_PHASE is a ConfigError raised before any engine runs."""
     phase = max(1.0, config.coupling) * config.omega * config.t_max
     if config.engine == "both" and phase > MAX_BOTH_PHASE:
         raise ConfigError(f"phase max(omega, omega*lambda)*t_max = {phase:g} exceeds "
@@ -202,17 +207,19 @@ def _sweep_columns(config: SweepConfig):
     per_batch = max(1, WRITE_BLOCK // len(grid))
     for lo in range(0, len(config.n_list), per_batch):
         ns = config.n_list[lo:lo + per_batch]
-        n_col = np.repeat(ns, len(grid))
-        if config.engine == "analytic":
-            yield {"N": n_col, **closed_form_sweep(config.omega, config.coupling, ns, grid)}
-            continue
-        states = run_ico_sweep(config.omega, config.coupling, ns, grid)
-        cols = {"N": n_col, "t": states.t, "p1": states.p1,
-                **report_grid(states, config.params(ns[0]))}     # report_grid reads omega only
-        if config.engine == "both":
-            cols["max_engine_dev"] = _engine_deviation(
-                cols, closed_form_sweep(config.omega, config.coupling, ns, grid))
-        yield cols
+        for t_lo in range(0, len(grid), WRITE_BLOCK):
+            times = grid[t_lo:t_lo + WRITE_BLOCK]
+            n_col = np.repeat(ns, len(times))
+            if config.engine == "analytic":
+                yield {"N": n_col, **closed_form_sweep(config.omega, config.coupling, ns, times)}
+                continue
+            states = run_ico_sweep(config.omega, config.coupling, ns, times)
+            cols = {"N": n_col, "t": states.t, "p1": states.p1,
+                    **report_grid(states, config.params(ns[0]))}   # report_grid reads omega only
+            if config.engine == "both":
+                cols["max_engine_dev"] = _engine_deviation(
+                    cols, closed_form_sweep(config.omega, config.coupling, ns, times))
+            yield cols
 
 
 def _cells(column) -> list[str]:
@@ -257,25 +264,25 @@ def write_csv(path, fieldnames, columns) -> None:
 def burst_report(config: SweepConfig) -> dict:
     """Per-N burst intervals (maximal grid runs with P_dco <= eps and
     P_ico >= tau), the analytic first-window length t*, and a strict-growth
-    verdict for t* across n_list."""
+    verdict for t* across n_list.  The hits of every batch are joined first,
+    so a run that crosses a batch boundary is one interval."""
     grid = config.time_grid()
-    per_n = {}
-    t_stars = []
-    for cols in _sweep_columns(config):
-        hits = ((cols["P_dco"] <= config.eps_dco)
-                & (cols["P_ico"] >= config.tau)).reshape(-1, len(grid))   # NaN: no hit
-        # each row's edges alternate: a run's first hit, then one past its last
-        row, edge = np.nonzero(np.diff(hits, axis=1, prepend=False, append=False))
-        found = [[] for _ in hits]
-        for k, a, b in zip(row[::2].tolist(), grid[edge[::2]].tolist(),
-                           grid[edge[1::2] - 1].tolist()):
-            found[k].append([a, b])
-        for n, intervals in zip(cols["N"][::len(grid)].tolist(), found):
-            t_star = dco_zero_window(config.params(n))
-            t_stars.append(t_star)
-            per_n[str(n)] = {"intervals": intervals,
-                             "total_burst_duration": float(sum(b - a for a, b in intervals)),
-                             "t_star": t_star}
+    hits = np.concatenate([(cols["P_dco"] <= config.eps_dco) & (cols["P_ico"] >= config.tau)
+                           for cols in _sweep_columns(config)])     # NaN: no hit
+    # each N's edges alternate: a run's first hit, then one past its last
+    row, edge = np.nonzero(np.diff(hits.reshape(len(config.n_list), -1), axis=1,
+                                   prepend=False, append=False))
+    found = [[] for _ in config.n_list]
+    for k, a, b in zip(row[::2].tolist(), grid[edge[::2]].tolist(),
+                       grid[edge[1::2] - 1].tolist()):
+        found[k].append([a, b])
+    per_n, t_stars = {}, []
+    for n, intervals in zip(config.n_list, found):
+        t_star = dco_zero_window(config.params(n))
+        t_stars.append(t_star)
+        per_n[str(n)] = {"intervals": intervals,
+                         "total_burst_duration": float(sum(b - a for a, b in intervals)),
+                         "t_star": t_star}
     increasing = all(b > a for a, b in zip(t_stars, t_stars[1:]))
     return {"tau": config.tau, "eps_dco": config.eps_dco, "per_n": per_n,
             "monotonicity_verdict": "pass" if increasing else "fail"}
@@ -445,9 +452,15 @@ def _shots_path(out: str) -> str:
 def _cmd_sweep(config: SweepConfig) -> None:
     out = _require_out(config)
     names = ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
-    # all N are computed and checked before a byte is written; pop frees each batch once joined
-    batches = list(_sweep_columns(config))
-    write_csv(out, names, {k: np.concatenate([cols.pop(k) for cols in batches]) for k in names})
+    # every batch is computed and checked into columns of all rows before a byte is written
+    columns, lo = {}, 0
+    for cols in _sweep_columns(config):
+        for k in names:
+            if lo == 0:
+                columns[k] = np.empty(config.points * len(config.n_list), cols[k].dtype)
+            columns[k][lo:lo + len(cols[k])] = cols[k]
+        lo += len(cols["N"])
+    write_csv(out, names, columns)
 
 
 def _cmd_bursts(config: SweepConfig) -> None:

@@ -103,45 +103,29 @@ class ProtocolGrid:
                                  for k, v in vars(self).items()})
 
 
-def _chunks(n_list, points: int):
-    """(lo, hi) of consecutive spans of the rows of n_list x points, a row of
-    N holding N(N+1) amplitudes: each span holds at most CHUNK_AMPLITUDES
-    of them, or one row, and ends only where its next row would not fit."""
-    lo = row = used = 0
-    for k, n in enumerate(n_list):
-        while row < (k + 1) * points:
-            fit = min((CHUNK_AMPLITUDES - used) // (n * (n + 1)), (k + 1) * points - row)
-            if fit < 1 and row > lo:
-                yield lo, row
-                lo, used = row, 0
-            else:
-                row, used = row + max(fit, 1), used + max(fit, 1) * n * (n + 1)
-    if row > lo:
-        yield lo, row
-
-
 def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
     """`run_ico_grid` for every row (N, t) of n_list x times, grouped by N in
-    n_list order.  The rows are evolved in chunks of consecutive rows, N and
-    t alike, holding at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row) or
-    one row: one pair_unitary call per chunk and one step loop per N in it.
-    Each chunk is reduced to battery populations before the next one starts,
+    n_list order.  One pair_unitary call covers every row; the callers bound
+    the rows (the CLI passes at most WRITE_BLOCK).  Each N then evolves its
+    rows in chunks of at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row) or
+    one row, each reduced to battery populations before the next starts,
     and the states of all rows are formed from these at once."""
     times = np.asarray(times, dtype=float)
     params = ModelParams(min(n_list, default=2), omega, coupling)   # checks every N, omega, lambda
     n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
+    u = pair_unitary(params, t / n_row)         # indices 2q + c: |ge> = 1, |eg> = 2
+    block = u[1:3, 1:3] / u[3, 3]
+    del u                                       # 16 entries a row; block keeps 4
     sigma_1, sigma_rest, bar = np.empty((3, len(t), 2))
-    for lo, hi in _chunks(n_list, len(times)):
-        u = pair_unitary(params, t[lo:hi] / n_row[lo:hi])   # indices 2q + c: |ge> = 1, |eg> = 2
-        block = u[1:3, 1:3] / u[3, 3]
-        del u                                               # 16 entries a row; block keeps 4
-        cuts = [lo, *range((lo // len(times) + 1) * len(times), hi, len(times)), hi]
-        for a, b in zip(cuts, cuts[1:]):                    # one N each
-            amp = _branch_amplitudes(n_list[a // len(times)], block[..., a - lo:b - lo])
-            mean = amp.mean(axis=0)          # outcome k = 1 keeps the mean branch
-            sigma_1[a:b] = _battery_populations(mean)
-            sigma_rest[a:b] = _battery_populations(amp - mean).mean(axis=0)
-            bar[a:b] = _battery_populations(amp[0])
+    for i, n in enumerate(n_list):
+        end, step = (i + 1) * len(times), max(1, CHUNK_AMPLITUDES // (n * (n + 1)))
+        for lo in range(i * len(times), end, step):
+            hi = min(lo + step, end)
+            amp = _branch_amplitudes(n, block[..., lo:hi])
+            mean = amp.mean(axis=0)             # outcome k = 1 keeps the mean branch
+            sigma_1[lo:hi] = _battery_populations(mean)
+            sigma_rest[lo:hi] = _battery_populations(amp - mean).mean(axis=0)
+            bar[lo:hi] = _battery_populations(amp[0])
     p1, rho_given_1 = _conditional(sigma_1, KET_G)
     rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
     return ProtocolGrid(t=t, p1=p1, rho_given_1=rho_given_1, rest_weight=rest_weight,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import CHUNK_AMPLITUDES, KET_G, ModelParams, battery_hamiltonian
+from .model import KET_G, ModelParams, battery_hamiltonian
 from .protocol import ProtocolGrid, ProtocolResult
 
 
@@ -38,27 +38,13 @@ def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.trace(rho @ h, axis1=1, axis2=2).real
 
 
-def _stacked(fn, stacks) -> np.ndarray:
-    """fn, one value per state of a stack, over K stacks (T, d, d) of equal
-    length, as (K, T): one call per block of rows of the K stacks
-    concatenated in order.  A block holds at most CHUNK_AMPLITUDES / 4
-    entries, so that it and the two or three temporaries fn makes of its
-    size stay within CHUNK_AMPLITUDES."""
-    (t, d, _), k = stacks[0].shape, len(stacks)
-    out = np.empty((k, t))
-    block = max(1, CHUNK_AMPLITUDES // (4 * k * d * d))
-    for lo in range(0, t, block):
-        rho = np.concatenate([s[lo:lo + block] for s in stacks])
-        out[:, lo:lo + block] = fn(rho).reshape(k, -1)
-    return out
-
-
 def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Ergotropy (K, T) of every state of K stacks (T, d, d), given the
-    eigenvectors `vecs` of h, so that one decomposition of h serves them all
-    (see _stacked).  Raises ValueError at the first state below the floor,
-    stack by stack."""
-    w = _stacked(lambda rho: _energies(rho - _passive_state(rho, vecs), h), stacks)
+    eigenvectors `vecs` of h, so that one decomposition of h serves them all:
+    one eigvalsh and trace over the stacks concatenated in order.  Raises
+    ValueError at the first state below the floor, stack by stack."""
+    rho = np.concatenate(stacks)
+    w = _energies(rho - _passive_state(rho, vecs), h).reshape(len(stacks), -1)
     low = np.flatnonzero(w < tol.ERGOTROPY_FLOOR)
     if low.size:
         raise ValueError(f"ergotropy {w.flat[low[0]]:g} below numerical floor")
@@ -92,9 +78,10 @@ def report_grid(states: ProtocolGrid, params: ModelParams) -> dict[str, np.ndarr
     energy), W_ico, P_ico, E_dco, W_dco, P_dco, passive_k1 and passive_dco,
     with NaN for an undefined P.  The ergotropies of rho_given_1, rho_rest
     and rho_bar, in that order, take one batched eigvalsh and trace, and the
-    energies of rho_avg and rho_bar one batched trace (see _stacked); H is
-    decomposed once, and nothing assumes the states are diagonal.  Raises
-    ValueError at the first failing check of `report`, in that order."""
+    energies of rho_avg and rho_bar one batched trace; H is decomposed once,
+    and nothing assumes the states are diagonal.  The callers bound the
+    rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
+    first failing check of `report`, in that order."""
     h = battery_hamiltonian(params)
     vecs = np.linalg.eigh(h)[1]
     rho0 = np.outer(KET_G, KET_G.conj())
@@ -102,8 +89,8 @@ def report_grid(states: ProtocolGrid, params: ModelParams) -> dict[str, np.ndarr
 
     w_given_1, w_rest, w_bar = _ergotropies(
         [states.rho_given_1, states.rho_rest, states.rho_bar], h, vecs)
-    e_ico, e_dco = _stacked(lambda rho: _energies(rho - rho0, h),
-                            [states.rho_avg, states.rho_bar]) / unit
+    e_ico, e_dco = _energies(np.concatenate([states.rho_avg, states.rho_bar]) - rho0,
+                             h).reshape(2, -1) / unit
     w_ico = _weighted_sum(np.stack([states.p1, states.rest_weight]),
                           np.stack([w_given_1, w_rest])) / unit
     w_dco = w_bar / unit

@@ -7,10 +7,11 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icobattery.cli as cli
@@ -93,6 +94,8 @@ def test_config_validation():
     ["sweep", "--config", "{tmp}/null.json"],
     ["sweep", "--config", "{tmp}/list.json"],
     ["sweep", "--config", "{tmp}/str.json"],
+    ["sweep", "--config", "{tmp}/n_int.json"],
+    ["bursts", "--config", "{tmp}/n_null.json"],
 ])
 def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
@@ -107,7 +110,10 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
                "out_nul.json": ({"n_list": [2], "out": f"{tmp_path}/x\0.csv"},
                                 repr(f"{tmp_path}/x\0.csv")),
                "int.json": (5, "got int"), "null.json": (None, "got NoneType"),
-               "list.json": (["seed"], "got list"), "str.json": ("abc", "got str")}
+               "list.json": (["seed"], "got list"), "str.json": ("abc", "got str"),
+               "n_int.json": ({"n_list": 5}, "n_list must be a list of charger counts, got int"),
+               "n_null.json": ({"n_list": None},
+                               "n_list must be a list of charger counts, got NoneType")}
     for name, (value, _) in configs.items():
         (tmp_path / name).write_text(json.dumps(value))
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
@@ -211,12 +217,13 @@ class TestSweep:
         if block is not None:
             monkeypatch.setattr(cli, "WRITE_BLOCK", block)
         per_batch = max(1, cli.WRITE_BLOCK // 5)     # 1, 1, 2 and all charger counts
+        blocks = -(-5 // cli.WRITE_BLOCK)             # per N: 5, 2, 1 and 1
         for n_list in (list(range(2, 33)), [32, 3, 2]):
             got = lines(n_list)
             assert got[0] == alone[2][0]
             assert got[1:] == [line for n in n_list for line in alone[n][1:]]
             cfg = SweepConfig(n_list=n_list, points=5, t_min=0.3, engine=engine)
-            assert len(list(cli._sweep_columns(cfg))) == -(-len(n_list) // per_batch)
+            assert len(list(cli._sweep_columns(cfg))) == -(-len(n_list) // per_batch) * blocks
 
 
 class TestEngineBothStrict:
@@ -488,8 +495,9 @@ class TestBursts:
 
     @pytest.mark.parametrize("engine", ["analytic", "both"])
     def test_intervals_are_maximal_runs_of_sweep_rows(self, monkeypatch, engine):
-        # one Python loop over each N's rows of the sweep, in batches of 1, 2 and 3 N
-        for block in (300, 600, 900):
+        # one Python loop over each N's rows of the sweep, in batches of 1, 2 and 3 N, and
+        # in blocks of 7 times, across whose boundaries the first burst of every N runs
+        for block in (7, 300, 600, 900):
             monkeypatch.setattr(cli, "WRITE_BLOCK", block)
             cfg = SweepConfig(n_list=[7, 5, 3], points=300, engine=engine)
             rep = burst_report(cfg)
@@ -518,6 +526,40 @@ class TestBursts:
             assert data["intervals"], "expected at least one burst"
             first = data["intervals"][0]
             assert first[1] <= data["t_star"] + grid_step
+
+
+@given(n_list=st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True),
+       points=st.integers(2, 3 * 7 + 1), engine=st.sampled_from(["numeric", "analytic", "both"]))
+@example(n_list=[3, 2], points=30, engine="both")   # N = 2's burst over rows 27-28 spans 2 batches
+@settings(max_examples=25, deadline=None)
+def test_short_batches_leave_outputs_unchanged(n_list, points, engine):
+    # with WRITE_BLOCK = 7, grids of up to 7 points go whole, 7 // points of them a
+    # batch, and longer ones in blocks of at most 7 consecutive times of one N
+    def outputs(tmp):
+        files = []
+        for command, name in (("sweep", "s.csv"), ("bursts", "b.json")):
+            out = Path(tmp) / name
+            assert main([command, "--n", ",".join(map(str, n_list)), "--points", str(points),
+                         "--engine", engine, "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        return files
+
+    def recorded(config):
+        for cols in real(config):
+            batches.append(cols["N"])
+            yield cols
+
+    real, batches = cli._sweep_columns, []
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = outputs(tmp)
+        with mock.patch.object(cli, "WRITE_BLOCK", 7), \
+                mock.patch.object(cli, "_sweep_columns", recorded):
+            assert outputs(tmp) == whole
+    rows = np.repeat(n_list, points).tolist()
+    assert np.concatenate(batches).tolist() == rows + rows     # sweep, then bursts
+    for n_col in batches:
+        assert len(n_col) <= 7
+        assert len(n_col) % points == 0 if points <= 7 else len(set(n_col.tolist())) == 1
 
 
 class TestExportCircuits:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import icobattery.protocol as protocol
 from icobattery.model import ModelParams, pair_unitary
-from icobattery.protocol import (_battery_populations, _branch_amplitudes, _chunks, run_ico,
-                                 run_ico_grid, run_ico_sweep)
+from icobattery.protocol import (_battery_populations, _branch_amplitudes, run_ico, run_ico_grid,
+                                 run_ico_sweep)
 
 import dense_reference
 from dense_reference import (cyclic_sequence, initial_state, sector_indices, switch_projector,
@@ -237,30 +237,16 @@ class TestSectorEngine:
             assert abs(r.rho_avg[1, 1].real - ana.E) <= 1e-12
 
 
-@given(n_list=st.lists(st.integers(2, 14), max_size=5), points=st.integers(0, 6),
-       limit=st.integers(1, 400))
-@settings(max_examples=300, deadline=None)
-def test_chunks_are_greedy_spans_within_the_bound(n_list, points, limit):
-    sizes = [n * (n + 1) for n in n_list for _ in range(points)]
-    with mock.patch.object(protocol, "CHUNK_AMPLITUDES", limit):
-        spans = list(_chunks(n_list, points))
-    assert [lo for lo, _ in spans] + [len(sizes)] == [0] + [hi for _, hi in spans]
-    for lo, hi in spans:
-        assert hi - lo == 1 or sum(sizes[lo:hi]) <= limit
-        assert hi == len(sizes) or sum(sizes[lo:hi + 1]) > limit
-
-
 @given(n_list=st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True),
        points=st.integers(0, 7), omega=st.sampled_from([1.0, 2.7]),
        lam=st.sampled_from([0.1, 1.3]), chunk=st.integers(1, 800))
-@example(n_list=[9, 3, 2], points=5, omega=1.0, lam=0.1, chunk=90 + 2 * 12)
+@example(n_list=[9, 3, 2], points=5, omega=1.0, lam=0.1, chunk=2 * 12)
 @example(n_list=[5, 2], points=0, omega=1.0, lam=0.1, chunk=30)
 @settings(max_examples=60, deadline=None)
 def test_sweep_rows_equal_each_n_alone(n_list, points, omega, lam, chunk):
-    # chunk (in amplitudes, N(N+1) a row) splits an N's rows, straddles charger
-    # counts or holds one row.  In the example every row of N = 9 is alone in its
-    # chunk or in its part of one, the last chunk but one holds a row of N = 9
-    # and two of N = 3, and the last the rest of N = 3 and all of N = 2
+    # chunk (in amplitudes, N(N+1) a row) splits an N's rows or holds one row.
+    # In the example every row of N = 9 is alone in its chunk, N = 3's rows are
+    # split 2, 2, 1 and N = 2's 4, 1
     times = np.linspace(0.0, 4 * np.pi / (omega * lam), points)
     with mock.patch.object(protocol, "CHUNK_AMPLITUDES", chunk):
         swept = run_ico_sweep(omega, lam, n_list, times)

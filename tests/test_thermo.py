@@ -247,20 +247,9 @@ class TestReportGrid:
         with pytest.raises(ValueError, match=r"^ergotropy 0 below numerical floor$"):
             report_grid(grid, params)
 
-    def test_blocks_leave_columns_unchanged(self, monkeypatch):
-        params = ModelParams(3, omega=1.0, coupling=0.1)
-        grid = run_ico_grid(params, np.linspace(0.0, 40.0, 11))
-        whole = report_grid(grid, params)
-        monkeypatch.setattr(thermo, "CHUNK_AMPLITUDES", 4 * 3 * 4 * 2)    # 2 rows of 3 stacks
-        blocked = report_grid(grid, params)
-        assert [blocked[k].tobytes() for k in whole] == [whole[k].tobytes() for k in whole]
-
-    @pytest.mark.parametrize("chunk", [None, 4 * 3 * 4])     # one block; a row per block
-    def test_first_state_below_floor_is_named_stack_by_stack(self, monkeypatch, chunk):
+    def test_first_state_below_floor_is_named_stack_by_stack(self, monkeypatch):
         # rho_bar falls below the floor at point 1 and rho_rest at point 2: rho_rest's
         # is named, as when each stack was checked on its own, given_1 then rest then bar
-        if chunk is not None:
-            monkeypatch.setattr(thermo, "CHUNK_AMPLITUDES", chunk)
         params = ModelParams(2, omega=1.0, coupling=0.1)
         h = battery_hamiltonian(params)
         excited = np.diag([0.0, 1.0]).astype(complex)
