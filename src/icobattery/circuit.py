@@ -189,17 +189,15 @@ def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
 def _final_states(gates, points: int) -> np.ndarray:
     """|0000> evolved through `gates`, (kind, qubits, angle) triples whose
     angle is None, a float, or an array of one angle per point, as
-    (2,) * 4 + (points,) amplitudes.  Every gate, fixed ones included, is
-    applied as a stack of one matrix per point: a gate of one matrix (a fixed
-    kind, or a float angle) is broadcast to the points, a column of angles
-    gives its stack as it is."""
+    (2,) * 4 + (points,) amplitudes.  A column of angles is applied as its
+    stack of one matrix per point; a gate of one matrix (a fixed kind, or a
+    float angle) as that matrix, one BLAS call over every point rather than
+    one per point of a stack of copies, with the same length-d dot products,
+    so the bits are those of the stack."""
     psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
     for kind, qubits, angle in gates:
-        mats = gate_matrices(kind, angle)
-        if mats.ndim == 2:
-            mats = np.broadcast_to(mats, (points,) + mats.shape)
-        psi = apply(psi, mats, qubits)
+        psi = apply(psi, gate_matrices(kind, angle), qubits)
     return psi
 
 

@@ -56,16 +56,24 @@ def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
     single-excitation pair {|eg>, |ge>}.  For an array of times, one matrix
     per time along trailing axes: shape (4, 4) + np.shape(t_l).
     """
+    gg, ee, diag, off = _pair_entries(params, t_l)
+    u = np.zeros((4, 4) + np.shape(gg), dtype=complex)
+    # indices: 2*q + c with g=0, e=1
+    u[0, 0], u[3, 3] = gg, ee                               # |gg><gg|, |ee><ee|
+    u[1, 1] = u[2, 2] = diag                                # |ge><ge|, |eg><eg|
+    u[1, 2] = u[2, 1] = off                                 # |ge><eg|, |eg><ge|
+    return u
+
+
+def _pair_entries(params: ModelParams, t_l) -> tuple:
+    """The distinct entries of pair_unitary(params, t_l), each of shape
+    np.shape(t_l): the |gg> and |ee> phases, then the diagonal and the
+    off-diagonal entry of the single-excitation block."""
     t_l = np.asarray(t_l, dtype=float)
     if np.any(t_l < 0) or not np.all(np.isfinite(t_l)):
         raise ValueError(f"evolution time must be finite and >= 0, got {t_l}")
     om, lam = params.omega, params.coupling
     c, s = np.cos(om * lam * t_l), np.sin(om * lam * t_l)
-    u = np.zeros((4, 4) + t_l.shape, dtype=complex)
-    # indices: 2*q + c with g=0, e=1
-    u[0, 0] = np.exp(0.5j * om * t_l)                       # |gg><gg|
-    u[3, 3] = np.exp(-1.5j * om * t_l)                      # |ee><ee|
-    u[1, 1] = u[2, 2] = np.exp(-0.5j * om * t_l) * c        # |ge><ge|, |eg><eg|
-    u[1, 2] = u[2, 1] = np.exp(-0.5j * om * t_l) * (-1j * s)  # |ge><eg|, |eg><ge|
-    return u
+    return (np.exp(0.5j * om * t_l), np.exp(-1.5j * om * t_l),
+            np.exp(-0.5j * om * t_l) * c, np.exp(-0.5j * om * t_l) * (-1j * s))
 

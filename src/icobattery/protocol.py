@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, pair_unitary
+from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, _pair_entries
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class ProtocolGrid:
 
 def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
     """`run_ico_grid` for every row (N, t) of n_list x times, grouped by N in
-    n_list order.  One pair_unitary call covers every row; the callers bound
+    n_list order.  One _pair_entries call covers every row; the callers bound
     the rows (the CLI passes at most WRITE_BLOCK).  Each N then evolves its
     rows in chunks of at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row) or
     one row, each reduced to battery populations before the next starts,
@@ -113,9 +113,9 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
     times = np.asarray(times, dtype=float)
     params = ModelParams(min(n_list, default=2), omega, coupling)   # checks every N, omega, lambda
     n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
-    u = pair_unitary(params, t / n_row)         # indices 2q + c: |ge> = 1, |eg> = 2
-    block = u[1:3, 1:3] / u[3, 3]
-    del u                                       # 16 entries a row; block keeps 4
+    _, ee, diag, off = _pair_entries(params, t / n_row)
+    block = np.array([[diag, off], [off, diag]]) / ee
+    del _, ee, diag, off                        # only the block is kept over the chunks
     sigma_1, sigma_rest, bar = np.empty((3, len(t), 2))
     for i, n in enumerate(n_list):
         end, step = (i + 1) * len(times), max(1, CHUNK_AMPLITUDES // (n * (n + 1)))
@@ -124,8 +124,9 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
             amp = _branch_amplitudes(n, block[..., lo:hi])
             mean = amp.mean(axis=0)             # outcome k = 1 keeps the mean branch
             sigma_1[lo:hi] = _battery_populations(mean)
-            sigma_rest[lo:hi] = _battery_populations(amp - mean).mean(axis=0)
             bar[lo:hi] = _battery_populations(amp[0])
+            amp -= mean                         # in place: no second chunk-sized array
+            sigma_rest[lo:hi] = _battery_populations(amp).mean(axis=0)
     p1, rho_given_1 = _conditional(sigma_1, KET_G)
     rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
     return ProtocolGrid(t=t, p1=p1, rho_given_1=rho_given_1, rest_weight=rest_weight,

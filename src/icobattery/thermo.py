@@ -28,14 +28,17 @@ class EnergyReport:
 def _passive_state(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Populations of rho sorted descending onto the energy eigenvectors
     `vecs`, sorted ascending; rho may be a stack (..., d, d) of states.
-    Degenerate populations keep eigensolver order; ergotropy is tie-invariant."""
+    Degenerate populations keep eigensolver order; ergotropy is tie-invariant.
+    One (T*d, d) product, one BLAS call rather than one per state, takes the
+    same length-d dot products as the stacked one, so the bits are its bits."""
     pops = np.linalg.eigvalsh(rho)[..., None, ::-1]          # descending
-    return (vecs * pops) @ vecs.conj().T
+    return ((vecs * pops).reshape(-1, len(vecs)) @ vecs.conj().T).reshape(rho.shape)
 
 
 def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Tr[rho H] of every state of a stack (T, d, d)."""
-    return np.trace(rho @ h, axis1=1, axis2=2).real
+    """Tr[rho H] of every state of a stack (T, d, d).  rho @ H is one
+    (T*d, d) product, bit-equal to the stacked one as in _passive_state."""
+    return np.trace((rho.reshape(-1, len(h)) @ h).reshape(rho.shape), axis1=1, axis2=2).real
 
 
 def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:

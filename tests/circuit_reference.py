@@ -6,7 +6,8 @@ on a single 4-qubit state, the count estimator on one mapping, and the
 bootstrap that calls it once per resample.  `icobattery.circuit` and
 `icobattery.cli` are checked against them.  `moveaxis_apply` and
 `moveaxis_final_states` keep the earlier form of the library's grid kernel,
-which the library must reproduce bit for bit.  `library_gate_matrix`,
+which the library must reproduce bit for bit, as must `broadcast_final_states`,
+the kernel with every fixed gate copied to each grid point.  `library_gate_matrix`,
 `circuit_unitary` and `simulate` instead run the library's own kernels; only
 tests use them, so they live here rather than in `icobattery.circuit`.
 """
@@ -78,6 +79,20 @@ def moveaxis_final_states(gates, points: int) -> np.ndarray:
     for kind, qubits, angle in gates:
         mats = circuit.gate_matrices(kind, angle)
         psi = moveaxis_apply(psi, np.broadcast_to(mats, (points,) + mats.shape[-2:]), qubits)
+    return psi
+
+
+def broadcast_final_states(gates, points: int) -> np.ndarray:
+    """`icobattery.circuit._final_states` with a gate of one matrix broadcast
+    to a stack of `points` copies, one matrix product per point, as the
+    library applied it before passing the one matrix to `apply`."""
+    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
+    psi[(0,) * N_QUBITS] = 1.0
+    for kind, qubits, angle in gates:
+        mats = circuit.gate_matrices(kind, angle)
+        if mats.ndim == 2:
+            mats = np.broadcast_to(mats, (points,) + mats.shape)
+        psi = circuit.apply(psi, mats, qubits)
     return psi
 
 

@@ -368,6 +368,16 @@ class TestIcoProbabilities:
         monkeypatch.setattr(circuit, "_final_states", ref.moveaxis_final_states)
         assert np.array_equal(got, ico_probabilities(theta, phi, NoiseSpec(p)))
 
+    @pytest.mark.parametrize("points", [1, 3, 30])
+    def test_shared_matrices_equal_broadcast_stacks_bitwise(self, points):
+        # the 16 fixed gates (h, x, cz) that _probabilities applies, the closing H
+        # on D included, each as one matrix over every point
+        _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
+        gates = [*circuit._ico_gates(theta, phi), ("h", (0,), None)]
+        assert sum(angle is None for _, _, angle in gates) == 16
+        got = circuit._final_states(gates, points)
+        assert got.tobytes() == ref.broadcast_final_states(gates, points).tobytes()
+
     def test_ico_counts_matches_per_circuit_sample(self):
         angles, (theta, phi) = grid_angles(P2, GRIDS[0][2])
         seeds = range(40, 40 + len(angles))

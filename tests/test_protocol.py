@@ -257,3 +257,32 @@ def test_sweep_rows_equal_each_n_alone(n_list, points, omega, lam, chunk):
         for key, col in vars(alone).items():
             assert vars(swept)[key].shape[1:] == col.shape[1:] == ((2, 2) if col.ndim > 1 else ())
             assert vars(swept)[key][rows].tobytes() == col.tobytes(), (n, key)
+
+
+def reference_populations(n, omega, lam, times):
+    """sigma_1, sigma_rest and bar of one chunk of N's rows, from the block
+    cut out of the full pair unitary and one `_battery_populations` call on
+    each of the mean branch, the deviations and branch 1."""
+    u = pair_unitary(ModelParams(n, omega, lam), np.asarray(times) / n)
+    amp = _branch_amplitudes(n, u[1:3, 1:3] / u[3, 3])
+    mean = amp.mean(axis=0)
+    return (_battery_populations(mean), _battery_populations(amp - mean).mean(axis=0),
+            _battery_populations(amp[0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 200])
+@pytest.mark.parametrize("points", [1, 2, 12])    # one point takes the cumsum branch
+def test_populations_equal_full_unitary_reference(monkeypatch, n, points):
+    times = np.linspace(0.0, 4 * np.pi / (1.3 * 0.1), points + 1)[1:]
+    conditioned = []
+    conditional = protocol._conditional
+
+    def recording(sigma, fallback):
+        conditioned.append(sigma.copy())
+        return conditional(sigma, fallback)
+
+    monkeypatch.setattr(protocol, "_conditional", recording)
+    grid = run_ico_sweep(1.3, 0.1, [n], times)
+    sigma_1, sigma_rest, bar = reference_populations(n, 1.3, 0.1, times)
+    assert [s.tobytes() for s in conditioned] == [sigma_1.tobytes(), sigma_rest.tobytes()]
+    assert grid.rho_bar.diagonal(axis1=1, axis2=2).real.tobytes() == bar.tobytes()

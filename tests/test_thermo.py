@@ -176,6 +176,30 @@ def pointwise_ergotropy(rho, h):
     return max(float(np.trace((rho - passive) @ h).real), 0.0)
 
 
+def stacked_passive_state(rho, vecs):
+    """`thermo._passive_state` in its stacked form: one matrix product per
+    state of the stack, which the flattened product must equal bit for bit."""
+    return (vecs * np.linalg.eigvalsh(rho)[..., None, ::-1]) @ vecs.conj().T
+
+
+def stacked_energies(rho, h):
+    """`thermo._energies` in its stacked form, one rho @ h product per state."""
+    return np.trace(rho @ h, axis1=1, axis2=2).real
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("count", [1, 2, 7, 2000])
+def test_flattened_products_bitwise_equal_to_stacked(dim, count):
+    rng = np.random.default_rng(100 * dim + count)
+    h = random_hermitian(rng, dim)
+    vecs = np.linalg.eigh(h)[1]
+    states = random_states(rng, count, dim)
+    passive = thermo._passive_state(states, vecs)
+    assert passive.tobytes() == stacked_passive_state(states, vecs).tobytes()
+    for rho in (states, states - passive):
+        assert thermo._energies(rho, h).tobytes() == stacked_energies(rho, h).tobytes()
+
+
 def pointwise_report(r, params):
     """The energy accounting of one ProtocolResult, state by state, with
     Python floats: the per-point reference for report_grid."""
