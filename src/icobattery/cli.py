@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -223,8 +224,11 @@ def _sweep_columns(config: SweepConfig):
 
 
 def _cells(column) -> list[str]:
-    """The CSV cells of a column: floats by repr with NaN as an empty cell,
-    bools as true/false, ints and strings by str."""
+    """The CSV cells of a column: a list is its cells, already formatted;
+    in an array, floats by repr with NaN as an empty cell, bools as
+    true/false, ints, strings and objects by str."""
+    if isinstance(column, list):
+        return column
     column = np.asarray(column)
     kind, values = column.dtype.kind, column.tolist()
     if kind == "b":
@@ -241,17 +245,22 @@ _QUOTABLE = re.compile('[,"\r\n]')
 
 
 def write_csv(path, fieldnames, columns) -> None:
-    """Write the columns named `fieldnames` of the mapping `columns` (equal-length
-    arrays or lists) as CSV rows, WRITE_BLOCK rows at a time (cells by _cells).
-    Nothing is quoted: a field name or string cell with a comma, quote or line
-    break, or a single column (whose empty cell reads back as no row), raises
+    """Write the columns named `fieldnames` of the mapping `columns` as CSV
+    rows, WRITE_BLOCK rows at a time.  A column is an array, whose cells
+    _cells formats, or a list of str cells, written as they are.  Nothing is
+    quoted: a field name or string cell with a comma, quote or line break, or
+    a single column (whose empty cell reads back as no row), raises
     ValueError naming the column before the file is opened."""
     if len(fieldnames) < 2:
         raise ValueError(f"a CSV file needs at least two columns, got {list(fieldnames)}")
     for name in fieldnames:
-        column = np.asarray(columns[name])
-        strings = column.astype(str).tolist() if column.dtype.kind in "OSU" else []
-        if _QUOTABLE.search("".join([name, *strings])):
+        strings = columns[name]
+        if not isinstance(strings, list):
+            column = np.asarray(strings)
+            strings = column.astype(str).tolist() if column.dtype.kind in "OSU" else []
+        # one search per block of cells, so no text of every row is built
+        if _QUOTABLE.search(name) or any(_QUOTABLE.search("".join(strings[lo:lo + WRITE_BLOCK]))
+                                         for lo in range(0, len(strings), WRITE_BLOCK)):
             raise ValueError(f"column {name!r}: its name or a string cell holds a comma, "
                              f"a quote or a line break")
     with open(path, "w", newline="") as fh:
@@ -363,7 +372,9 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
     est, ideal = estimate_counts(counts, config.shots), closed_form_grid(config.params(2), grid)
     se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
     return {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
-            "seed": np.array(seeds), "E_ideal": ideal["E"], "P_ico_ideal": ideal["P_ico"],
+            # Python ints: a range past 2**63 would make a numpy int column float64
+            "seed": np.array(seeds, dtype=object),
+            "E_ideal": ideal["E"], "P_ico_ideal": ideal["P_ico"],
             "E_hat": est["E"], "se_E": np.sqrt(np.maximum(est["E"] * (1 - est["E"]), 0.0)
                                                / config.shots),
             "P_hat": est["P"], "se_P": np.array(se_p, dtype=float),
@@ -460,12 +471,60 @@ def _cmd_sweep(config: SweepConfig) -> None:
                 columns[k] = np.empty(config.points * len(config.n_list), cols[k].dtype)
             columns[k][lo:lo + len(cols[k])] = cols[k]
         lo += len(cols["N"])
+    # The rows are n_list x grid, grouped by N (see _sweep_columns): each N is
+    # formatted once, and so is each t of a grid that fits in a batch.  A
+    # longer grid's batches hold one N each, so its times repeat only across
+    # batches; they are formatted as they are written, as holding their cells
+    # would take about 70 bytes a point.
+    columns["N"] = list(itertools.chain.from_iterable([str(n)] * config.points
+                                                      for n in config.n_list))
+    if config.points <= WRITE_BLOCK:
+        columns["t"] = _cells(columns["t"][:config.points]) * len(config.n_list)
     write_csv(out, names, columns)
+
+
+_ENCODE = json.JSONEncoder().encode
+
+
+def _put_json(value, put, indent: str = "\n") -> None:
+    """Pass the text of json.dumps(value, indent=2) to `put`, piece by piece,
+    for dicts with str keys, lists, tuples and scalars, without the
+    pure-Python encoder json falls back to under an indent.  Containers are
+    laid out as json lays them out (`indent` starts the value's own line);
+    finite floats are written by float.__repr__, and every other scalar and
+    every key by json's encoder, so NaN, Infinity and string escapes are
+    json's own."""
+    if isinstance(value, dict):
+        if not value:
+            return put("{}")
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            put(sep + _ENCODE(key) + ": ")
+            _put_json(item, put, inner)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return put("[]")
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _put_json(item, put, inner)
+            sep = "," + inner
+        put(indent + "]")
+    elif isinstance(value, float) and math.isfinite(value):
+        put(float.__repr__(value))
+    else:
+        put(_ENCODE(value))
 
 
 def _cmd_bursts(config: SweepConfig) -> None:
     out = _require_out(config)
-    Path(out).write_text(json.dumps(burst_report(config), indent=2) + "\n")
+    chunks = []
+    _put_json(burst_report(config), chunks.append)
+    Path(out).write_text("".join(chunks) + "\n")
 
 
 def _cmd_export(config: SweepConfig) -> None:
@@ -475,6 +534,7 @@ def _cmd_export(config: SweepConfig) -> None:
 def _cmd_noise(config: SweepConfig) -> None:
     out = _require_out(config, shots=True)
     cols = noise_study_rows(config)
+    cols.update({k: _cells(cols[k]) for k in SHOT_FIELDS[:5]})   # the columns of both files
     write_csv(out, NOISE_FIELDS, cols)
     write_csv(_shots_path(out), SHOT_FIELDS, cols)
 

@@ -28,7 +28,7 @@ from icobattery.thermo import efficiencies, python_values
 from icobattery.qasm import emit_qasm, parse_qasm
 
 import circuit_reference as ref
-from cli_reference import rows as rows_of, sweep_rows
+from cli_reference import reference_csv, reference_sweep_csv, rows as rows_of, sweep_rows
 
 
 def test_config_defaults():
@@ -744,28 +744,6 @@ class TestBootstrap:
         assert all(w.filename == cli.estimate_counts.__code__.co_filename for w in caught)
 
 
-def _fmt(value) -> str:
-    """The per-cell rule write_csv follows, type by type."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _reference_csv(path, fieldnames, columns) -> None:
-    """write_csv one cell at a time: every entry through _fmt, NaN as None."""
-    def cell(v):
-        return _fmt(None if isinstance(v, (float, np.floating)) and math.isnan(v) else v)
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(zip(*([cell(v) for v in columns[k]] for k in fieldnames)))
-
-
 def test_write_csv_matches_per_cell_formatting(tmp_path):
     edge_values = {
         "f64": np.array([np.nan, 0.0, -0.0, 1e-05, 1e16, 1 / 3, 2.5e-300, -np.inf]),
@@ -780,7 +758,7 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
         columns = {k: np.resize(v, length) for k, v in edge_values.items()}
         columns["listed"] = [f"ico_n2_t{i}.qasm" for i in range(length)]
         cli.write_csv(tmp_path / "fast.csv", names + ("listed",), columns)
-        _reference_csv(tmp_path / "slow.csv", names + ("listed",), columns)
+        reference_csv(tmp_path / "slow.csv", names + ("listed",), columns)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
@@ -809,8 +787,82 @@ def test_write_csv_rejects_cells_that_need_quoting(tmp_path):
     text = [" x ", "", "plain", "é", "ico_n2_t7.qasm"]
     columns = {"s": text, "f": np.array([np.nan, 1.5, np.nan, -0.0, 2.0])}
     cli.write_csv(tmp_path / "fast.csv", ("s", "f"), columns)
-    _reference_csv(tmp_path / "slow.csv", ("s", "f"), columns)
+    reference_csv(tmp_path / "slow.csv", ("s", "f"), columns)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("engine", ["numeric", "analytic", "both"])
+@pytest.mark.parametrize("n_list, points, t_min", [
+    ([3, 32, 2], 50, 0.3),     # one batch of three charger counts
+    ([3, 2], 20000, 0.3),      # each grid split into WRITE_BLOCK-row time blocks
+    ([2, 5], 40, 0.0),         # a grid that starts at t = 0
+])
+def test_sweep_csv_equals_per_cell_reference(tmp_path, engine, n_list, points, t_min):
+    # sweep formats each N and, on a grid that fits in a batch, each t once;
+    # the reference formats every cell of the engines' columns on its own
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", ",".join(map(str, n_list)), "--points", str(points),
+                 "--t-min", repr(t_min), "--engine", engine, "--out", str(out)]) == 0
+    reference_sweep_csv(tmp_path / "ref.csv",
+                        SweepConfig(n_list=n_list, points=points, t_min=t_min, engine=engine))
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:no counts")
+def test_noise_csvs_equal_per_cell_reference(tmp_path):
+    # the five columns both files hold are formatted once and written twice
+    out = tmp_path / "noise.csv"
+    assert main(["noise-study", "--n", "2", "--points", "40", "--t-min", "0", "--shots", "50",
+                 "--depol-p", "0.05", "--seed", "7", "--out", str(out)]) == 0
+    cols = noise_study_rows(SweepConfig(n_list=[2], points=40, t_min=0.0, shots=50,
+                                        depolarizing_p=0.05, seed=7))
+    for path, names in ((out, cli.NOISE_FIELDS), (tmp_path / "noise_shots.csv", cli.SHOT_FIELDS)):
+        reference_csv(tmp_path / "ref.csv", names, cols)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:no counts")
+def test_noise_study_writes_exact_seeds_past_2_63(tmp_path):
+    # seed .. seed + 2 mixes int64 and uint64 values, which a default numpy
+    # array would turn into one float64 for every row
+    seed = 2**63 - 2
+    out = tmp_path / "noise.csv"
+    assert main(["noise-study", "--n", "2", "--points", "3", "--shots", "100", "--depol-p",
+                 "0.05", "--seed", str(seed), "--out", str(out)]) == 0
+    for path in (out, tmp_path / "noise_shots.csv"):
+        with open(path, newline="") as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == [str(seed + i) for i in range(3)]
+
+
+_JSON_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e16, 2**70, -2**70, True,
+               False, None, "", 'say "hi"', "back\\slash", "é ü 𝄞  ", "\x00\n\t/"]
+_json_values = st.recursive(
+    st.one_of(st.sampled_from(_JSON_EDGES), st.none(), st.booleans(), st.integers(),
+              st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+@example({"tau": 0.5, "per_n": {"2": {"intervals": [], "total": 0.0}, "3": {}},
+          'k"\\é': [[], {}, [1e16, -0.0, math.nan, -math.inf]], "": [[[2**70]]]})
+@example([])
+@example({})
+def test_json_emitter_equals_indented_json_dumps(value):
+    chunks = []
+    cli._put_json(value, chunks.append)
+    assert "".join(chunks) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("args", [["--n", "2,3,4,5", "--points", "400", "--engine", "both"],
+                                  ["--n", "7,3", "--points", "5", "--t-min", "0", "--tau", "0"]])
+def test_bursts_json_is_json_dumps_indented(tmp_path, args):
+    out = tmp_path / "b.json"
+    assert main(["bursts", *args, "--out", str(out)]) == 0
+    report = burst_report(cli.build_config(cli._parser().parse_args(["bursts", *args])))
+    assert out.read_text() == json.dumps(report, indent=2) + "\n"
 
 
 @pytest.mark.filterwarnings("ignore:no counts")
