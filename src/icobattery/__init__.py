@@ -7,19 +7,18 @@ provides a gate-level two-charger circuit with shot sampling and
 depolarizing noise.
 """
 
-from .analytic import ClosedFormReport, closed_form_grid, closed_form_report, dco_zero_window
+from .analytic import ClosedFormReport, closed_form_report, dco_zero_window
 from .circuit import Gate, NoiseSpec, QuantumCircuit, angles_of_time, build_ico_circuit
 from .model import ModelParams, battery_hamiltonian, pair_unitary
-from .protocol import ProtocolGrid, ProtocolResult, run_ico, run_ico_grid, run_ico_sweep
+from .protocol import ProtocolResult, run_ico, run_ico_sweep
 from .qasm import emit_qasm, parse_qasm
 from .thermo import EnergyReport, report, report_grid
 
 __all__ = [
-    "ClosedFormReport", "EnergyReport", "Gate", "ModelParams", "NoiseSpec", "ProtocolGrid",
-    "ProtocolResult", "QuantumCircuit", "angles_of_time", "battery_hamiltonian",
-    "build_ico_circuit", "closed_form_grid", "closed_form_report", "dco_zero_window",
-    "emit_qasm", "pair_unitary", "parse_qasm", "report", "report_grid",
-    "run_ico", "run_ico_grid", "run_ico_sweep",
+    "ClosedFormReport", "EnergyReport", "Gate", "ModelParams", "NoiseSpec", "ProtocolResult",
+    "QuantumCircuit", "angles_of_time", "battery_hamiltonian", "build_ico_circuit",
+    "closed_form_report", "dco_zero_window", "emit_qasm", "pair_unitary", "parse_qasm",
+    "report", "report_grid", "run_ico", "run_ico_sweep",
 ]
 
 __version__ = "0.1.0"

@@ -72,20 +72,14 @@ def closed_form_report(params: ModelParams, t: float) -> ClosedFormReport:
     populations, |alpha_0|^2 >= (C + sum |alpha_u|^2)/N, which avoids
     dividing by a possibly small branch probability.
     """
-    return ClosedFormReport(**{k: python_values(v)[0]
-                               for k, v in closed_form_grid(params, [t]).items()})
-
-
-def closed_form_grid(params: ModelParams, times) -> dict[str, np.ndarray]:
-    """`closed_form_report` at every time of `times`, in order, as columns:
-    one array per field of ClosedFormReport, with NaN for an undefined P.
-    The one-N case of `closed_form_sweep`."""
-    return closed_form_sweep(params.omega, params.coupling, [params.n_chargers], times)
+    cols = closed_form_sweep(params.omega, params.coupling, [params.n_chargers], [t])
+    return ClosedFormReport(**{k: python_values(v)[0] for k, v in cols.items()})
 
 
 def closed_form_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.ndarray]:
-    """The columns of `closed_form_grid` for every row (N, t) of n_list x
-    times, grouped by N in n_list order.
+    """`closed_form_report` at every row (N, t) of n_list x times, grouped by
+    N in n_list order, as columns: one array per field of ClosedFormReport,
+    with NaN for an undefined P.
 
     The interference term of the uniform outcome, column C1, is
 
@@ -178,5 +172,9 @@ def dco_zero_window(params: ModelParams) -> float:
     """Smallest t > 0 at which the definite-order state stops being passive:
     cos(w l t / N)^(2N) = 1/2, i.e. t* = (N / (w l)) arccos(2^(-1/2N)).
     The definite-order efficiency is exactly zero on (0, t*)."""
-    n, om, lam = params.n_chargers, params.omega, params.coupling
-    return n / (om * lam) * float(np.arccos(2.0 ** (-1.0 / (2 * n))))
+    return _t_star(params.n_chargers, params.omega, params.coupling)
+
+
+def _t_star(n: int, omega: float, coupling: float) -> float:
+    """t* of dco_zero_window for N = n, without a ModelParams."""
+    return n / (omega * coupling) * float(np.arccos(2.0 ** (-1.0 / (2 * n))))

@@ -21,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tolerances as tol
-from .analytic import closed_form_grid, closed_form_sweep, dco_zero_window
+from .analytic import _t_star, closed_form_sweep
 from .circuit import NoiseSpec, _ico_gates, angles_of_time, estimate_counts, ico_counts
 from .model import CHUNK_AMPLITUDES, ModelParams
-from .protocol import run_ico_sweep
 from .qasm import emit_qasm_grid
-from .thermo import python_values, report_grid
+from .thermo import numeric_sweep, python_values
 
 ROW_FIELDS = ("N", "t", "E", "W_ico", "P_ico", "W_dco", "P_dco", "p1",
               "passive_k1", "passive_dco")
@@ -204,19 +203,16 @@ def _sweep_columns(config: SweepConfig):
         raise ConfigError(f"phase max(omega, omega*lambda)*t_max = {phase:g} exceeds "
                           f"{MAX_BOTH_PHASE:g}, beyond which the engines cannot agree "
                           f"within {tol.ENGINE_AGREE_ATOL:g}; lower t_max or pick one engine")
+    engine = {"numeric": numeric_sweep, "analytic": closed_form_sweep,
+              "both": numeric_sweep}[config.engine]
     grid = config.time_grid()
     per_batch = max(1, WRITE_BLOCK // len(grid))
     for lo in range(0, len(config.n_list), per_batch):
         ns = config.n_list[lo:lo + per_batch]
         for t_lo in range(0, len(grid), WRITE_BLOCK):
             times = grid[t_lo:t_lo + WRITE_BLOCK]
-            n_col = np.repeat(ns, len(times))
-            if config.engine == "analytic":
-                yield {"N": n_col, **closed_form_sweep(config.omega, config.coupling, ns, times)}
-                continue
-            states = run_ico_sweep(config.omega, config.coupling, ns, times)
-            cols = {"N": n_col, "t": states.t, "p1": states.p1,
-                    **report_grid(states, config.params(ns[0]))}   # report_grid reads omega only
+            cols = {"N": np.repeat(ns, len(times)),
+                    **engine(config.omega, config.coupling, ns, times)}
             if config.engine == "both":
                 cols["max_engine_dev"] = _engine_deviation(
                     cols, closed_form_sweep(config.omega, config.coupling, ns, times))
@@ -287,7 +283,7 @@ def burst_report(config: SweepConfig) -> dict:
         found[k].append([a, b])
     per_n, t_stars = {}, []
     for n, intervals in zip(config.n_list, found):
-        t_star = dco_zero_window(config.params(n))
+        t_star = _t_star(n, config.omega, config.coupling)
         t_stars.append(t_star)
         per_n[str(n)] = {"intervals": intervals,
                          "total_burst_duration": float(sum(b - a for a, b in intervals)),
@@ -369,7 +365,8 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
         raise ConfigError("noise study requires both shots and depolarizing_p")
     seeds = list(range(config.seed, config.seed + len(grid)))
     counts = ico_counts(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
-    est, ideal = estimate_counts(counts, config.shots), closed_form_grid(config.params(2), grid)
+    est = estimate_counts(counts, config.shots)
+    ideal = closed_form_sweep(config.omega, config.coupling, [2], grid)
     se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
     return {"t": grid, "theta": thetas, "phi": phis, "shots": np.full(len(grid), config.shots),
             # Python ints: a range past 2**63 would make a numpy int column float64

@@ -39,9 +39,9 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def battery_hamiltonian(params: ModelParams) -> np.ndarray:
+def battery_hamiltonian(omega: float) -> np.ndarray:
     """Bare battery Hamiltonian (omega/2) sigma_z, eigenvalues -+ omega/2."""
-    return (params.omega / 2) * SIGMA_Z
+    return (omega / 2) * SIGMA_Z
 
 
 def pair_unitary(params: ModelParams, t_l) -> np.ndarray:

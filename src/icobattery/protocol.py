@@ -84,31 +84,13 @@ def _conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, n
     return weight, _density(pops)
 
 
-@dataclass(frozen=True)
-class ProtocolGrid:
-    """`run_ico` at every row of a grid or sweep: the fields of
-    ProtocolResult as arrays with a leading row axis.  Item i is row i's
-    ProtocolResult."""
-
-    t: np.ndarray
-    p1: np.ndarray
-    rho_given_1: np.ndarray
-    rest_weight: np.ndarray
-    rho_rest: np.ndarray
-    rho_bar: np.ndarray
-    rho_avg: np.ndarray
-
-    def __getitem__(self, i: int) -> ProtocolResult:
-        return ProtocolResult(**{k: v[i].copy() if v.ndim > 1 else float(v[i])
-                                 for k, v in vars(self).items()})
-
-
-def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
-    """`run_ico_grid` for every row (N, t) of n_list x times, grouped by N in
-    n_list order.  One _pair_entries call covers every row; the callers bound
-    the rows (the CLI passes at most WRITE_BLOCK).  Each N then evolves its
-    rows in chunks of at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row) or
-    one row, each reduced to battery populations before the next starts,
+def run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.ndarray]:
+    """`run_ico` at every row (N, t) of n_list x times, grouped by N in
+    n_list order, as columns: the fields of ProtocolResult as arrays with a
+    leading row axis.  One _pair_entries call covers every row; the callers
+    bound the rows (the CLI passes at most WRITE_BLOCK).  Each N then evolves
+    its rows in chunks of at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row)
+    or one row, each reduced to battery populations before the next starts,
     and the states of all rows are formed from these at once."""
     times = np.asarray(times, dtype=float)
     params = ModelParams(min(n_list, default=2), omega, coupling)   # checks every N, omega, lambda
@@ -129,16 +111,9 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> ProtocolGrid:
             sigma_rest[lo:hi] = _battery_populations(amp).mean(axis=0)
     p1, rho_given_1 = _conditional(sigma_1, KET_G)
     rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
-    return ProtocolGrid(t=t, p1=p1, rho_given_1=rho_given_1, rest_weight=rest_weight,
-                        rho_rest=rho_rest, rho_bar=_density(bar),
-                        rho_avg=p1[:, None, None] * rho_given_1
-                        + rest_weight[:, None, None] * rho_rest)
-
-
-def run_ico_grid(params: ModelParams, times) -> ProtocolGrid:
-    """`run_ico` at every time of `times`, in order: the one-N case of
-    `run_ico_sweep`."""
-    return run_ico_sweep(params.omega, params.coupling, [params.n_chargers], times)
+    return {"t": t, "p1": p1, "rho_given_1": rho_given_1, "rest_weight": rest_weight,
+            "rho_rest": rho_rest, "rho_bar": _density(bar),
+            "rho_avg": p1[:, None, None] * rho_given_1 + rest_weight[:, None, None] * rho_rest}
 
 
 def run_ico(params: ModelParams, t: float) -> ProtocolResult:
@@ -149,4 +124,5 @@ def run_ico(params: ModelParams, t: float) -> ProtocolResult:
     never affect the battery state, only the total weight).  The DCO
     reference state is branch 1, the definite order (1, 2, ..., N).
     """
-    return run_ico_grid(params, [t])[0]
+    cols = run_ico_sweep(params.omega, params.coupling, [params.n_chargers], [t])
+    return ProtocolResult(**{k: v[0] if v.ndim > 1 else float(v[0]) for k, v in cols.items()})

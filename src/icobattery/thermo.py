@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .model import KET_G, ModelParams, battery_hamiltonian
-from .protocol import ProtocolGrid, ProtocolResult
+from .protocol import ProtocolResult, run_ico_sweep
 
 
 @dataclass(frozen=True)
@@ -76,31 +76,39 @@ def python_values(column: np.ndarray) -> list:
     return [None if math.isnan(v) else v for v in values] if math.isnan(sum(values)) else values
 
 
-def report_grid(states: ProtocolGrid, params: ModelParams) -> dict[str, np.ndarray]:
-    """`report` at every point of `states`, as columns: E (the ICO stored
-    energy), W_ico, P_ico, E_dco, W_dco, P_dco, passive_k1 and passive_dco,
-    with NaN for an undefined P.  The ergotropies of rho_given_1, rho_rest
+def report_grid(states: dict[str, np.ndarray], omega: float) -> dict[str, np.ndarray]:
+    """`report` at every row of run_ico_sweep's columns `states`, for battery
+    frequency omega, as columns: E (the ICO stored energy), W_ico, P_ico,
+    E_dco, W_dco, P_dco, passive_k1 and passive_dco, with NaN for an
+    undefined P.  The ergotropies of rho_given_1, rho_rest
     and rho_bar, in that order, take one batched eigvalsh and trace, and the
     energies of rho_avg and rho_bar one batched trace; H is decomposed once,
     and nothing assumes the states are diagonal.  The callers bound the
     rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
     first failing check of `report`, in that order."""
-    h = battery_hamiltonian(params)
+    h = battery_hamiltonian(omega)
     vecs = np.linalg.eigh(h)[1]
     rho0 = np.outer(KET_G, KET_G.conj())
-    unit = params.omega  # hbar*omega with hbar = 1
+    unit = omega  # hbar*omega with hbar = 1
 
     w_given_1, w_rest, w_bar = _ergotropies(
-        [states.rho_given_1, states.rho_rest, states.rho_bar], h, vecs)
-    e_ico, e_dco = _energies(np.concatenate([states.rho_avg, states.rho_bar]) - rho0,
+        [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], h, vecs)
+    e_ico, e_dco = _energies(np.concatenate([states["rho_avg"], states["rho_bar"]]) - rho0,
                              h).reshape(2, -1) / unit
-    w_ico = _weighted_sum(np.stack([states.p1, states.rest_weight]),
+    w_ico = _weighted_sum(np.stack([states["p1"], states["rest_weight"]]),
                           np.stack([w_given_1, w_rest])) / unit
     w_dco = w_bar / unit
     return {"E": e_ico, "W_ico": w_ico, "P_ico": efficiencies(w_ico, e_ico),
             "E_dco": e_dco, "W_dco": w_dco, "P_dco": efficiencies(w_dco, e_dco),
             "passive_k1": w_given_1 / unit <= tol.PASSIVITY_ATOL,
             "passive_dco": w_dco <= tol.PASSIVITY_ATOL}
+
+
+def numeric_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.ndarray]:
+    """t, p1 and report_grid's columns at every row (N, t) of n_list x times,
+    grouped by N in n_list order: the numeric twin of closed_form_sweep."""
+    states = run_ico_sweep(omega, coupling, n_list, times)
+    return {"t": states["t"], "p1": states["p1"], **report_grid(states, omega)}
 
 
 def report(result: ProtocolResult, params: ModelParams) -> tuple[EnergyReport, EnergyReport]:
@@ -113,8 +121,8 @@ def report(result: ProtocolResult, params: ModelParams) -> tuple[EnergyReport, E
     states' ergotropy is computed once and also decides its passivity, in
     units of hbar*omega like the tolerance it is compared with.
     """
-    states = ProtocolGrid(**{k: np.asarray(v)[None] for k, v in vars(result).items()})
-    g = {k: python_values(v)[0] for k, v in report_grid(states, params).items()}
+    states = {k: np.asarray(v)[None] for k, v in vars(result).items()}
+    g = {k: python_values(v)[0] for k, v in report_grid(states, params.omega).items()}
     flags = {k: g[k] for k in ("passive_k1", "passive_dco")}
     return tuple(EnergyReport(E=g[e], W=g[w], P=g[p], **flags)
                  for e, w, p in (("E", "W_ico", "P_ico"), ("E_dco", "W_dco", "P_dco")))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from icobattery.protocol import ProtocolResult
+
 
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -11,6 +13,12 @@ def random_density(rng, dim):
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def sweep_results(cols):
+    """The rows of run_ico_sweep's columns as ProtocolResults."""
+    return [ProtocolResult(**{k: v[i] if v.ndim > 1 else float(v[i]) for k, v in cols.items()})
+            for i in range(len(cols["t"]))]
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import icobattery.analytic
 from icobattery import tolerances
 from icobattery.analytic import (
     ClosedFormReport,
-    closed_form_grid,
     closed_form_report,
     closed_form_sweep,
     dco_zero_window,
@@ -189,7 +188,7 @@ REPORT_FLOATS = ("C1", "p1", "E", "W_ico", "W_dco", "P_ico", "P_dco")
 
 
 def grid_reports(cols):
-    """The rows of closed_form_grid's columns as ClosedFormReports."""
+    """The rows of closed_form_sweep's columns as ClosedFormReports."""
     return [ClosedFormReport(**dict(zip(cols, row)))
             for row in zip(*(python_values(col) for col in cols.values()))]
 
@@ -212,7 +211,7 @@ class TestClosedFormGrid:
         params = ModelParams(n, omega=omega, coupling=lam)
         times = np.linspace(0.0, 4 * np.pi / (omega * lam), 41)
         loop = [roll_loop_interference(alpha_coeffs(params, t)) for t in times]
-        grid = closed_form_grid(params, times)["C1"]
+        grid = closed_form_sweep(omega, lam, [n], times)["C1"]
         assert np.max(np.abs(np.subtract(grid, loop))) <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 7, 32, 200, 1000])
@@ -220,16 +219,15 @@ class TestClosedFormGrid:
     def test_matches_pointwise_report(self, n, omega, lam):
         params = ModelParams(n, omega=omega, coupling=lam)
         times = np.linspace(0.0, 4 * np.pi / (omega * lam), 41)
-        assert_reports_close(grid_reports(closed_form_grid(params, times)),
+        assert_reports_close(grid_reports(closed_form_sweep(omega, lam, [n], times)),
                              [closed_form_report(params, t) for t in times], 1e-14)
 
     @pytest.mark.parametrize("n", [3, 200])
     def test_chunked_grid_matches_unchunked(self, monkeypatch, n):
-        params = ModelParams(n, omega=0.5, coupling=2.0)
         times = np.linspace(0.0, 4 * np.pi, 9)
-        whole = grid_reports(closed_form_grid(params, times))
+        whole = grid_reports(closed_form_sweep(0.5, 2.0, [n], times))
         monkeypatch.setattr(icobattery.analytic, "CHUNK_AMPLITUDES", 2 * (n + 1))  # two points
-        chunked = grid_reports(closed_form_grid(params, times))
+        chunked = grid_reports(closed_form_sweep(0.5, 2.0, [n], times))
         assert [r.t for r in chunked] == times.tolist()
         assert_reports_close(chunked, whole, 1e-14)
 
@@ -238,7 +236,7 @@ class TestClosedFormGrid:
         # |d| ~ 2e-15) and t = 1e-3 (|d| ~ 5e-4) at N = 2; t = 3 has |d| = 1.36
         monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
         with pytest.raises(ValueError, match=r"normalization .* at t=125\.66370614359172$"):
-            closed_form_grid(P2, [3.0, 40 * np.pi, 1e-3])
+            closed_form_sweep(1.0, 0.1, [2], [3.0, 40 * np.pi, 1e-3])
 
     def test_non_finite_time_raises(self):
         # NaN coefficients fail the normalization check instead of giving a report of NaN
@@ -249,7 +247,7 @@ class TestClosedFormGrid:
 
 
 def one_n_columns(params, times):
-    """The columns of closed_form_grid for one N by the O(N) sums over
+    """The columns of closed_form_sweep for one N by the O(N) sums over
     alpha_coeffs' formulas, its powers taken by numpy's complex power: the
     per-N reference for the rows of closed_form_sweep."""
     n, om, lam = params.n_chargers, params.omega, params.coupling
@@ -293,7 +291,7 @@ def long_double_columns(params, times):
 
 
 # Largest deviation from long_double_columns at N = 5, 32 and 1000 over
-# GRID_PARAMS at 101 points, pinned from measurement: of closed_form_grid
+# GRID_PARAMS at 101 points, pinned from measurement: of closed_form_sweep
 # (at most 7.0e-15 in C1, 4.7e-16 in E and W) and of one_n_columns (1.6e-12
 # in C1 and 2.8e-13 in E at N = 1000, where its powers carry N rounding errors).
 CLOSED_FORM_ERR = {"C1": 1e-14, "E": 1e-15, "W_ico": 1e-15, "W_dco": 1e-15}
@@ -309,7 +307,7 @@ class TestLongDoubleReference:
         params = ModelParams(n, omega=omega, coupling=lam)
         times = np.linspace(0.0, 4 * np.pi / (omega * lam), 101)
         ref = long_double_columns(params, times)
-        for cols, bounds in ((closed_form_grid(params, times), CLOSED_FORM_ERR),
+        for cols, bounds in ((closed_form_sweep(omega, lam, [n], times), CLOSED_FORM_ERR),
                              (one_n_columns(params, times), ONE_N_ERR)):
             for key, bound in bounds.items():
                 assert np.max(np.abs(cols[key] - ref[key])) <= bound, key
@@ -332,7 +330,7 @@ def assert_columns_close(got, want, atol):
 
 class TestClosedFormSweep:
     """Every N's rows of a multi-N call equal that N evaluated alone: bit for
-    bit through closed_form_grid, and within the pinned errors of both
+    bit through closed_form_sweep with [N], and within the pinned errors of both
     evaluations through one_n_columns."""
 
     @pytest.mark.parametrize("n_list, points, omega, lam, t_min", [
@@ -349,7 +347,7 @@ class TestClosedFormSweep:
         for k, n in enumerate(n_list):
             params = ModelParams(n, omega=omega, coupling=lam)
             rows = slice(k * points, (k + 1) * points)
-            for key, col in closed_form_grid(params, times).items():
+            for key, col in closed_form_sweep(omega, lam, [n], times).items():
                 assert got[key][rows].tobytes() == col.tobytes(), (n, key)
             assert_columns_close({key: col[rows] for key, col in got.items()},
                                  one_n_columns(params, times),

@@ -101,7 +101,7 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
         raise AssertionError("bad input must be rejected before any engine runs")
 
-    for name in ("run_ico_sweep", "closed_form_sweep", "closed_form_grid", "ico_counts"):
+    for name in ("numeric_sweep", "closed_form_sweep", "ico_counts"):
         monkeypatch.setattr(cli, name, engine)
     (tmp_path / "file").write_text("")
     (tmp_path / "noise_shots.csv").mkdir()
@@ -149,6 +149,24 @@ def test_phase_limit_boundary():
     with pytest.raises(ConfigError, match="phase"):
         sweep(n_list=[2], coupling=2.0, t_max=cli.MAX_BOTH_PHASE)
     sweep(n_list=[2], t_max=cli.MAX_BOTH_PHASE * 1.01, engine="analytic")
+
+
+@pytest.mark.parametrize("engine, calls", [
+    ("numeric", {"numeric_sweep": 1, "closed_form_sweep": 0}),
+    ("analytic", {"numeric_sweep": 0, "closed_form_sweep": 1}),
+    ("both", {"numeric_sweep": 1, "closed_form_sweep": 1}),
+])
+def test_one_batch_calls_each_engine_it_needs_once(monkeypatch, engine, calls):
+    counted = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counting(*args, real=getattr(cli, name), name=name):
+            counted[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    batches = list(cli._sweep_columns(SweepConfig(n_list=[3, 2], points=5, engine=engine)))
+    assert len(batches) == 1
+    assert counted == calls
 
 
 @pytest.mark.filterwarnings("ignore:no counts")
@@ -347,14 +365,14 @@ class TestEngineBothDefiniteOrderEnergy:
 
     @staticmethod
     def _scale_passive_e_dco(monkeypatch):
-        real = cli.report_grid
+        real = cli.numeric_sweep
 
-        def scaled(states, params):
-            cols = real(states, params)
+        def scaled(omega, coupling, n_list, times):
+            cols = real(omega, coupling, n_list, times)
             cols["E_dco"] = np.where(cols["W_dco"] == 0, 1.5 * cols["E_dco"], cols["E_dco"])
             return cols
 
-        monkeypatch.setattr(cli, "report_grid", scaled)
+        monkeypatch.setattr(cli, "numeric_sweep", scaled)
 
     def test_scaled_e_dco_exits_3_naming_it(self, monkeypatch, tmp_path, capsys):
         self._scale_passive_e_dco(monkeypatch)
@@ -435,13 +453,17 @@ class TestEngineBothEfficiencyBound:
 @given(n=st.sampled_from([2, 3, 5, 8]), omega=st.floats(0.2, 3.0), lam=st.floats(0.05, 1.0),
        start=st.floats(0.0, 0.5), points=st.integers(2, 60),
        s=st.one_of(st.integers(-12, 12).map(lambda k: 2.0 ** k), st.floats(1e-3, 1e3)))
+@example(n=3, omega=0.6473941955764151, lam=0.05, start=1.9754340253789158e-142, points=2, s=2.0)
 @settings(max_examples=40, deadline=None)
 def test_time_scaling_leaves_columns_unchanged(n, omega, lam, start, points, s):
     # every phase is omega t or omega lambda t, and energies are in units of hbar omega,
-    # so (omega, t) -> (omega / s, s t) changes only t; bit for bit where s is a power of 2
+    # so (omega, t) -> (omega / s, s t) changes only t; bit for bit where s is a power of 2,
+    # except in subnormal entries, where dividing by omega rounds (at t ~ 1e-142, W_ico
+    # is about 6e-314), so those are held to the tolerance of an inexact scaling
     t_max = 4 * math.pi / (omega * lam)
     t_min = start * t_max
     exact = math.frexp(s)[0] == 0.5       # s is a power of 2
+    atol = cli.tol.ENGINE_AGREE_ATOL
     for engine in ("numeric", "analytic"):
         [base], [scaled] = (list(cli._sweep_columns(SweepConfig(
             n_list=[n], omega=om, coupling=lam, t_min=scale * t_min, t_max=scale * t_max,
@@ -449,15 +471,23 @@ def test_time_scaling_leaves_columns_unchanged(n, omega, lam, start, points, s):
         assert base.keys() == scaled.keys()
         for key in base.keys() - {"t"}:
             a, b = base[key], scaled[key]
-            if exact or a.dtype != float:
+            if a.dtype != float:
                 assert a.tobytes() == b.tobytes(), (engine, key)
+            elif exact:
+                sub = _subnormal(a) | _subnormal(b)
+                assert a[~sub].tobytes() == b[~sub].tobytes(), (engine, key)
+                assert (np.abs(a - b)[sub] <= atol).all(), (engine, key)
             elif key.startswith("P_"):
                 defined = ~np.isnan(a)
                 assert (np.isnan(b) == ~defined).all(), (engine, key)
-                bound = cli.tol.ENGINE_AGREE_ATOL * (1.0 + np.abs(a)) / base["E"]
+                bound = atol * (1.0 + np.abs(a)) / base["E"]
                 assert (np.abs(a - b)[defined] <= bound[defined]).all(), (engine, key)
             else:
-                assert np.max(np.abs(a - b)) <= cli.tol.ENGINE_AGREE_ATOL, (engine, key)
+                assert np.max(np.abs(a - b)) <= atol, (engine, key)
+
+
+def _subnormal(x: np.ndarray) -> np.ndarray:
+    return (x != 0) & (np.abs(x) < np.finfo(float).tiny)
 
 
 class TestBursts:
@@ -945,7 +975,7 @@ class TestMain:
         def engine(*args, **kwargs):
             raise AssertionError("--out must be checked before any engine runs")
 
-        for name in ("run_ico_sweep", "closed_form_sweep", "closed_form_grid", "ico_counts"):
+        for name in ("numeric_sweep", "closed_form_sweep", "ico_counts"):
             monkeypatch.setattr(cli, name, engine)
         for args in (["sweep", "--n", "2", "--points", "3"],
                      ["sweep", "--n", "2,3", "--points", "3", "--engine", "numeric"],

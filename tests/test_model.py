@@ -23,7 +23,7 @@ def test_params_validation():
 
 
 def test_battery_hamiltonian_spectrum():
-    h = battery_hamiltonian(ModelParams(2, omega=2.0))
+    h = battery_hamiltonian(2.0)
     assert np.allclose(np.linalg.eigvalsh(h), [-1.0, 1.0])
 
 

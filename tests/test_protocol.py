@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import icobattery.protocol as protocol
 from icobattery.model import ModelParams, pair_unitary
-from icobattery.protocol import (_battery_populations, _branch_amplitudes, run_ico, run_ico_grid,
-                                 run_ico_sweep)
+from icobattery.protocol import _battery_populations, _branch_amplitudes, run_ico, run_ico_sweep
 
 import dense_reference
 from dense_reference import (cyclic_sequence, initial_state, sector_indices, switch_projector,
                              total_unitary)
+from conftest import sweep_results
 from labeled_linalg import PAIR_LAYOUT, battery_charger_layout, require_unitary, Operator
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
@@ -181,7 +181,7 @@ class TestSectorEngine:
     def test_matches_dense_reference(self, n):
         params = ModelParams(n, omega=1.0, coupling=0.1)
         times = [0.0, 0.7, 2 * np.pi, 9.4, 61.3]
-        for t, sector in zip(times, run_ico_grid(params, times)):
+        for t, sector in zip(times, sweep_results(run_ico_sweep(1.0, 0.1, [n], times))):
             dense = dense_reference.run_ico(params, t)
             assert sector.t == t
             assert abs(sector.p1 - dense.p1) <= 1e-12
@@ -201,11 +201,10 @@ class TestSectorEngine:
 
     def test_chunked_grid_matches_unchunked(self, monkeypatch):
         import icobattery.protocol as protocol
-        params = ModelParams(3, omega=1.0, coupling=0.1)
         times = np.linspace(0.0, 40.0, 9)
-        whole = run_ico_grid(params, times)
+        whole = sweep_results(run_ico_sweep(1.0, 0.1, [3], times))
         monkeypatch.setattr(protocol, "CHUNK_AMPLITUDES", 2 * 3 * 4)   # two points per chunk
-        chunked = run_ico_grid(params, times)
+        chunked = sweep_results(run_ico_sweep(1.0, 0.1, [3], times))
         assert [r.t for r in chunked] == list(times)
         for a, b in zip(whole, chunked):
             assert a.p1 == b.p1
@@ -215,23 +214,25 @@ class TestSectorEngine:
     def test_grid_columns_and_points(self):
         params = ModelParams(4, omega=1.0, coupling=0.1)
         times = np.linspace(0.0, 30.0, 7)
-        grid = run_ico_grid(params, times)
-        assert grid.t.shape == grid.p1.shape == grid.rest_weight.shape == (7,)
+        grid = run_ico_sweep(1.0, 0.1, [4], times)
+        assert list(grid) == ["t", "p1", "rho_given_1", "rest_weight", "rho_rest", "rho_bar",
+                              "rho_avg"]
+        assert grid["t"].shape == grid["p1"].shape == grid["rest_weight"].shape == (7,)
         for field in ("rho_given_1", "rho_rest", "rho_bar", "rho_avg"):
-            assert getattr(grid, field).shape == (7, 2, 2)
-        point, alone = grid[3], run_ico(params, times[3])
+            assert grid[field].shape == (7, 2, 2)
+        point, alone = sweep_results(grid)[3], run_ico(params, times[3])
         assert (point.t, point.p1, point.rest_weight) == (alone.t, alone.p1, alone.rest_weight)
         for field in ("rho_given_1", "rho_rest", "rho_bar", "rho_avg"):
             assert np.array_equal(getattr(point, field), getattr(alone, field))
-        point.rho_bar[0, 0] = 7.0                     # a point holds copies, not views
-        assert grid.rho_bar[3, 0, 0] != 7.0
-        assert run_ico_grid(params, []).rho_avg.shape == (0, 2, 2)
+        alone.rho_bar[0, 0] = 7.0                     # a result shares no array with a later one
+        assert run_ico(params, times[3]).rho_bar[0, 0] != 7.0
+        assert run_ico_sweep(1.0, 0.1, [4], [])["rho_avg"].shape == (0, 2, 2)
 
     def test_large_n_matches_closed_form(self):
         from icobattery.analytic import closed_form_report
         params = ModelParams(60, omega=1.0, coupling=0.1)
         times = np.linspace(0.0, 4 * np.pi / 0.1, 6)
-        for t, r in zip(times, run_ico_grid(params, times)):
+        for t, r in zip(times, sweep_results(run_ico_sweep(1.0, 0.1, [60], times))):
             ana = closed_form_report(params, t)
             assert abs(r.p1 - ana.p1) <= 1e-12
             assert abs(r.rho_avg[1, 1].real - ana.E) <= 1e-12
@@ -250,13 +251,13 @@ def test_sweep_rows_equal_each_n_alone(n_list, points, omega, lam, chunk):
     times = np.linspace(0.0, 4 * np.pi / (omega * lam), points)
     with mock.patch.object(protocol, "CHUNK_AMPLITUDES", chunk):
         swept = run_ico_sweep(omega, lam, n_list, times)
-    assert swept.t.shape == (len(n_list) * points,)
+    assert swept["t"].shape == (len(n_list) * points,)
     for k, n in enumerate(n_list):
-        alone = run_ico_grid(ModelParams(n, omega=omega, coupling=lam), times)
+        alone = run_ico_sweep(omega, lam, [n], times)
         rows = slice(k * points, (k + 1) * points)
-        for key, col in vars(alone).items():
-            assert vars(swept)[key].shape[1:] == col.shape[1:] == ((2, 2) if col.ndim > 1 else ())
-            assert vars(swept)[key][rows].tobytes() == col.tobytes(), (n, key)
+        for key, col in alone.items():
+            assert swept[key].shape[1:] == col.shape[1:] == ((2, 2) if col.ndim > 1 else ())
+            assert swept[key][rows].tobytes() == col.tobytes(), (n, key)
 
 
 def reference_populations(n, omega, lam, times):
@@ -285,4 +286,4 @@ def test_populations_equal_full_unitary_reference(monkeypatch, n, points):
     grid = run_ico_sweep(1.3, 0.1, [n], times)
     sigma_1, sigma_rest, bar = reference_populations(n, 1.3, 0.1, times)
     assert [s.tobytes() for s in conditioned] == [sigma_1.tobytes(), sigma_rest.tobytes()]
-    assert grid.rho_bar.diagonal(axis1=1, axis2=2).real.tobytes() == bar.tobytes()
+    assert grid["rho_bar"].diagonal(axis1=1, axis2=2).real.tobytes() == bar.tobytes()

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
-from icobattery.protocol import ProtocolGrid, run_ico, run_ico_grid, run_ico_sweep
+from icobattery.protocol import run_ico, run_ico_sweep
 from icobattery.thermo import python_values, report, report_grid
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, sweep_results
 
-H_Q = battery_hamiltonian(ModelParams(2, omega=1.0))  # (1/2) sigma_z, |e> = index 1
+H_Q = battery_hamiltonian(1.0)  # (1/2) sigma_z, |e> = index 1
 VECS_Q = np.linalg.eigh(H_Q)[1]
 GG = np.diag([1.0, 0.0]).astype(complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -203,7 +203,7 @@ def test_flattened_products_bitwise_equal_to_stacked(dim, count):
 def pointwise_report(r, params):
     """The energy accounting of one ProtocolResult, state by state, with
     Python floats: the per-point reference for report_grid."""
-    h, unit = battery_hamiltonian(params), params.omega
+    h, unit = battery_hamiltonian(params.omega), params.omega
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     w1, wr, wb = (pointwise_ergotropy(rho, h) for rho in (r.rho_given_1, r.rho_rest, r.rho_bar))
     e_ico = float(np.trace((r.rho_avg - rho0) @ h).real) / unit
@@ -217,8 +217,8 @@ def pointwise_report(r, params):
 
 
 def assert_columns_equal_pointwise(cols, grid, params):
-    for i in range(len(grid.t)):
-        want = pointwise_report(grid[i], params)
+    for i, point in enumerate(sweep_results(grid)):
+        want = pointwise_report(point, params)
         got = {k: python_values(col[i:i + 1])[0] for k, col in cols.items()}
         assert repr(got) == repr(want), (i, got, want)   # repr: -0.0 differs from 0.0
 
@@ -232,11 +232,11 @@ class TestReportGrid:
                                                (12, 1e-12, 0.3)])
     def test_bitwise_equal_to_pointwise_report_on_protocol_states(self, n, omega, lam):
         params = ModelParams(n, omega=omega, coupling=lam)
-        grid = run_ico_grid(params, np.linspace(0.0, 4 * np.pi / (omega * lam), 240))
-        cols = report_grid(grid, params)
+        grid = run_ico_sweep(omega, lam, [n], np.linspace(0.0, 4 * np.pi / (omega * lam), 240))
+        cols = report_grid(grid, omega)
         assert_columns_equal_pointwise(cols, grid, params)
         for i in (0, 57, 239):
-            ico, dco = report(grid[i], params)
+            ico, dco = report(sweep_results(grid)[i], params)
             assert (ico.E, ico.W, dco.E, dco.W) == tuple(
                 cols[k][i] for k in ("E", "W_ico", "E_dco", "W_dco"))
 
@@ -246,10 +246,10 @@ class TestReportGrid:
         params = ModelParams(2, omega=1.7, coupling=0.2)
         p1 = rng.uniform(0.0, 1.0, 500)
         given_1, rest, bar = (random_states(rng, 500, 2) for _ in range(3))
-        grid = ProtocolGrid(t=np.arange(500.0), p1=p1, rho_given_1=given_1, rest_weight=1.0 - p1,
-                            rho_rest=rest, rho_bar=bar,
-                            rho_avg=p1[:, None, None] * given_1 + (1.0 - p1)[:, None, None] * rest)
-        cols = report_grid(grid, params)
+        grid = {"t": np.arange(500.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
+                "rho_rest": rest, "rho_bar": bar,
+                "rho_avg": p1[:, None, None] * given_1 + (1.0 - p1)[:, None, None] * rest}
+        cols = report_grid(grid, params.omega)
         assert_columns_equal_pointwise(cols, grid, params)
         assert not cols["passive_k1"].all() and not cols["passive_dco"].all()
 
@@ -265,24 +265,22 @@ class TestReportGrid:
         assert [thermo._ergotropies([rho[None]], h, vecs)[0, 0] for rho in states[:50]] == want[:50]
 
     def test_raises_below_ergotropy_floor(self, monkeypatch):
-        params = ModelParams(3, omega=1.0, coupling=0.1)
-        grid = run_ico_grid(params, [0.0, 20.0])     # both ergotropies are 0 at t = 0
+        grid = run_ico_sweep(1.0, 0.1, [3], [0.0, 20.0])     # both ergotropies are 0 at t = 0
         monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
         with pytest.raises(ValueError, match=r"^ergotropy 0 below numerical floor$"):
-            report_grid(grid, params)
+            report_grid(grid, 1.0)
 
     def test_first_state_below_floor_is_named_stack_by_stack(self, monkeypatch):
         # rho_bar falls below the floor at point 1 and rho_rest at point 2: rho_rest's
         # is named, as when each stack was checked on its own, given_1 then rest then bar
-        params = ModelParams(2, omega=1.0, coupling=0.1)
-        h = battery_hamiltonian(params)
+        h = battery_hamiltonian(1.0)
         excited = np.diag([0.0, 1.0]).astype(complex)
         given_1, rest, bar = (np.array([excited] * 4) for _ in range(3))
         rest[2] = np.diag([0.5 - 1e-7, 0.5 + 1e-7])      # ergotropy 2e-7
         bar[1] = np.diag([0.5 - 2e-7, 0.5 + 2e-7])       # ergotropy 4e-7
         p1 = np.full(4, 0.5)
-        grid = ProtocolGrid(t=np.arange(4.0), p1=p1, rho_given_1=given_1, rest_weight=1.0 - p1,
-                            rho_rest=rest, rho_bar=bar, rho_avg=0.5 * (given_1 + rest))
+        grid = {"t": np.arange(4.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
+                "rho_rest": rest, "rho_bar": bar, "rho_avg": 0.5 * (given_1 + rest)}
         monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
         vecs = np.linalg.eigh(h)[1]
         thermo._ergotropies([given_1], h, vecs)       # passes
@@ -291,16 +289,15 @@ class TestReportGrid:
         w = pointwise_ergotropy(rest[2], h)
         assert str(each.value) == f"ergotropy {w:g} below numerical floor"
         with pytest.raises(ValueError) as whole:
-            report_grid(grid, params)
+            report_grid(grid, 1.0)
         assert str(whole.value) == str(each.value)
 
     def test_undefined_efficiency_is_nan_without_warnings(self):
-        params = ModelParams(4, omega=1.0, coupling=0.1)
         period = 4 * np.pi / 0.1     # E returns to 0 at t = k * period (k = 0, 1, 2)
-        grid = run_ico_grid(params, np.linspace(0.0, 2 * period, 9))
+        grid = run_ico_sweep(1.0, 0.1, [4], np.linspace(0.0, 2 * period, 9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cols = report_grid(grid, params)
+            cols = report_grid(grid, 1.0)
         undefined = cols["E"] < tolerances.ENERGY_EPS
         assert undefined[[0, 4, 8]].all() and undefined.sum() == 3
         assert np.isnan(cols["P_ico"][undefined]).all() and np.isnan(cols["P_dco"][undefined]).all()
@@ -312,11 +309,10 @@ class TestReportGrid:
 def test_report_grid_on_joined_states_equals_each_n_alone(n_list, omega, lam):
     # the states of every N of a sweep, reported at once
     times = np.linspace(0.0, 4 * np.pi / (omega * lam), 60)
-    grids = [run_ico_grid(ModelParams(n, omega=omega, coupling=lam), times) for n in n_list]
-    cols = report_grid(run_ico_sweep(omega, lam, n_list, times),
-                       ModelParams(n_list[0], omega=omega, coupling=lam))
+    grids = [run_ico_sweep(omega, lam, [n], times) for n in n_list]
+    cols = report_grid(run_ico_sweep(omega, lam, n_list, times), omega)
     for k, (n, grid) in enumerate(zip(n_list, grids)):
-        alone = report_grid(grid, ModelParams(n, omega=omega, coupling=lam))
+        alone = report_grid(grid, omega)
         rows = slice(k * len(times), (k + 1) * len(times))
         for key, col in alone.items():
             assert cols[key][rows].tobytes() == col.tobytes(), (n, key)
