@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import CHUNK_AMPLITUDES, ModelParams
+from .model import CHUNK_AMPLITUDES, ModelParams, _rows
 from .thermo import efficiencies, python_values
 
 
@@ -95,8 +95,7 @@ def closed_form_sweep(omega: float, coupling: float, n_list, times) -> dict[str,
     _row_sums).  Raises ValueError, naming the time, if the coefficients of
     some row that _row_sums sums one by one are not normalized.
     """
-    times = np.asarray(times, dtype=float)
-    n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
+    n_row, t = _rows(n_list, times)
     gnd, e, sum_sq = _row_sums(omega, coupling, n_row, t)   # E = sum_{j>=1} |alpha_j|^2
     c_term = sum_sq - e
     exc = (c_term + e) / n_row

@@ -84,26 +84,27 @@ def angles_of_time(params: ModelParams, t):
     return (float(theta), float(phi)) if np.ndim(t) == 0 else (theta, phi)
 
 
-def _controlled_block(control_value: int, charger_qubit: int, theta, phi) -> list[tuple]:
+def _controlled_block(control_value: int, charger_qubit: int, angles) -> list[tuple]:
     """Pair unitary for half the total time on (Q, charger), applied only when
     D equals control_value.  Exchange part via CZ conjugation; diagonal
     phases via CP(-phi) on (D, Q) and (D, charger) plus RZ(phi/2) on D
     (the remaining branch-independent factor is a global phase).
 
-    Gates are (kind, qubits, angle) triples; theta and phi are floats, or
-    arrays of one angle per grid point."""
+    Gates are (kind, qubits, angle) triples; `angles` holds the four angles
+    (-theta/2, theta/2, -phi, phi/2) that the block's gates take, as floats,
+    or as arrays of one angle per grid point."""
     d, q = 0, 1
-    half = theta / 2
+    neg_half_theta, half_theta, neg_phi, half_phi = angles
     block = [
         ("cz", (d, q), None),
-        ("xx", (q, charger_qubit), -half),
-        ("yy", (q, charger_qubit), -half),
+        ("xx", (q, charger_qubit), neg_half_theta),
+        ("yy", (q, charger_qubit), neg_half_theta),
         ("cz", (d, q), None),
-        ("xx", (q, charger_qubit), half),
-        ("yy", (q, charger_qubit), half),
-        ("cp", (d, q), -phi),
-        ("cp", (d, charger_qubit), -phi),
-        ("rz", (d,), phi / 2),
+        ("xx", (q, charger_qubit), half_theta),
+        ("yy", (q, charger_qubit), half_theta),
+        ("cp", (d, q), neg_phi),
+        ("cp", (d, charger_qubit), neg_phi),
+        ("rz", (d,), half_phi),
     ]
     if control_value == 0:
         block = [("x", (d,), None)] + block + [("x", (d,), None)]
@@ -117,11 +118,14 @@ def _ico_gates(theta, phi) -> list[tuple]:
     """(kind, qubits, angle) of every gate of build_ico_circuit(theta, phi):
     preparation (H on D, X on both chargers), then the four controlled
     charging blocks, D = |0> charging via C1 then C2 and D = |1> via C2 then
-    C1."""
+    C1.  The four angles of a block are formed once and shared by all four
+    blocks, so gates that take the same angle hold the same object."""
     c1, c2 = 2, 3
+    half_theta = theta / 2
+    angles = (-half_theta, half_theta, -phi, phi / 2)
     return [*_PREP,
-            *_controlled_block(0, c1, theta, phi), *_controlled_block(0, c2, theta, phi),
-            *_controlled_block(1, c2, theta, phi), *_controlled_block(1, c1, theta, phi)]
+            *_controlled_block(0, c1, angles), *_controlled_block(0, c2, angles),
+            *_controlled_block(1, c2, angles), *_controlled_block(1, c1, angles)]
 
 
 def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
@@ -193,11 +197,17 @@ def _final_states(gates, points: int) -> np.ndarray:
     stack of one matrix per point; a gate of one matrix (a fixed kind, or a
     float angle) as that matrix, one BLAS call over every point rather than
     one per point of a stack of copies, with the same length-d dot products,
-    so the bits are those of the stack."""
+    so the bits are those of the stack.  Each (kind, angle) pair is built
+    once, angles being told apart by identity: _ico_gates passes the same
+    column to every gate that takes it."""
     psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
+    built = {}      # (kind, id(angle)) -> (angle, matrices): holding the angle keeps its id unique
     for kind, qubits, angle in gates:
-        psi = apply(psi, gate_matrices(kind, angle), qubits)
+        key = (kind, id(angle))
+        if key not in built:
+            built[key] = angle, gate_matrices(kind, angle)
+        psi = apply(psi, built[key][1], qubits)
     return psi
 
 

@@ -70,10 +70,20 @@ def _pair_entries(params: ModelParams, t_l) -> tuple:
     np.shape(t_l): the |gg> and |ee> phases, then the diagonal and the
     off-diagonal entry of the single-excitation block."""
     t_l = np.asarray(t_l, dtype=float)
-    if np.any(t_l < 0) or not np.all(np.isfinite(t_l)):
+    if (t_l < 0).any() or not np.isfinite(t_l).all():
         raise ValueError(f"evolution time must be finite and >= 0, got {t_l}")
     om, lam = params.omega, params.coupling
-    c, s = np.cos(om * lam * t_l), np.sin(om * lam * t_l)
+    envelope, half = om * lam * t_l, np.exp(-0.5j * om * t_l)
     return (np.exp(0.5j * om * t_l), np.exp(-1.5j * om * t_l),
-            np.exp(-0.5j * om * t_l) * c, np.exp(-0.5j * om * t_l) * (-1j * s))
+            half * np.cos(envelope), half * (-1j * np.sin(envelope)))
+
+
+def _rows(n_list, times) -> tuple[np.ndarray, np.ndarray]:
+    """The charger count and the time (as float) of every row (N, t) of
+    n_list x times, grouped by N in n_list order, laid out by broadcasting
+    into two arrays of len(n_list) * len(times) entries."""
+    n = np.asarray(n_list)[:, None]
+    n_row, t = np.empty((len(n), len(times)), dtype=n.dtype), np.empty((len(n), len(times)))
+    n_row[...], t[...] = n, times
+    return n_row.ravel(), t.ravel()
 

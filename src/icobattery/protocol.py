@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, _pair_entries
+from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, _pair_entries, _rows
+
+_EYE_2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -63,23 +65,31 @@ def _battery_populations(amp: np.ndarray) -> np.ndarray:
     amplitudes whose axes end in (component, time).  Components 0 and c
     differ in the chargers, so the battery state is diagonal.  numpy sums the
     components of several times in order but of one time pairwise, so one
-    time's are summed in order by cumsum: a row's bits ignore the chunking."""
-    pops = amp.real ** 2 + amp.imag ** 2
+    time's are summed in order by cumsum: a row's bits ignore the chunking.
+    The real part is squared into `pops` and the imaginary square added in
+    place, so the squares take two float arrays the size of `amp` whether
+    or not numpy elides a temporary."""
+    pops = np.square(amp.real)
+    pops += np.square(amp.imag)
     excited = pops[..., 1:, :]
-    excited = excited.sum(axis=-2) if pops.shape[-1] > 1 else excited.cumsum(axis=-2)[..., -1, :]
-    return np.stack([pops[..., 0, :], excited], axis=-1)
+    out = np.empty(pops.shape[:-2] + (pops.shape[-1], 2))
+    out[..., 0] = pops[..., 0, :]
+    out[..., 1] = (excited.sum(axis=-2) if pops.shape[-1] > 1
+                   else excited.cumsum(axis=-2)[..., -1, :])
+    return out
 
 
 def _density(pops: np.ndarray) -> np.ndarray:
     """Diagonal density matrices (..., 2, 2) with populations (..., 2)."""
-    return (pops[..., None] * np.eye(2)).astype(complex)
+    return (pops[..., None] * _EYE_2).astype(complex)
 
 
 def _conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights (T,) and normalized states (T, 2, 2) of populations (T, 2);
     the state is `fallback` where the weight is below ENERGY_EPS."""
     weight = sigma[:, 0] + sigma[:, 1]
-    pops = np.divide(sigma, weight[:, None], out=np.tile(fallback.real, (len(weight), 1)),
+    pops = np.divide(sigma, weight[:, None],
+                     out=np.repeat(fallback.real[None], len(weight), axis=0),
                      where=weight[:, None] > tol.ENERGY_EPS)
     return weight, _density(pops)
 
@@ -92,9 +102,8 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.
     its rows in chunks of at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row)
     or one row, each reduced to battery populations before the next starts,
     and the states of all rows are formed from these at once."""
-    times = np.asarray(times, dtype=float)
     params = ModelParams(min(n_list, default=2), omega, coupling)   # checks every N, omega, lambda
-    n_row, t = np.repeat(n_list, len(times)), np.tile(times, len(n_list))
+    n_row, t = _rows(n_list, times)
     _, ee, diag, off = _pair_entries(params, t / n_row)
     block = np.array([[diag, off], [off, diag]]) / ee
     del _, ee, diag, off                        # only the block is kept over the chunks
@@ -104,11 +113,11 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.
         for lo in range(i * len(times), end, step):
             hi = min(lo + step, end)
             amp = _branch_amplitudes(n, block[..., lo:hi])
-            mean = amp.mean(axis=0)             # outcome k = 1 keeps the mean branch
+            mean = amp.sum(axis=0) / n          # outcome k = 1 keeps the mean branch
             sigma_1[lo:hi] = _battery_populations(mean)
             bar[lo:hi] = _battery_populations(amp[0])
             amp -= mean                         # in place: no second chunk-sized array
-            sigma_rest[lo:hi] = _battery_populations(amp).mean(axis=0)
+            sigma_rest[lo:hi] = _battery_populations(amp).sum(axis=0) / n
     p1, rho_given_1 = _conditional(sigma_1, KET_G)
     rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
     return {"t": t, "p1": p1, "rho_given_1": rho_given_1, "rest_weight": rest_weight,

@@ -45,13 +45,16 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
 def emit_qasm_grid(gates, points: int):
     """emit_qasm at each of `points` grid points, as an iterator of texts, of
     (kind, qubits, angle) triples whose angle is None, a float or one per
-    point, as from circuit._ico_gates.  Each triple is checked as a Gate once,
-    with a stand-in angle, and each distinct angle column is formatted once.
-    Columns are told apart by their bytes, not their values: 0.0 and -0.0
-    are equal but print differently."""
-    lines, columns, formatted = [], [], {}
+    point, as from circuit._ico_gates.  Each distinct (kind, qubits, whether
+    an angle is given) is checked as a Gate once, with a stand-in angle, and
+    each distinct angle column is formatted once.  Columns are told apart by
+    their bytes, not their values: 0.0 and -0.0 are equal but print
+    differently."""
+    lines, columns, formatted, checked = [], [], {}, set()
     for kind, qubits, angle in gates:
-        Gate(kind, qubits, None if angle is None else 0.0)
+        if (shape := (kind, tuple(qubits), angle is None)) not in checked:
+            Gate(kind, qubits, None if angle is None else 0.0)
+            checked.add(shape)
         lines.append(f"{kind}{'' if angle is None else '(%s)'} "
                      f"{', '.join(f'qs[{q}]' for q in qubits)};\n")
         if angle is not None:

@@ -15,6 +15,12 @@ from . import tolerances as tol
 from .model import KET_G, ModelParams, battery_hamiltonian
 from .protocol import ProtocolResult, run_ico_sweep
 
+# Built once for report_grid: the initial battery state |g><g|, and the
+# eigenvectors of H = (omega/2) sigma_z in ascending order of energy: the
+# identity, which eigh returns for H bit for bit at every omega > 0.
+_RHO_G = np.outer(KET_G, KET_G.conj())
+_H_VECS = np.eye(2, dtype=complex)
+
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -57,7 +63,7 @@ def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def _weighted_sum(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Sum over axis 0 (the outcomes) of p * value where p > 0, after checking
     that every column of `probs` is a probability distribution."""
-    bad = np.flatnonzero(np.any(probs < -tol.TRACE_ATOL, axis=0)
+    bad = np.flatnonzero((probs < -tol.TRACE_ATOL).any(axis=0)
                          | (np.abs(probs.sum(axis=0) - 1.0) > tol.PROB_SUM_ATOL))
     if bad.size:
         raise ValueError(f"ensemble probabilities {probs[:, bad[0]]} are not a distribution")
@@ -82,21 +88,19 @@ def report_grid(states: dict[str, np.ndarray], omega: float) -> dict[str, np.nda
     E_dco, W_dco, P_dco, passive_k1 and passive_dco, with NaN for an
     undefined P.  The ergotropies of rho_given_1, rho_rest
     and rho_bar, in that order, take one batched eigvalsh and trace, and the
-    energies of rho_avg and rho_bar one batched trace; H is decomposed once,
-    and nothing assumes the states are diagonal.  The callers bound the
-    rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
-    first failing check of `report`, in that order."""
+    energies of rho_avg and rho_bar one batched trace; H's eigenvectors are
+    built at import, and nothing assumes the states are diagonal.  The
+    callers bound the rows (the CLI passes at most WRITE_BLOCK).  Raises
+    ValueError at the first failing check of `report`, in that order."""
     h = battery_hamiltonian(omega)
-    vecs = np.linalg.eigh(h)[1]
-    rho0 = np.outer(KET_G, KET_G.conj())
     unit = omega  # hbar*omega with hbar = 1
 
     w_given_1, w_rest, w_bar = _ergotropies(
-        [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], h, vecs)
-    e_ico, e_dco = _energies(np.concatenate([states["rho_avg"], states["rho_bar"]]) - rho0,
+        [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], h, _H_VECS)
+    e_ico, e_dco = _energies(np.concatenate([states["rho_avg"], states["rho_bar"]]) - _RHO_G,
                              h).reshape(2, -1) / unit
-    w_ico = _weighted_sum(np.stack([states["p1"], states["rest_weight"]]),
-                          np.stack([w_given_1, w_rest])) / unit
+    w_ico = _weighted_sum(np.array([states["p1"], states["rest_weight"]]),
+                          np.array([w_given_1, w_rest])) / unit
     w_dco = w_bar / unit
     return {"E": e_ico, "W_ico": w_ico, "P_ico": efficiencies(w_ico, e_ico),
             "E_dco": e_dco, "W_dco": w_dco, "P_dco": efficiencies(w_dco, e_dco),

@@ -7,7 +7,9 @@ bootstrap that calls it once per resample.  `icobattery.circuit` and
 `icobattery.cli` are checked against them.  `moveaxis_apply` and
 `moveaxis_final_states` keep the earlier form of the library's grid kernel,
 which the library must reproduce bit for bit, as must `broadcast_final_states`,
-the kernel with every fixed gate copied to each grid point.  `library_gate_matrix`,
+the kernel with every fixed gate copied to each grid point, and
+`unshared_final_states` of `unshared_ico_gates`, which form every block's
+angles and every gate's matrices anew.  `library_gate_matrix`,
 `circuit_unitary` and `simulate` instead run the library's own kernels; only
 tests use them, so they live here rather than in `icobattery.circuit`.
 """
@@ -93,6 +95,25 @@ def broadcast_final_states(gates, points: int) -> np.ndarray:
         if mats.ndim == 2:
             mats = np.broadcast_to(mats, (points,) + mats.shape)
         psi = circuit.apply(psi, mats, qubits)
+    return psi
+
+
+def unshared_ico_gates(theta, phi) -> list[tuple]:
+    """`icobattery.circuit._ico_gates` with each of its four controlled
+    blocks forming its own angles -theta/2, theta/2, -phi and phi/2."""
+    def block(control_value, charger):
+        half = theta / 2
+        return circuit._controlled_block(control_value, charger, (-half, half, -phi, phi / 2))
+    return [*circuit._PREP, *block(0, 2), *block(0, 3), *block(1, 3), *block(1, 2)]
+
+
+def unshared_final_states(gates, points: int) -> np.ndarray:
+    """`icobattery.circuit._final_states` with one `gate_matrices` call per
+    gate, as it was before gates that share an angle shared its matrices."""
+    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
+    psi[(0,) * N_QUBITS] = 1.0
+    for kind, qubits, angle in gates:
+        psi = circuit.apply(psi, circuit.gate_matrices(kind, angle), qubits)
     return psi
 
 

@@ -378,6 +378,39 @@ class TestIcoProbabilities:
         got = circuit._final_states(gates, points)
         assert got.tobytes() == ref.broadcast_final_states(gates, points).tobytes()
 
+    @pytest.mark.parametrize("points", [1, 3, 30])
+    def test_shared_angles_build_each_stack_once(self, monkeypatch, points):
+        # 28 parametric gates over the four angle columns (-theta/2, theta/2, -phi, phi/2)
+        # take 6 stacks: xx and yy at +-theta/2, cp at -phi, rz at phi/2
+        _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
+        gates = [*circuit._ico_gates(theta, phi), ("h", (0,), None)]
+        unshared = [*ref.unshared_ico_gates(theta, phi), ("h", (0,), None)]
+        assert [(k, q) for k, q, _ in gates] == [(k, q) for k, q, _ in unshared]
+        assert all(a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for (_, _, a), (_, _, b) in zip(gates, unshared))
+        assert len({id(a) for _, _, a in gates if a is not None}) == 4
+        built = []
+        gate_matrices = circuit.gate_matrices
+
+        def counting(kind, angles=None):
+            built.append(kind)
+            return gate_matrices(kind, angles)
+
+        monkeypatch.setattr(circuit, "gate_matrices", counting)
+        got = circuit._final_states(gates, points)
+        assert sum(kind in circuit._PARAMETRIC for kind, _, _ in gates) == 28
+        assert sorted(k for k in built if k in circuit._PARAMETRIC) == [
+            "cp", "rz", "xx", "xx", "yy", "yy"]
+        assert sorted(k for k in built if k not in circuit._PARAMETRIC) == ["cz", "h", "x"]
+        monkeypatch.setattr(circuit, "gate_matrices", gate_matrices)
+        assert got.tobytes() == ref.unshared_final_states(unshared, points).tobytes()
+
+    def test_float_angles_of_equal_value_build_apart(self):
+        # told apart by identity: -0.0 == 0.0, yet each builds its own matrix
+        gates = [("rz", (0,), 0.0), ("h", (0,), None), ("rz", (0,), -0.0), ("cp", (0, 1), 0.3)]
+        got = circuit._final_states(gates, 2)
+        assert got.tobytes() == ref.unshared_final_states(gates, 2).tobytes()
+
     def test_ico_counts_matches_per_circuit_sample(self):
         angles, (theta, phi) = grid_angles(P2, GRIDS[0][2])
         seeds = range(40, 40 + len(angles))

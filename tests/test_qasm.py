@@ -4,6 +4,7 @@ import pytest
 from circuit_reference import library_gate_matrix
 from icobattery.circuit import Gate, QuantumCircuit, _ico_gates, angles_of_time, build_ico_circuit
 from icobattery.model import ModelParams
+from icobattery import qasm
 from icobattery.qasm import emit_qasm, emit_qasm_grid, parse_qasm
 
 
@@ -130,3 +131,19 @@ def test_grid_equal_columns_from_separate_arrays():
         assert gate_statements(text) == statements_of(point)
         assert parse_qasm(text).gates == tuple(point)
     assert gate_statements(texts[0])[2] == "rz(-0.0) qs[3];"
+
+
+def test_grid_checks_each_distinct_gate_once(monkeypatch):
+    # the 43 gates of the ICO template are 13 distinct (kind, qubits, angle or not)
+    checked = []
+
+    def counting(kind, qubits, angle=None):
+        checked.append((kind, tuple(qubits), angle is None))
+        return Gate(kind, qubits, angle)
+
+    monkeypatch.setattr(qasm, "Gate", counting)
+    gates = _ico_gates(*angles_of_time(ModelParams(2, 1.0, 0.1), np.linspace(0.0, 30.0, 5)))
+    list(emit_qasm_grid(gates, 5))
+    assert len(gates) == 43
+    assert sorted(checked) == sorted({(k, q, a is None) for k, q, a in gates})
+    assert len(checked) == 13
