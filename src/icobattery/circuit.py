@@ -13,7 +13,9 @@ XX+YY generator, so
 
 acts as the identity when D = |0> and as exch(theta) when D = |1>.
 
-The simulator evolves a whole grid of (theta, phi) at once: amplitudes of
+One gate template, _ICO_TEMPLATE, holds the circuit; its 28 parametric gates
+take their angles from four slots, (-theta/2, theta/2, -phi, phi/2).  The
+simulator evolves a whole grid of (theta, phi) at once: amplitudes of
 shape (2,) * 4 + (T,), each gate a stack of T matrices, one matrix product
 per point (`apply`), so a point's probabilities do not depend on the grid it
 is evaluated in.  The shot estimator works on arrays of counts, one row per
@@ -66,17 +68,6 @@ class QuantumCircuit:
     gates: tuple[Gate, ...]
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Global depolarizing channel applied to the final 4-qubit state."""
-
-    depolarizing_p: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ValueError(f"depolarizing probability {self.depolarizing_p} outside [0, 1]")
-
-
 def angles_of_time(params: ModelParams, t):
     """Map total charging time to (theta, phi) = (w*l*t/2, w*t/2): two floats
     for one time, two arrays for an array of times, equal entry by entry."""
@@ -84,53 +75,40 @@ def angles_of_time(params: ModelParams, t):
     return (float(theta), float(phi)) if np.ndim(t) == 0 else (theta, phi)
 
 
-def _controlled_block(control_value: int, charger_qubit: int, angles) -> list[tuple]:
+def _controlled_block(control_value: int, charger_qubit: int) -> tuple:
     """Pair unitary for half the total time on (Q, charger), applied only when
     D equals control_value.  Exchange part via CZ conjugation; diagonal
     phases via CP(-phi) on (D, Q) and (D, charger) plus RZ(phi/2) on D
-    (the remaining branch-independent factor is a global phase).
-
-    Gates are (kind, qubits, angle) triples; `angles` holds the four angles
-    (-theta/2, theta/2, -phi, phi/2) that the block's gates take, as floats,
-    or as arrays of one angle per grid point."""
-    d, q = 0, 1
-    neg_half_theta, half_theta, neg_phi, half_phi = angles
-    block = [
-        ("cz", (d, q), None),
-        ("xx", (q, charger_qubit), neg_half_theta),
-        ("yy", (q, charger_qubit), neg_half_theta),
-        ("cz", (d, q), None),
-        ("xx", (q, charger_qubit), half_theta),
-        ("yy", (q, charger_qubit), half_theta),
-        ("cp", (d, q), neg_phi),
-        ("cp", (d, charger_qubit), neg_phi),
-        ("rz", (d,), half_phi),
-    ]
-    if control_value == 0:
-        block = [("x", (d,), None)] + block + [("x", (d,), None)]
-    return block
+    (the remaining branch-independent factor is a global phase).  Gates are
+    (kind, qubits, slot) triples, slot None or an index into _ico_angles."""
+    d, q, c = 0, 1, charger_qubit
+    block = (("cz", (d, q), None), ("xx", (q, c), 0), ("yy", (q, c), 0),
+             ("cz", (d, q), None), ("xx", (q, c), 1), ("yy", (q, c), 1),
+             ("cp", (d, q), 2), ("cp", (d, c), 2), ("rz", (d,), 3))
+    flip = (("x", (d,), None),) if control_value == 0 else ()
+    return flip + block + flip
 
 
-_PREP = (("h", (0,), None), ("x", (2,), None), ("x", (3,), None))
+# (kind, qubits, slot) of every gate of build_ico_circuit: preparation (H on D,
+# X on both chargers), then the four controlled charging blocks, D = |0>
+# charging via C1 then C2 and D = |1> via C2 then C1.
+_ICO_TEMPLATE = (("h", (0,), None), ("x", (2,), None), ("x", (3,), None),
+                 *_controlled_block(0, 2), *_controlled_block(0, 3),
+                 *_controlled_block(1, 3), *_controlled_block(1, 2))
 
 
-def _ico_gates(theta, phi) -> list[tuple]:
-    """(kind, qubits, angle) of every gate of build_ico_circuit(theta, phi):
-    preparation (H on D, X on both chargers), then the four controlled
-    charging blocks, D = |0> charging via C1 then C2 and D = |1> via C2 then
-    C1.  The four angles of a block are formed once and shared by all four
-    blocks, so gates that take the same angle hold the same object."""
-    c1, c2 = 2, 3
+def _ico_angles(theta, phi) -> tuple:
+    """The angles of _ICO_TEMPLATE's slots, (-theta/2, theta/2, -phi, phi/2):
+    floats for one circuit, or arrays of one angle per grid point."""
     half_theta = theta / 2
-    angles = (-half_theta, half_theta, -phi, phi / 2)
-    return [*_PREP,
-            *_controlled_block(0, c1, angles), *_controlled_block(0, c2, angles),
-            *_controlled_block(1, c2, angles), *_controlled_block(1, c1, angles)]
+    return -half_theta, half_theta, -phi, phi / 2
 
 
 def build_ico_circuit(theta: float, phi: float) -> QuantumCircuit:
     """Preparation (H on D, X on both chargers) followed by the charging blocks."""
-    return QuantumCircuit(gates=tuple(Gate(*g) for g in _ico_gates(theta, phi)))
+    angles = _ico_angles(theta, phi)
+    return QuantumCircuit(gates=tuple(Gate(kind, qubits, None if slot is None else angles[slot])
+                                      for kind, qubits, slot in _ICO_TEMPLATE))
 
 
 # --- state-vector simulation -----------------------------------------------
@@ -190,70 +168,67 @@ def apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def _final_states(gates, points: int) -> np.ndarray:
-    """|0000> evolved through `gates`, (kind, qubits, angle) triples whose
-    angle is None, a float, or an array of one angle per point, as
-    (2,) * 4 + (points,) amplitudes.  A column of angles is applied as its
-    stack of one matrix per point; a gate of one matrix (a fixed kind, or a
-    float angle) as that matrix, one BLAS call over every point rather than
-    one per point of a stack of copies, with the same length-d dot products,
-    so the bits are those of the stack.  Each (kind, angle) pair is built
-    once, angles being told apart by identity: _ico_gates passes the same
-    column to every gate that takes it."""
+def _final_states(template, angles, points: int) -> np.ndarray:
+    """|0000> evolved through the gates of `template`, (kind, qubits, slot)
+    triples whose slot is None or indexes `angles`, each angle a float or an
+    array of one angle per point, as (2,) * 4 + (points,) amplitudes.  A
+    column of angles is applied as its stack of one matrix per point; a gate
+    of one matrix (a fixed kind, or a float angle) as that matrix, one BLAS
+    call over every point rather than one per point of a stack of copies,
+    with the same length-d dot products, so the bits are those of the stack.
+    The matrices of each (kind, slot) are built once."""
     psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
-    built = {}      # (kind, id(angle)) -> (angle, matrices): holding the angle keeps its id unique
-    for kind, qubits, angle in gates:
-        key = (kind, id(angle))
-        if key not in built:
-            built[key] = angle, gate_matrices(kind, angle)
-        psi = apply(psi, built[key][1], qubits)
+    built = {}
+    for kind, qubits, slot in template:
+        if (kind, slot) not in built:
+            built[kind, slot] = gate_matrices(kind, None if slot is None else angles[slot])
+        psi = apply(psi, built[kind, slot], qubits)
     return psi
 
 
-def _probabilities(gates, points: int, noise: NoiseSpec) -> np.ndarray:
+def _probabilities(template, angles, points: int, p: float) -> np.ndarray:
     """Born probabilities of (D in x basis, Q in z basis), chargers traced
-    out, as (points, 4) in OUTCOME_KEYS order.  H on D maps the x basis to z;
+    out, under global depolarizing noise of strength p on the final state,
+    as (points, 4) in OUTCOME_KEYS order.  H on D maps the x basis to z;
     the depolarized part I/16 is invariant."""
-    psi = _final_states([*gates, ("h", (0,), None)], points)
-    p = noise.depolarizing_p
+    psi = _final_states((*template, ("h", (0,), None)), angles, points)
     diag = (1 - p) * np.abs(np.moveaxis(psi, -1, 0)) ** 2 + p / 16
     return diag.reshape(points, 4, 4).sum(axis=2)
 
 
-def ico_probabilities(theta, phi, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+def ico_probabilities(theta, phi, p: float = 0.0) -> np.ndarray:
     """Outcome probabilities of build_ico_circuit(theta[i], phi[i]) for every
-    i, as a (T, 4) array in OUTCOME_KEYS order, from one pass through the
-    gate sequence per chunk of at most CHUNK_AMPLITUDES amplitudes.  Row i
-    equals _probabilities of point i's circuit alone bit for bit."""
+    i under global depolarizing noise of strength p in [0, 1], as a (T, 4)
+    array in OUTCOME_KEYS order, from one pass through the gate sequence per
+    chunk of at most CHUNK_AMPLITUDES amplitudes.  Row i equals
+    _probabilities of point i's circuit alone bit for bit."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability {p!r} outside [0, 1]")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     chunk = max(1, CHUNK_AMPLITUDES // 2 ** N_QUBITS)
     probs = np.empty((len(theta), 4))
     for lo in range(0, len(theta), chunk):
         part = slice(lo, lo + chunk)
-        probs[part] = _probabilities(_ico_gates(theta[part], phi[part]), len(theta[part]), noise)
+        probs[part] = _probabilities(_ICO_TEMPLATE, _ico_angles(theta[part], phi[part]),
+                                     len(theta[part]), p)
     return probs
 
 
-def _counts(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Multinomial shots from each row of the (T, 4) outcome probabilities
-    `probs`, row i drawn by default_rng(seeds[i]), as a (T, 4) int64 array."""
+def ico_counts(theta, phi, p: float, shots: int, seeds) -> np.ndarray:
+    """Multinomial shots from build_ico_circuit(theta[i], phi[i]) under
+    depolarizing strength p for every i, row i drawn by default_rng(seeds[i])
+    from the clipped and renormalized probabilities, as a (T, 4) int64 array
+    in OUTCOME_KEYS order; the probabilities come from one ico_probabilities
+    pass, so a point's counts do not depend on the grid it is drawn in."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = np.clip(probs, 0.0, None)
-    p /= p.sum(axis=1, keepdims=True)
-    counts = np.empty(p.shape, dtype=np.int64)
-    for row, p_row, seed in zip(counts, p, seeds, strict=True):
+    probs = np.clip(ico_probabilities(theta, phi, p), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for row, p_row, seed in zip(counts, probs, seeds, strict=True):
         row[:] = np.random.default_rng(seed).multinomial(shots, p_row)
     return counts
-
-
-def ico_counts(theta, phi, noise: NoiseSpec, shots: int, seeds) -> np.ndarray:
-    """Multinomial shots from build_ico_circuit(theta[i], phi[i]) for every i,
-    drawn by default_rng(seeds[i]), as a (T, 4) int64 array in OUTCOME_KEYS
-    order (see _counts); the probabilities come from one ico_probabilities
-    pass, so a point's counts do not depend on the grid it is drawn in."""
-    return _counts(ico_probabilities(theta, phi, noise), shots, seeds)
 
 
 def estimate_counts(counts, shots) -> dict[str, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .analytic import _t_star, closed_form_sweep
-from .circuit import NoiseSpec, _ico_gates, angles_of_time, estimate_counts, ico_counts
+from .circuit import _ICO_TEMPLATE, _ico_angles, angles_of_time, estimate_counts, ico_counts
 from .model import CHUNK_AMPLITUDES, ModelParams
 from .qasm import emit_qasm_grid
 from .thermo import numeric_sweep, python_values
@@ -114,8 +114,7 @@ class SweepConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.t_max is None:
-            rate = self.omega * self.coupling
-            self.t_max = 4 * math.pi / rate if rate > 0 else math.inf  # fails the phase check
+            self.t_max = 4 * math.pi / (self.omega * self.coupling)
         if not self.t_min >= 0:
             raise ConfigError(f"t_min must be >= 0, got {self.t_min}")
         if not self.t_min < self.t_max:
@@ -140,9 +139,6 @@ class SweepConfig:
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.points)
-
-    def params(self, n: int) -> ModelParams:
-        return ModelParams(n, self.omega, self.coupling)
 
 
 def _disagreement(num: dict, ana: dict, masks, devs: dict, i: int) -> str:
@@ -301,7 +297,7 @@ def _circuit_grid(config: SweepConfig, task: str):
     if config.n_list != [2]:
         raise ConfigError(f"{task} supports N=2 only, got n_list={config.n_list}")
     grid = config.time_grid()
-    return (grid, *angles_of_time(config.params(2), grid))
+    return (grid, *angles_of_time(ModelParams(2, config.omega, config.coupling), grid))
 
 
 def export_circuits(config: SweepConfig, out_dir) -> dict:
@@ -317,7 +313,8 @@ def export_circuits(config: SweepConfig, out_dir) -> dict:
     names = [f"ico_n2_t{i}.qasm" for i in range(len(grid))]
     for lo in range(0, len(grid), WRITE_BLOCK):
         block = slice(lo, lo + WRITE_BLOCK)
-        texts = emit_qasm_grid(_ico_gates(thetas[block], phis[block]), len(names[block]))
+        texts = emit_qasm_grid(_ICO_TEMPLATE, _ico_angles(thetas[block], phis[block]),
+                               len(names[block]))
         for name, text in zip(names[block], texts):
             with open(os.path.join(out_dir, name), "w") as fh:
                 fh.write(text)
@@ -364,7 +361,7 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
     if config.shots is None or config.depolarizing_p is None:
         raise ConfigError("noise study requires both shots and depolarizing_p")
     seeds = list(range(config.seed, config.seed + len(grid)))
-    counts = ico_counts(thetas, phis, NoiseSpec(config.depolarizing_p), config.shots, seeds)
+    counts = ico_counts(thetas, phis, config.depolarizing_p, config.shots, seeds)
     est = estimate_counts(counts, config.shots)
     ideal = closed_form_sweep(config.omega, config.coupling, [2], grid)
     se_p = _bootstrap_p_se(counts, config.shots, (np.random.default_rng(s + 10**9) for s in seeds))
@@ -403,7 +400,7 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:     # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
@@ -531,7 +528,6 @@ def _cmd_export(config: SweepConfig) -> None:
 def _cmd_noise(config: SweepConfig) -> None:
     out = _require_out(config, shots=True)
     cols = noise_study_rows(config)
-    cols.update({k: _cells(cols[k]) for k in SHOT_FIELDS[:5]})   # the columns of both files
     write_csv(out, NOISE_FIELDS, cols)
     write_csv(_shots_path(out), SHOT_FIELDS, cols)
 
@@ -560,7 +556,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
+    except (InvariantViolation, ValueError) as exc:     # a library check failed during the run
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:      # while writing; the checks before the run cannot foresee it

@@ -7,6 +7,8 @@ Matrices are plain complex arrays; two-qubit ones act on Q (x) C, index 2q + c.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,13 @@ class ModelParams:
     def __post_init__(self):
         if self.n_chargers < 2:
             raise ValueError(f"need at least 2 chargers, got {self.n_chargers}")
-        for name, value in (("omega", self.omega), ("coupling", self.coupling)):
-            if not (value > 0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits
+        # or to 0, and omega*lambda = 0 leaves t* = sqrt(N ln 2)/(omega*lambda) undefined
+        for name, value in (("omega", self.omega), ("coupling", self.coupling),
+                            ("omega*lambda", self.omega * self.coupling)):
+            if not (sys.float_info.min <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number >= {sys.float_info.min!r} "
+                                 f"(a normal float), got {value!r}")
 
 
 def battery_hamiltonian(omega: float) -> np.ndarray:
@@ -44,31 +50,17 @@ def battery_hamiltonian(omega: float) -> np.ndarray:
     return (omega / 2) * SIGMA_Z
 
 
-def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
-    """Closed-form charging unitary U(t_l) = exp(-i H t_l) on Q (x) C, for the
-    battery-charger Hamiltonian
+def _pair_entries(params: ModelParams, t_l) -> tuple:
+    """The distinct entries of the charging unitary U(t_l) = exp(-i H t_l) on
+    Q (x) C, each of shape np.shape(t_l), for the battery-charger Hamiltonian
 
         H = (omega/2)(sigma_z^C + 1) + (omega/2) sigma_z^Q
-            + (omega*lambda/2)(sigma_x^Q sigma_x^C + sigma_y^Q sigma_y^C).
+            + (omega*lambda/2)(sigma_x^Q sigma_x^C + sigma_y^Q sigma_y^C):
 
-    Phases exp(-3i*omega*t/2) on |ee>, exp(+i*omega*t/2) on |gg>, and a
-    cos / -i*sin exchange envelope with argument omega*lambda*t on the
-    single-excitation pair {|eg>, |ge>}.  For an array of times, one matrix
-    per time along trailing axes: shape (4, 4) + np.shape(t_l).
-    """
-    gg, ee, diag, off = _pair_entries(params, t_l)
-    u = np.zeros((4, 4) + np.shape(gg), dtype=complex)
-    # indices: 2*q + c with g=0, e=1
-    u[0, 0], u[3, 3] = gg, ee                               # |gg><gg|, |ee><ee|
-    u[1, 1] = u[2, 2] = diag                                # |ge><ge|, |eg><eg|
-    u[1, 2] = u[2, 1] = off                                 # |ge><eg|, |eg><ge|
-    return u
-
-
-def _pair_entries(params: ModelParams, t_l) -> tuple:
-    """The distinct entries of pair_unitary(params, t_l), each of shape
-    np.shape(t_l): the |gg> and |ee> phases, then the diagonal and the
-    off-diagonal entry of the single-excitation block."""
+    the |gg> phase exp(+i*omega*t/2) and the |ee> phase exp(-3i*omega*t/2),
+    then the diagonal and the off-diagonal entry of the single-excitation
+    block {|eg>, |ge>}, a cos / -i*sin envelope of argument omega*lambda*t
+    under the phase exp(-i*omega*t/2)."""
     t_l = np.asarray(t_l, dtype=float)
     if (t_l < 0).any() or not np.isfinite(t_l).all():
         raise ValueError(f"evolution time must be finite and >= 0, got {t_l}")

@@ -4,11 +4,12 @@ Excitation-sector engine.  Every pair unitary conserves excitation number,
 so branch j of the input |g>|e...e> (charging order j) stays in the
 (N+1)-dimensional sector spanned by component 0 = |g, all chargers e> and
 component c = |e, charger c de-excited>, c = 1..N.  A pair step on (Q, C_l)
-mixes components 0 and l through the single-excitation block of
-`pair_unitary` and multiplies every other component by its |ee> phase.  That
-phase is divided out of the block, so a step touches two components per
-branch; the product of the divided-out phases is the same for every branch,
-a global phase of the joint state that no reported quantity depends on.
+mixes components 0 and l through the single-excitation block of the pair
+unitary (`model._pair_entries`) and multiplies every other component by its
+|ee> phase.  That phase is divided out of the block, so a step touches two
+components per branch; the product of the divided-out phases is the same for
+every branch, a global phase of the joint state that no reported quantity
+depends on.
 
 Projecting the switch onto its uniform superposition leaves the mean of the
 N branch vectors; the complement outcome keeps each branch's deviation from
@@ -42,7 +43,7 @@ class ProtocolResult:
 
 def _branch_amplitudes(n: int, block: np.ndarray) -> np.ndarray:
     """Evolve every branch of N chargers along its cyclic order.  `block` is
-    the single-excitation block (2, 2, T) of pair_unitary at the step times
+    the single-excitation block (2, 2, T) of the pair unitary at the step times
     t/N, divided by its |ee> phase.  Returns the amplitudes (N, N+1, T): axis
     0 is the order index j - 1, axis 1 the sector component, axis 2 the time,
     last so that each step reads and writes contiguous rows.  Step k of order

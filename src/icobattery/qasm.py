@@ -38,34 +38,34 @@ _MEASUREMENT_MARKER = "// measurement:"
 
 
 def emit_qasm(circuit: QuantumCircuit) -> str:
-    """The OpenQASM 3 text of one circuit: emit_qasm_grid at one point."""
-    return next(emit_qasm_grid([(g.kind, g.qubits, g.angle) for g in circuit.gates], 1))
+    """The OpenQASM 3 text of one circuit: emit_qasm_grid at one point, each
+    gate taking its angle from a slot of its own."""
+    template = [(g.kind, g.qubits, None if g.angle is None else i)
+                for i, g in enumerate(circuit.gates)]
+    return next(emit_qasm_grid(template, [g.angle for g in circuit.gates], 1))
 
 
-def emit_qasm_grid(gates, points: int):
+def emit_qasm_grid(template, angles, points: int):
     """emit_qasm at each of `points` grid points, as an iterator of texts, of
-    (kind, qubits, angle) triples whose angle is None, a float or one per
-    point, as from circuit._ico_gates.  Each distinct (kind, qubits, whether
-    an angle is given) is checked as a Gate once, with a stand-in angle, and
-    each distinct angle column is formatted once.  Columns are told apart by
-    their bytes, not their values: 0.0 and -0.0 are equal but print
-    differently."""
-    lines, columns, formatted, checked = [], [], {}, set()
-    for kind, qubits, angle in gates:
-        if (shape := (kind, tuple(qubits), angle is None)) not in checked:
-            Gate(kind, qubits, None if angle is None else 0.0)
+    the gates of `template`, (kind, qubits, slot) triples whose slot is None
+    or indexes `angles`, each angle a float or one per point, as
+    circuit._ICO_TEMPLATE and circuit._ico_angles give them.  Each distinct
+    (kind, qubits, whether a slot is given) is checked as a Gate once, with a
+    stand-in angle, and each slot's angles are formatted once."""
+    lines, slots, checked = [], [], set()
+    for kind, qubits, slot in template:
+        if (shape := (kind, tuple(qubits), slot is None)) not in checked:
+            Gate(kind, qubits, None if slot is None else 0.0)
             checked.add(shape)
-        lines.append(f"{kind}{'' if angle is None else '(%s)'} "
+        lines.append(f"{kind}{'' if slot is None else '(%s)'} "
                      f"{', '.join(f'qs[{q}]' for q in qubits)};\n")
-        if angle is not None:
-            angles = np.broadcast_to(np.asarray(angle, dtype=float), (points,))
-            key = angles.tobytes()
-            if key not in formatted:
-                formatted[key] = list(map(float.__repr__, angles.tolist()))
-            columns.append(formatted[key])
+        if slot is not None:
+            slots.append(slot)
+    cells = {slot: list(map(float.__repr__, np.broadcast_to(
+        np.asarray(angles[slot], dtype=float), (points,)).tolist())) for slot in set(slots)}
     # a %-template: the header's gate bodies hold braces but no %
-    template = _HEADER + ("\n// gates\n" + "".join(lines) if lines else "") + "\n" + _MEASUREMENT
-    return map(template.__mod__, zip(*columns) if columns else [()] * points)
+    text = _HEADER + ("\n// gates\n" + "".join(lines) if lines else "") + "\n" + _MEASUREMENT
+    return map(text.__mod__, zip(*map(cells.__getitem__, slots)) if slots else [()] * points)
 
 
 _GATE_LINE = re.compile(

@@ -8,10 +8,12 @@ bootstrap that calls it once per resample.  `icobattery.circuit` and
 `moveaxis_final_states` keep the earlier form of the library's grid kernel,
 which the library must reproduce bit for bit, as must `broadcast_final_states`,
 the kernel with every fixed gate copied to each grid point, and
-`unshared_final_states` of `unshared_ico_gates`, which form every block's
-angles and every gate's matrices anew.  `library_gate_matrix`,
-`circuit_unitary` and `simulate` instead run the library's own kernels; only
-tests use them, so they live here rather than in `icobattery.circuit`.
+`unshared_final_states` of `unshared_ico_gates`, the ICO circuit written out
+gate by gate, which form every gate's angle and matrices anew instead of
+sharing them through the library's gate template and its four angle slots.
+`library_gate_matrix`, `circuit_unitary` and `simulate` instead run the
+library's own kernels; only tests use them, so they live here rather than in
+`icobattery.circuit`.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import warnings
 import numpy as np
 
 from icobattery import circuit
-from icobattery.circuit import OUTCOME_KEYS, N_QUBITS, NoiseSpec, QuantumCircuit, build_ico_circuit
+from icobattery.circuit import OUTCOME_KEYS, N_QUBITS, QuantumCircuit, build_ico_circuit
 from icobattery import tolerances as tol
 from icobattery.thermo import EnergyReport
 
@@ -72,13 +74,27 @@ def moveaxis_apply(state: np.ndarray, mat: np.ndarray, qubits) -> np.ndarray:
     return np.moveaxis(out.reshape(moved.shape), range(grid + k), axes)
 
 
-def moveaxis_final_states(gates, points: int) -> np.ndarray:
+def resolve(template, angles) -> list[tuple]:
+    """The (kind, qubits, angle) of each gate of a (kind, qubits, slot)
+    template, each slot replaced by its entry of `angles`."""
+    return [(kind, qubits, None if slot is None else angles[slot])
+            for kind, qubits, slot in template]
+
+
+def template_of(circ: QuantumCircuit) -> tuple[list, list]:
+    """`circ` as the library's simulator takes it: a template in which each
+    gate has a slot of its own, its index, and the angles of those slots."""
+    return ([(g.kind, g.qubits, None if g.angle is None else i) for i, g in enumerate(circ.gates)],
+            [g.angle for g in circ.gates])
+
+
+def moveaxis_final_states(template, angles, points: int) -> np.ndarray:
     """`icobattery.circuit._final_states` in its earlier form: every gate,
     a column of angles included, broadcast to a stack of `points` matrices
     and applied by moveaxis_apply."""
     psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
-    for kind, qubits, angle in gates:
+    for kind, qubits, angle in resolve(template, angles):
         mats = circuit.gate_matrices(kind, angle)
         psi = moveaxis_apply(psi, np.broadcast_to(mats, (points,) + mats.shape[-2:]), qubits)
     return psi
@@ -99,17 +115,24 @@ def broadcast_final_states(gates, points: int) -> np.ndarray:
 
 
 def unshared_ico_gates(theta, phi) -> list[tuple]:
-    """`icobattery.circuit._ico_gates` with each of its four controlled
-    blocks forming its own angles -theta/2, theta/2, -phi and phi/2."""
-    def block(control_value, charger):
-        half = theta / 2
-        return circuit._controlled_block(control_value, charger, (-half, half, -phi, phi / 2))
-    return [*circuit._PREP, *block(0, 2), *block(0, 3), *block(1, 3), *block(1, 2)]
+    """The (kind, qubits, angle) of every gate of the ICO circuit, written out
+    without the library's template: preparation, then the controlled blocks
+    (D = |0> via C1 then C2, D = |1> via C2 then C1), each gate forming its
+    own angle from theta and phi."""
+    def block(control_value, c):
+        d, q = 0, 1
+        gates = [("cz", (d, q), None), ("xx", (q, c), -(theta / 2)), ("yy", (q, c), -(theta / 2)),
+                 ("cz", (d, q), None), ("xx", (q, c), theta / 2), ("yy", (q, c), theta / 2),
+                 ("cp", (d, q), -phi), ("cp", (d, c), -phi), ("rz", (d,), phi / 2)]
+        return [("x", (d,), None), *gates, ("x", (d,), None)] if control_value == 0 else gates
+    return [("h", (0,), None), ("x", (2,), None), ("x", (3,), None),
+            *block(0, 2), *block(0, 3), *block(1, 3), *block(1, 2)]
 
 
 def unshared_final_states(gates, points: int) -> np.ndarray:
-    """`icobattery.circuit._final_states` with one `gate_matrices` call per
-    gate, as it was before gates that share an angle shared its matrices."""
+    """`icobattery.circuit._final_states` of (kind, qubits, angle) triples,
+    with one `gate_matrices` call per gate, as it was before gates that share
+    an angle shared its matrices."""
     psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
     psi[(0,) * N_QUBITS] = 1.0
     for kind, qubits, angle in gates:
@@ -126,24 +149,17 @@ def final_state(circuit: QuantumCircuit) -> np.ndarray:
     return psi
 
 
-def triples(circ: QuantumCircuit) -> list[tuple]:
-    """The (kind, qubits, angle) of each gate of `circ`, as the library's
-    simulator takes them."""
-    return [(g.kind, g.qubits, g.angle) for g in circ.gates]
-
-
-def simulate(circ: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
+def simulate(circ: QuantumCircuit, p: float = 0.0) -> np.ndarray:
     """Run from |0000> through the library's `_final_states` and return the
     16x16 output density matrix, depolarized as (1-p) rho + p I/16."""
-    psi = circuit._final_states(triples(circ), 1).ravel()
-    p = noise.depolarizing_p
+    psi = circuit._final_states(*template_of(circ), 1).ravel()
     return (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16
 
 
 def charging_gates(theta: float, phi: float) -> tuple:
     """The four controlled charging blocks of build_ico_circuit: every gate
-    after the preparation (H on D, X on both chargers)."""
-    return build_ico_circuit(theta, phi).gates[len(circuit._PREP):]
+    after the three preparation gates (H on D, X on both chargers)."""
+    return build_ico_circuit(theta, phi).gates[3:]
 
 
 def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
@@ -155,11 +171,18 @@ def circuit_unitary(gates, n: int = N_QUBITS) -> np.ndarray:
     return u.reshape(2 ** n, 2 ** n)
 
 
-def outcome_probabilities(circuit: QuantumCircuit, noise: NoiseSpec = NoiseSpec()) -> np.ndarray:
-    """Outcome probabilities of one circuit, in OUTCOME_KEYS order."""
-    p = noise.depolarizing_p
+def outcome_probabilities(circuit: QuantumCircuit, p: float = 0.0) -> np.ndarray:
+    """Outcome probabilities of one circuit under depolarizing strength p,
+    in OUTCOME_KEYS order."""
     diag = (1 - p) * np.abs(apply(final_state(circuit), _H, (0,))) ** 2 + p / 16
     return diag.reshape(2, 2, 4).sum(axis=2).ravel()
+
+
+def sample_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial shots from one row of outcome probabilities, clipped at 0
+    and renormalized, drawn by default_rng(seed)."""
+    p = np.clip(probs, 0.0, None)
+    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
 def estimate(counts, shots=None) -> EnergyReport:

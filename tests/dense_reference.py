@@ -4,8 +4,8 @@ The register is D (x) Q (x) C1..CN with D leftmost (most significant).  The
 switch-controlled unitary is built as a dense block-diagonal matrix of
 ordered products of embedded pair unitaries, so its size is N 2^(N+1); the
 library's excitation-sector engine (`icobattery.protocol`) is checked
-against it, and `pair_unitary` against the exponential of
-`pair_hamiltonian`.  `branch_state` lays the closed-form coefficients of
+against it, and `pair_unitary`, the 4x4 unitary laid out from the library's
+`model._pair_entries`, against the exponential of `pair_hamiltonian`.  `branch_state` lays the closed-form coefficients of
 `icobattery.analytic` (`alpha_coeffs`) out on the battery-charger register,
 so they can be checked against the dense evolution too.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from icobattery import tolerances as tol
 from icobattery.analytic import _alpha_block
-from icobattery.model import KET_E, KET_G, SIGMA_Z, ModelParams, pair_unitary
+from icobattery.model import KET_E, KET_G, SIGMA_Z, ModelParams, _pair_entries
 from icobattery.protocol import ProtocolResult
 from labeled_linalg import PAIR_LAYOUT, Layout, Operator, PureState, battery_charger_layout
 
@@ -38,6 +38,22 @@ def pair_hamiltonian(params: ModelParams) -> np.ndarray:
     h += (om / 2) * np.kron(SIGMA_Z, IDENT_2)
     h += (om * lam / 2) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
     return h
+
+
+def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
+    """Closed-form charging unitary U(t_l) = exp(-i H t_l) on Q (x) C, for
+    the H of pair_hamiltonian, from the entries `model._pair_entries` gives:
+    phases exp(-3i*omega*t/2) on |ee>, exp(+i*omega*t/2) on |gg>, and a
+    cos / -i*sin exchange envelope with argument omega*lambda*t on the
+    single-excitation pair {|eg>, |ge>}.  For an array of times, one matrix
+    per time along trailing axes: shape (4, 4) + np.shape(t_l)."""
+    gg, ee, diag, off = _pair_entries(params, t_l)
+    u = np.zeros((4, 4) + np.shape(gg), dtype=complex)
+    # indices: 2*q + c with g=0, e=1
+    u[0, 0], u[3, 3] = gg, ee                               # |gg><gg|, |ee><ee|
+    u[1, 1] = u[2, 2] = diag                                # |ge><ge|, |eg><eg|
+    u[1, 2] = u[2, 1] = off                                 # |ge><eg|, |eg><ge|
+    return u
 
 
 def cyclic_sequence(j: int, n: int) -> tuple[int, ...]:

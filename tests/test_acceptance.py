@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from icobattery.analytic import closed_form_report, dco_zero_window
-from icobattery.circuit import (NoiseSpec, angles_of_time, estimate_counts, ico_counts,
+from icobattery.circuit import (angles_of_time, estimate_counts, ico_counts,
                                 ico_probabilities)
 from icobattery.cli import NOISE_FIELDS, SweepConfig, burst_report, main, noise_study_rows
 from icobattery.model import ModelParams
@@ -166,7 +166,7 @@ def test_criterion_08_shot_estimator(capsys):
     prob_vec /= prob_vec.sum()
     details, ok = [], True
     for shots, seed in ((20000, 17), (10**6, 18)):
-        counts = ico_counts(*angles, NoiseSpec(), shots, [seed])
+        counts = ico_counts(*angles, 0.0, shots, [seed])
         est = {k: col[0] for k, col in estimate_counts(counts, shots).items()}
         p_plus = (counts[0, 0] + counts[0, 1]) / shots
         se_p1 = np.sqrt(exact.p1 * (1 - exact.p1) / shots)

@@ -10,7 +10,6 @@ from icobattery.circuit import (
     GATE_KINDS,
     OUTCOME_KEYS,
     Gate,
-    NoiseSpec,
     QuantumCircuit,
     angles_of_time,
     apply,
@@ -83,9 +82,8 @@ class TestDecomposition:
 
     def test_branch_projection(self):
         # D = |0> sector applies U_2(t/2) U_1(t/2) up to phase
-        from icobattery.model import pair_unitary
         from labeled_linalg import PAIR_LAYOUT, Operator, battery_charger_layout
-        from dense_reference import embed_pair
+        from dense_reference import embed_pair, pair_unitary
         t = 4.7
         theta, phi = angles_of_time(P2, t)
         u = circuit_unitary(charging_gates(theta, phi))
@@ -94,6 +92,16 @@ class TestDecomposition:
         u_pair = Operator(PAIR_LAYOUT, pair_unitary(P2, t / 2))
         oracle = embed_pair(u_pair, layout, 2).mat @ embed_pair(u_pair, layout, 1).mat
         assert frobenius_up_to_phase(block0, oracle) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 4.7, 1e6])
+    def test_template_equals_circuit_written_out(self, t):
+        # build_ico_circuit from the template and its slots, against the 43 gates
+        # listed one by one with their angles
+        theta, phi = angles_of_time(P2, t)
+        written_out = tuple(Gate(*g) for g in ref.unshared_ico_gates(theta, phi))
+        built = build_ico_circuit(theta, phi).gates
+        assert built == written_out
+        assert [repr(g.angle) for g in built] == [repr(g.angle) for g in written_out]
 
     def test_gate_vocabulary(self):
         kinds = {g.kind for g in build_ico_circuit(0.3, 1.2).gates}
@@ -162,13 +170,13 @@ class TestSimulate:
 
     def test_fully_depolarized(self):
         circ = build_ico_circuit(0.4, 2.0)
-        rho = simulate(circ, NoiseSpec(1.0))
+        rho = simulate(circ, 1.0)
         assert np.allclose(rho, np.eye(16) / 16, atol=1e-12)
 
     def test_depolarizing_inflates_small_energy(self):
         # (1-p)E + p/2 > E whenever E < 1/2; OUTCOME_KEYS 1 and 3 hold Q = e
         ideal = ico_probabilities(*at(1.0))[0]
-        noisy = ico_probabilities(*at(1.0), NoiseSpec(0.05))[0]
+        noisy = ico_probabilities(*at(1.0), 0.05)[0]
         e_ideal = ideal[1] + ideal[3]
         e_noisy = noisy[1] + noisy[3]
         assert e_ideal < 0.5
@@ -187,21 +195,21 @@ class TestSimulate:
 
 class TestSample:
     def test_deterministic_given_seed(self):
-        a = ico_counts(*at(2 * np.pi), NoiseSpec(), 5000, [7])
-        b = ico_counts(*at(2 * np.pi), NoiseSpec(), 5000, [7])
+        a = ico_counts(*at(2 * np.pi), 0.0, 5000, [7])
+        b = ico_counts(*at(2 * np.pi), 0.0, 5000, [7])
         assert a.tolist() == b.tolist()
 
     def test_trivial_circuit_all_plus_ground(self):
-        counts = ico_counts([0.0], [0.0], NoiseSpec(), 10**6, [1])[0]
+        counts = ico_counts([0.0], [0.0], 0.0, 10**6, [1])[0]
         assert counts[OUTCOME_KEYS.index(("+", "g"))] == 10**6
 
     def test_counts_sum_to_shots(self):
-        counts = ico_counts(*at(5.0), NoiseSpec(0.02), 12345, [3])[0]
+        counts = ico_counts(*at(5.0), 0.02, 12345, [3])[0]
         assert counts.sum() == 12345
 
     def test_plus_probability_within_binomial_error(self):
         shots = 20000
-        c_pg, c_pe, _, _ = ico_counts(*at(2 * np.pi), NoiseSpec(), shots, [11])[0]
+        c_pg, c_pe, _, _ = ico_counts(*at(2 * np.pi), 0.0, shots, [11])[0]
         p_plus = (c_pg + c_pe) / shots
         p_exact = 0.818250
         se = np.sqrt(p_exact * (1 - p_exact) / shots)
@@ -235,7 +243,7 @@ class TestEstimate:
     def test_matches_thermo_pipeline_at_high_shots(self):
         t = 2 * np.pi
         shots = 10**6
-        est = estimate_counts(ico_counts(*at(t), NoiseSpec(), shots, [5]), shots)
+        est = estimate_counts(ico_counts(*at(t), 0.0, shots, [5]), shots)
         ico, _ = report(run_ico(P2, t), P2)
         se_e = np.sqrt(ico.E * (1 - ico.E) / shots)
         assert abs(est["E"][0] - ico.E) <= 3 * se_e
@@ -246,8 +254,8 @@ class TestNoiseQualitative:
     def test_efficiency_drop_in_first_burst(self):
         # depolarizing noise lowers the estimated efficiency inside the burst
         for t in (2 * np.pi, 8.0, 10.0):
-            ideal, noisy = (estimate_counts(ico_probabilities(*at(t), noise), 1.0)["P"][0]
-                            for noise in (NoiseSpec(), NoiseSpec(0.05)))
+            ideal, noisy = (estimate_counts(ico_probabilities(*at(t), p), 1.0)["P"][0]
+                            for p in (0.0, 0.05))
             assert noisy < ideal
 
 
@@ -331,29 +339,28 @@ class TestIcoProbabilities:
     @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
     def test_matches_per_circuit_bitwise(self, omega, lam, times, p):
         angles, (theta, phi) = grid_angles(ModelParams(2, omega, lam), times)
-        noise = NoiseSpec(p)
-        grid = ico_probabilities(theta, phi, noise)
+        grid = ico_probabilities(theta, phi, p)
         assert grid.shape == (len(times), 4)
         for (th, ph), row in zip(angles, grid):
             circ = build_ico_circuit(th, ph)
-            assert row.tolist() == circuit._probabilities(ref.triples(circ), 1, noise)[0].tolist()
+            assert row.tolist() == circuit._probabilities(*ref.template_of(circ), 1, p)[0].tolist()
             # the one-gate-at-a-time tensordot oracle
-            assert np.max(np.abs(row - ref.outcome_probabilities(circ, noise))) <= 1e-15
+            assert np.max(np.abs(row - ref.outcome_probabilities(circ, p))) <= 1e-15
 
     @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
     def test_chunked_grid_matches_unchunked(self, monkeypatch, points_per_chunk):
         _, (theta, phi) = grid_angles(P2, GRIDS[1][2])
-        whole = ico_probabilities(theta, phi, NoiseSpec(0.05))
+        whole = ico_probabilities(theta, phi, 0.05)
         monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * points_per_chunk)
-        assert np.array_equal(ico_probabilities(theta, phi, NoiseSpec(0.05)), whole)
+        assert np.array_equal(ico_probabilities(theta, phi, 0.05), whole)
 
     def test_evolves_at_most_one_chunk_at_once(self, monkeypatch):
         evolved = []
         final_states = circuit._final_states
 
-        def recording(gates, points):
+        def recording(template, angles, points):
             evolved.append(points)
-            return final_states(gates, points)
+            return final_states(template, angles, points)
 
         monkeypatch.setattr(circuit, "_final_states", recording)
         monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * 4)
@@ -364,31 +371,37 @@ class TestIcoProbabilities:
     @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
     def test_equals_moveaxis_kernel_bitwise(self, monkeypatch, points, p):
         _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
-        got = ico_probabilities(theta, phi, NoiseSpec(p))
+        got = ico_probabilities(theta, phi, p)
         monkeypatch.setattr(circuit, "_final_states", ref.moveaxis_final_states)
-        assert np.array_equal(got, ico_probabilities(theta, phi, NoiseSpec(p)))
+        assert np.array_equal(got, ico_probabilities(theta, phi, p))
 
     @pytest.mark.parametrize("points", [1, 3, 30])
     def test_shared_matrices_equal_broadcast_stacks_bitwise(self, points):
         # the 16 fixed gates (h, x, cz) that _probabilities applies, the closing H
         # on D included, each as one matrix over every point
         _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
-        gates = [*circuit._ico_gates(theta, phi), ("h", (0,), None)]
-        assert sum(angle is None for _, _, angle in gates) == 16
-        got = circuit._final_states(gates, points)
-        assert got.tobytes() == ref.broadcast_final_states(gates, points).tobytes()
+        template = [*circuit._ICO_TEMPLATE, ("h", (0,), None)]
+        angles = circuit._ico_angles(theta, phi)
+        assert sum(slot is None for _, _, slot in template) == 16
+        got = circuit._final_states(template, angles, points)
+        want = ref.broadcast_final_states(ref.resolve(template, angles), points)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("points", [1, 3, 30])
     def test_shared_angles_build_each_stack_once(self, monkeypatch, points):
-        # 28 parametric gates over the four angle columns (-theta/2, theta/2, -phi, phi/2)
+        # 28 parametric gates over the four slots (-theta/2, theta/2, -phi, phi/2)
         # take 6 stacks: xx and yy at +-theta/2, cp at -phi, rz at phi/2
         _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
-        gates = [*circuit._ico_gates(theta, phi), ("h", (0,), None)]
+        template = [*circuit._ICO_TEMPLATE, ("h", (0,), None)]
+        angles = circuit._ico_angles(theta, phi)
         unshared = [*ref.unshared_ico_gates(theta, phi), ("h", (0,), None)]
-        assert [(k, q) for k, q, _ in gates] == [(k, q) for k, q, _ in unshared]
-        assert all(a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
-                   for (_, _, a), (_, _, b) in zip(gates, unshared))
-        assert len({id(a) for _, _, a in gates if a is not None}) == 4
+        # the template resolves to the circuit written out gate by gate, bit for bit
+        resolved = ref.resolve(template, angles)
+        assert [(k, q) for k, q, _ in resolved] == [(k, q) for k, q, _ in unshared]
+        assert all((a is None) == (b is None)
+                   and (a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes())
+                   for (_, _, a), (_, _, b) in zip(resolved, unshared))
+        assert {slot for _, _, slot in template} == {None, 0, 1, 2, 3}
         built = []
         gate_matrices = circuit.gate_matrices
 
@@ -397,8 +410,8 @@ class TestIcoProbabilities:
             return gate_matrices(kind, angles)
 
         monkeypatch.setattr(circuit, "gate_matrices", counting)
-        got = circuit._final_states(gates, points)
-        assert sum(kind in circuit._PARAMETRIC for kind, _, _ in gates) == 28
+        got = circuit._final_states(template, angles, points)
+        assert sum(kind in circuit._PARAMETRIC for kind, _, _ in template) == 28
         assert sorted(k for k in built if k in circuit._PARAMETRIC) == [
             "cp", "rz", "xx", "xx", "yy", "yy"]
         assert sorted(k for k in built if k not in circuit._PARAMETRIC) == ["cz", "h", "x"]
@@ -406,24 +419,30 @@ class TestIcoProbabilities:
         assert got.tobytes() == ref.unshared_final_states(unshared, points).tobytes()
 
     def test_float_angles_of_equal_value_build_apart(self):
-        # told apart by identity: -0.0 == 0.0, yet each builds its own matrix
-        gates = [("rz", (0,), 0.0), ("h", (0,), None), ("rz", (0,), -0.0), ("cp", (0, 1), 0.3)]
-        got = circuit._final_states(gates, 2)
-        assert got.tobytes() == ref.unshared_final_states(gates, 2).tobytes()
+        # told apart by slot: -0.0 == 0.0, yet each slot builds its own matrix
+        template = [("rz", (0,), 0), ("h", (0,), None), ("rz", (0,), 1), ("cp", (0, 1), 2)]
+        angles = [0.0, -0.0, 0.3]
+        got = circuit._final_states(template, angles, 2)
+        assert got.tobytes() == ref.unshared_final_states(ref.resolve(template, angles),
+                                                          2).tobytes()
 
     def test_ico_counts_matches_per_circuit_sample(self):
         angles, (theta, phi) = grid_angles(P2, GRIDS[0][2])
         seeds = range(40, 40 + len(angles))
-        counts = ico_counts(theta, phi, NoiseSpec(0.05), 3000, seeds)
+        counts = ico_counts(theta, phi, 0.05, 3000, seeds)
         assert counts.shape == (len(angles), 4) and counts.dtype == np.int64
         for (th, ph), seed, got in zip(angles, seeds, counts):
-            probs = circuit._probabilities(ref.triples(build_ico_circuit(th, ph)), 1,
-                                           NoiseSpec(0.05))
-            assert got.tolist() == circuit._counts(probs, 3000, [seed])[0].tolist()
+            probs = circuit._probabilities(*ref.template_of(build_ico_circuit(th, ph)), 1, 0.05)
+            assert got.tolist() == ref.sample_counts(probs[0], 3000, seed).tolist()
 
     def test_ico_counts_rejects_no_shots(self):
         with pytest.raises(ValueError):
-            ico_counts([0.1], [1.0], NoiseSpec(), 0, [0])
+            ico_counts([0.1], [1.0], 0.0, 0, [0])
+
+    @pytest.mark.parametrize("p", [-0.01, 1.01, float("nan")])
+    def test_depolarizing_strength_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="outside"):
+            ico_probabilities([0.1], [1.0], p)
 
 
 def random_counts(rng, rows):

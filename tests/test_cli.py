@@ -24,6 +24,7 @@ from icobattery.cli import (
     noise_study_rows,
 )
 from icobattery.circuit import OUTCOME_KEYS, angles_of_time, build_ico_circuit
+from icobattery.model import ModelParams
 from icobattery.thermo import efficiencies, python_values
 from icobattery.qasm import emit_qasm, parse_qasm
 
@@ -54,6 +55,18 @@ def test_config_validation():
                    {"n_list": [2], "depolarizing_p": float("nan")}):
         with pytest.raises(ConfigError):
             SweepConfig(**values)
+
+
+# Subnormal omega, lambda or omega*lambda, each with the value its error names:
+# the numeric engine wrote E = 0 at the first, the engines drifted 19% apart at
+# the second, and the closed form's t* divided by omega*lambda = 0 at the third.
+SUBNORMAL_CASES = [
+    (["sweep", "--n", "7", "--omega", "5e-324", "--lambda", "1e100", "--t-min", "1.0",
+      "--points", "3", "--engine", "numeric"], "5e-324"),
+    (["sweep", "--n", "2", "--omega", "1e-310", "--t-max", "1e305", "--engine", "both"], "1e-310"),
+    (["bursts", "--n", "2,3", "--omega", "0.5", "--lambda", "5e-324", "--t-max", "1e5",
+      "--points", "2", "--engine", "analytic"], "5e-324"),
+]
 
 
 @pytest.mark.parametrize("args", [
@@ -96,6 +109,7 @@ def test_config_validation():
     ["sweep", "--config", "{tmp}/str.json"],
     ["sweep", "--config", "{tmp}/n_int.json"],
     ["bursts", "--config", "{tmp}/n_null.json"],
+    *[argv for argv, _ in SUBNORMAL_CASES],
 ])
 def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
@@ -134,6 +148,36 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
         assert configs[Path(args[args.index("--config") + 1]).name][1] in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["file", "noise_shots.csv",
                                                                  *configs])
+
+
+@pytest.mark.parametrize("args, value", SUBNORMAL_CASES)
+def test_subnormal_parameters_exit_2_naming_the_value(tmp_path, capsys, args, value):
+    assert main(args + ["--out", str(tmp_path / "x.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {value}\n" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_bytes(b'{"n_list": [2], "out": "\xff"}')
+    assert main(["sweep", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file:")
+
+
+@pytest.mark.parametrize("engine", ["numeric_sweep", "closed_form_sweep"])
+def test_library_value_error_exits_3(tmp_path, monkeypatch, capsys, engine):
+    # a library check (the ergotropy floor, _weighted_sum, the normalization in
+    # _row_sums) that fails during a run is an invariant violation
+    def failing(*args, **kwargs):
+        raise ValueError("state not normalized")
+
+    monkeypatch.setattr(cli, engine, failing)
+    out = tmp_path / "x.csv"
+    engine_flag = "numeric" if engine == "numeric_sweep" else "analytic"
+    assert main(["sweep", "--n", "2", "--points", "3", "--engine", engine_flag,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "invariant violation: state not normalized\n"
+    assert not out.exists()
 
 
 def test_phase_limit_boundary():
@@ -618,7 +662,7 @@ class TestExportCircuits:
         manifest = (tmp_path / "manifest.csv").read_text().splitlines()
         assert manifest[0] == "t,theta,phi,filename" and len(manifest) == points + 1
         for i, t in enumerate(cfg.time_grid()):
-            theta, phi = angles_of_time(cfg.params(2), t)
+            theta, phi = angles_of_time(ModelParams(2, cfg.omega, cfg.coupling), t)
             circ = build_ico_circuit(theta, phi)
             text = (tmp_path / f"ico_n2_t{i}.qasm").read_bytes()
             assert text == emit_qasm(circ).encode()
@@ -650,11 +694,10 @@ class TestExportCircuits:
     @pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("h", (0, 1), None),
                                         ("cz", (1,), None), ("xx", (1, 2), None)])
     def test_broken_template_raises(self, tmp_path, monkeypatch, broken):
-        real = cli._ico_gates
-        monkeypatch.setattr(cli, "_ico_gates", lambda theta, phi: [*real(theta, phi), broken])
+        monkeypatch.setattr(cli, "_ICO_TEMPLATE", (*cli._ICO_TEMPLATE, broken))
         with pytest.raises(ValueError):
             export_circuits(SweepConfig(n_list=[2], points=3, t_max=30.0), tmp_path)
-        assert not list(tmp_path.glob("*.qasm"))
+        assert not list(tmp_path.iterdir())
 
 
 class TestNoiseStudy:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icobattery.model import ModelParams, battery_hamiltonian, pair_unitary
+from icobattery.model import ModelParams, battery_hamiltonian
 
-from dense_reference import embed_pair, pair_hamiltonian, switch_register_layout
+from dense_reference import embed_pair, pair_hamiltonian, pair_unitary, switch_register_layout
 from labeled_linalg import PAIR_LAYOUT, Operator, exp_neg_i, require_unitary, battery_charger_layout
 
 # index = 2q + c with g=0, e=1

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icobattery.protocol as protocol
-from icobattery.model import ModelParams, pair_unitary
+from icobattery.model import ModelParams
 from icobattery.protocol import _battery_populations, _branch_amplitudes, run_ico, run_ico_sweep
 
 import dense_reference
-from dense_reference import (cyclic_sequence, initial_state, sector_indices, switch_projector,
-                             total_unitary)
+from dense_reference import (cyclic_sequence, initial_state, pair_unitary, sector_indices,
+                             switch_projector, total_unitary)
 from conftest import sweep_results
 from labeled_linalg import PAIR_LAYOUT, battery_charger_layout, require_unitary, Operator
 
@@ -56,7 +56,6 @@ class TestTotalUnitary:
 
     def test_n2_branch_is_ordered_product(self):
         # branch j=1 must equal U_2(t/2) U_1(t/2) built by direct matrix product
-        from icobattery.model import pair_unitary
         from dense_reference import embed_pair
         t = 5.3
         layout = battery_charger_layout(2)

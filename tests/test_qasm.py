@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from circuit_reference import library_gate_matrix
-from icobattery.circuit import Gate, QuantumCircuit, _ico_gates, angles_of_time, build_ico_circuit
+from icobattery.circuit import (_ICO_TEMPLATE, Gate, QuantumCircuit, _ico_angles, angles_of_time,
+                                build_ico_circuit)
 from icobattery.model import ModelParams
 from icobattery import qasm
 from icobattery.qasm import emit_qasm, emit_qasm_grid, parse_qasm
@@ -72,7 +73,7 @@ def test_grid_texts_equal_per_circuit_texts(points, t_max, omega, coupling):
     # the grid starts at t = 0, where the negated half-angles are -0.0
     params = ModelParams(2, omega, coupling)
     times = np.linspace(0.0, t_max, points)
-    texts = list(emit_qasm_grid(_ico_gates(*angles_of_time(params, times)), points))
+    texts = list(emit_qasm_grid(_ICO_TEMPLATE, _ico_angles(*angles_of_time(params, times)), points))
     assert len(texts) == points
     for t, text in zip(times, texts):
         circ = build_ico_circuit(*angles_of_time(params, t))
@@ -82,15 +83,15 @@ def test_grid_texts_equal_per_circuit_texts(points, t_max, omega, coupling):
 
 def test_grid_of_fixed_gates_repeats_one_text():
     gates = (Gate("h", (0,)), Gate("cz", (1, 3)))
-    texts = list(emit_qasm_grid([(g.kind, g.qubits, g.angle) for g in gates], 3))
+    texts = list(emit_qasm_grid([(g.kind, g.qubits, None) for g in gates], [], 3))
     assert texts == [emit_qasm(QuantumCircuit(gates=gates))] * 3
 
 
-@pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("rz", (0, 1), 0.3),
-                                    ("cp", (1, 2), None), ("h", (0,), 0.5)])
+@pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("rz", (0, 1), 0),
+                                    ("cp", (1, 2), None), ("h", (0,), 0)])
 def test_grid_checks_the_gate_template(broken):
     with pytest.raises(ValueError):
-        emit_qasm_grid([("h", (0,), None), broken], 2)
+        emit_qasm_grid([("h", (0,), None), broken], [np.array([0.3, 0.5])], 2)
 
 
 def gate_statements(text: str) -> list[str]:
@@ -110,7 +111,8 @@ def test_grid_from_zero_prints_each_signed_zero():
     # equal values, different bits, so one formatted column must not serve both
     params = ModelParams(2, 1.0, 0.1)
     times = np.linspace(0.0, 4 * np.pi / 0.1, 9)
-    texts = list(emit_qasm_grid(_ico_gates(*angles_of_time(params, times)), len(times)))
+    texts = list(emit_qasm_grid(_ICO_TEMPLATE, _ico_angles(*angles_of_time(params, times)),
+                                len(times)))
     assert "xx(-0.0) " in texts[0] and "xx(0.0) " in texts[0]
     for t, text in zip(times, texts):
         circ = build_ico_circuit(*angles_of_time(params, t))
@@ -120,17 +122,20 @@ def test_grid_from_zero_prints_each_signed_zero():
 
 
 def test_grid_equal_columns_from_separate_arrays():
+    # equal columns in separate slots, a float slot, and a slot shared by two gates
     a = np.array([0.0, 0.25, -1.5, 3.0])
-    gates = [("rz", (0,), a), ("cp", (1, 2), a.copy()), ("rz", (3,), -a), ("rz", (1,), 0.25),
-             ("xx", (0, 3), np.full(4, 0.25))]
-    texts = list(emit_qasm_grid(gates, 4))
+    angles = [a, a.copy(), -a, 0.25, np.full(4, 0.25)]
+    template = [("rz", (0,), 0), ("cp", (1, 2), 1), ("rz", (3,), 2), ("rz", (1,), 3),
+                ("xx", (0, 3), 4), ("yy", (1, 2), 2)]
+    texts = list(emit_qasm_grid(template, angles, 4))
     for i, text in enumerate(texts):
-        point = [Gate(kind, qubits, float(np.broadcast_to(angle, (4,))[i]))
-                 for kind, qubits, angle in gates]
+        point = [Gate(kind, qubits, float(np.broadcast_to(angles[slot], (4,))[i]))
+                 for kind, qubits, slot in template]
         assert text == emit_qasm(QuantumCircuit(gates=tuple(point)))
         assert gate_statements(text) == statements_of(point)
         assert parse_qasm(text).gates == tuple(point)
     assert gate_statements(texts[0])[2] == "rz(-0.0) qs[3];"
+    assert gate_statements(texts[0])[5] == "yy(-0.0) qs[1], qs[2];"
 
 
 def test_grid_checks_each_distinct_gate_once(monkeypatch):
@@ -142,8 +147,8 @@ def test_grid_checks_each_distinct_gate_once(monkeypatch):
         return Gate(kind, qubits, angle)
 
     monkeypatch.setattr(qasm, "Gate", counting)
-    gates = _ico_gates(*angles_of_time(ModelParams(2, 1.0, 0.1), np.linspace(0.0, 30.0, 5)))
-    list(emit_qasm_grid(gates, 5))
-    assert len(gates) == 43
-    assert sorted(checked) == sorted({(k, q, a is None) for k, q, a in gates})
+    angles = _ico_angles(*angles_of_time(ModelParams(2, 1.0, 0.1), np.linspace(0.0, 30.0, 5)))
+    list(emit_qasm_grid(_ICO_TEMPLATE, angles, 5))
+    assert len(_ICO_TEMPLATE) == 43
+    assert sorted(checked) == sorted({(k, q, slot is None) for k, q, slot in _ICO_TEMPLATE})
     assert len(checked) == 13
