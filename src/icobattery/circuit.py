@@ -97,6 +97,14 @@ _ICO_TEMPLATE = (("h", (0,), None), ("x", (2,), None), ("x", (3,), None),
                  *_controlled_block(1, 3), *_controlled_block(1, 2))
 
 
+# Amplitudes one grid point holds at once while _final_states evolves it
+# through _ICO_TEMPLATE: its state, and the matrix of each parametric
+# (kind, slot) of the template, each kept to the end of the pass (84 in all).
+_POINT_AMPLITUDES = 2 ** N_QUBITS + sum(
+    4 ** len(qubits) for qubits in {(kind, slot): qubits for kind, qubits, slot in _ICO_TEMPLATE
+                                    if slot is not None}.values())
+
+
 def _ico_angles(theta, phi) -> tuple:
     """The angles of _ICO_TEMPLATE's slots, (-theta/2, theta/2, -phi, phi/2):
     floats for one circuit, or arrays of one angle per grid point."""
@@ -201,12 +209,13 @@ def ico_probabilities(theta, phi, p: float = 0.0) -> np.ndarray:
     """Outcome probabilities of build_ico_circuit(theta[i], phi[i]) for every
     i under global depolarizing noise of strength p in [0, 1], as a (T, 4)
     array in OUTCOME_KEYS order, from one pass through the gate sequence per
-    chunk of at most CHUNK_AMPLITUDES amplitudes.  Row i equals
+    chunk of at most CHUNK_AMPLITUDES amplitudes, states and gate matrices
+    counted (see _POINT_AMPLITUDES).  Row i equals
     _probabilities of point i's circuit alone bit for bit."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p!r} outside [0, 1]")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    chunk = max(1, CHUNK_AMPLITUDES // 2 ** N_QUBITS)
+    chunk = max(1, CHUNK_AMPLITUDES // _POINT_AMPLITUDES)
     probs = np.empty((len(theta), 4))
     for lo in range(0, len(theta), chunk):
         part = slice(lo, lo + chunk)

@@ -175,8 +175,9 @@ def _engine_deviation(num: dict, ana: dict) -> np.ndarray:
     for k in ("P_ico", "P_dco"):
         defined = ~np.isnan(num[k])
         devs[k] = np.where(defined, devs[k], 0.0)
-        bounds[k] = np.divide(atol * (1.0 + np.abs(ana[k])), num["E"],
-                              out=np.full_like(num["E"], np.inf), where=defined)
+        bound = np.empty_like(num["E"])
+        bound.fill(np.inf)
+        bounds[k] = np.divide(atol * (1.0 + np.abs(ana[k])), num["E"], out=bound, where=defined)
     masks = ({k: np.isnan(num[k]) != np.isnan(ana[k]) for k in ("P_ico", "P_dco")},
                   {k: num[k] != ana[k] for k in ("passive_k1", "passive_dco")},
                   {k: ~(dev <= bounds[k]) for k, dev in devs.items()})
@@ -207,7 +208,7 @@ def _sweep_columns(config: SweepConfig):
         ns = config.n_list[lo:lo + per_batch]
         for t_lo in range(0, len(grid), WRITE_BLOCK):
             times = grid[t_lo:t_lo + WRITE_BLOCK]
-            cols = {"N": np.repeat(ns, len(times)),
+            cols = {"N": np.array(ns).repeat(len(times)),
                     **engine(config.omega, config.coupling, ns, times)}
             if config.engine == "both":
                 cols["max_engine_dev"] = _engine_deviation(
@@ -228,8 +229,9 @@ def _cells(column) -> list[str]:
     if kind != "f":
         return list(map(str, values))
     cells = list(map(float.__repr__, values))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""
+    if math.isnan(sum(values)):     # some cell is NaN
+        for i in np.isnan(column).nonzero()[0].tolist():
+            cells[i] = ""
     return cells
 
 
@@ -377,22 +379,31 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
 
 # --- argument handling -------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON file mirroring SweepConfig")
-    p.add_argument("--n", dest="n_list", type=lambda s: [int(x) for x in s.split(",")],
-                   help="comma-separated charger counts, e.g. 2,3,4,5")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--lambda", dest="coupling", type=float)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--engine", choices=("numeric", "analytic", "both"))
-    p.add_argument("--shots", type=int)
-    p.add_argument("--depol-p", dest="depolarizing_p", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--eps-dco", dest="eps_dco", type=float)
+# The flags every command reads, with their add_argument options.
+_COMMON_FLAGS = (
+    ("--config", dict(type=Path, help="JSON file mirroring SweepConfig")),
+    ("--n", dict(dest="n_list", type=lambda s: [int(x) for x in s.split(",")],
+                 help="comma-separated charger counts, e.g. 2,3,4,5")),
+    ("--omega", dict(type=float)),
+    ("--lambda", dict(dest="coupling", type=float)),
+    ("--t-min", dict(dest="t_min", type=float)),
+    ("--t-max", dict(dest="t_max", type=float)),
+    ("--points", dict(type=int)),
+    ("--out", dict(type=str)),
+)
+
+# The flags that only some commands read (see _COMMANDS).
+_OWN_FLAGS = {
+    "--engine": dict(choices=("numeric", "analytic", "both")),
+    "--tau": dict(type=float),
+    "--eps-dco": dict(dest="eps_dco", type=float),
+    "--shots": dict(type=int),
+    "--depol-p": dict(dest="depolarizing_p", type=float),
+    "--seed": dict(type=int),
+}
+
+# Every key a config file may hold, whichever command reads it.
+_CONFIG_KEYS = tuple(f.name for f in fields(SweepConfig))
 
 
 def build_config(args: argparse.Namespace) -> SweepConfig:
@@ -404,15 +415,15 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        known = {f.name for f in fields(SweepConfig)}
-        unknown = set(loaded) - known
+        unknown = set(loaded).difference(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for f in fields(SweepConfig):
-        flag = getattr(args, f.name, None)
+    # a command's namespace holds only its own flags (see _parser)
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
         if flag is not None:
-            values[f.name] = flag
+            values[key] = flag
     if "n_list" not in values:
         raise ConfigError("no charger counts given (use --n or a config file)")
     try:
@@ -457,12 +468,17 @@ def _shots_path(out: str) -> str:
 def _cmd_sweep(config: SweepConfig) -> None:
     out = _require_out(config)
     names = ROW_FIELDS + (("max_engine_dev",) if config.engine == "both" else ())
-    # every batch is computed and checked into columns of all rows before a byte is written
+    # every batch is computed and checked into columns of all rows before a
+    # byte is written; a lone batch's columns are those of all rows
+    rows = config.points * len(config.n_list)
     columns, lo = {}, 0
     for cols in _sweep_columns(config):
+        if len(cols["N"]) == rows:
+            columns = cols
+            continue
         for k in names:
             if lo == 0:
-                columns[k] = np.empty(config.points * len(config.n_list), cols[k].dtype)
+                columns[k] = np.empty(rows, cols[k].dtype)
             columns[k][lo:lo + len(cols[k])] = cols[k]
         lo += len(cols["N"])
     # The rows are n_list x grid, grouped by N (see _sweep_columns): each N is
@@ -532,24 +548,39 @@ def _cmd_noise(config: SweepConfig) -> None:
     write_csv(_shots_path(out), SHOT_FIELDS, cols)
 
 
+# Each command's function and the flags of _OWN_FLAGS it reads.
+_COMMANDS = {"sweep": (_cmd_sweep, ("--engine",)),
+             "bursts": (_cmd_bursts, ("--engine", "--tau", "--eps-dco")),
+             "export-circuits": (_cmd_export, ()),
+             "noise-study": (_cmd_noise, ("--shots", "--depol-p", "--seed"))}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused:
-    parse_args leaves it as it was and returns a new namespace each time."""
+    parse_args leaves it as it was and returns a new namespace each time.
+    Its `commands` maps each command to the subparser of its own flags."""
     parser = argparse.ArgumentParser(
         prog="icobattery",
         description="Cyclic indefinite-causal-order battery charging toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("sweep", _cmd_sweep), ("bursts", _cmd_bursts),
-                     ("export-circuits", _cmd_export), ("noise-study", _cmd_noise)):
-        p = sub.add_parser(name)
-        _add_common(p)
+    parser.commands = {}
+    for name, (fn, own) in _COMMANDS.items():
+        p = parser.commands[name] = sub.add_parser(name)
+        for flag, options in (*_COMMON_FLAGS, *((f, _OWN_FLAGS[f]) for f in own)):
+            p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    # a command's arguments go straight to its own subparser, one parse
+    # rather than two; no command, an unknown one or a top-level --help
+    # goes to the top-level parser
+    command = parser.commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         config = build_config(args)
         args.fn(config)

@@ -86,13 +86,18 @@ def _density(pops: np.ndarray) -> np.ndarray:
 
 
 def _conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (T,) and normalized states (T, 2, 2) of populations (T, 2);
-    the state is `fallback` where the weight is below ENERGY_EPS."""
-    weight = sigma[:, 0] + sigma[:, 1]
-    pops = np.divide(sigma, weight[:, None],
-                     out=np.repeat(fallback.real[None], len(weight), axis=0),
-                     where=weight[:, None] > tol.ENERGY_EPS)
+    """Weights (..., T) and normalized states (..., T, 2, 2) of populations
+    (..., T, 2); the state is `fallback` (..., 2) where the weight is below
+    ENERGY_EPS."""
+    weight = sigma[..., 0] + sigma[..., 1]
+    pops = np.empty(sigma.shape)
+    pops[...] = fallback.real[..., None, :]
+    np.divide(sigma, weight[..., None], out=pops, where=weight[..., None] > tol.ENERGY_EPS)
     return weight, _density(pops)
+
+
+# The fallback states of the outcomes k = 1 and k != 1 (see _conditional).
+_FALLBACKS = np.array([KET_G, KET_E])
 
 
 def run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.ndarray]:
@@ -108,21 +113,23 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.
     _, ee, diag, off = _pair_entries(params, t / n_row)
     block = np.array([[diag, off], [off, diag]]) / ee
     del _, ee, diag, off                        # only the block is kept over the chunks
-    sigma_1, sigma_rest, bar = np.empty((3, len(t), 2))
+    # populations of outcome k = 1, of k != 1 and of branch 1 (the DCO state)
+    sigma = np.empty((3, len(t), 2))
     for i, n in enumerate(n_list):
         end, step = (i + 1) * len(times), max(1, CHUNK_AMPLITUDES // (n * (n + 1)))
         for lo in range(i * len(times), end, step):
             hi = min(lo + step, end)
             amp = _branch_amplitudes(n, block[..., lo:hi])
-            mean = amp.sum(axis=0) / n          # outcome k = 1 keeps the mean branch
-            sigma_1[lo:hi] = _battery_populations(mean)
-            bar[lo:hi] = _battery_populations(amp[0])
-            amp -= mean                         # in place: no second chunk-sized array
-            sigma_rest[lo:hi] = _battery_populations(amp).sum(axis=0) / n
-    p1, rho_given_1 = _conditional(sigma_1, KET_G)
-    rest_weight, rho_rest = _conditional(sigma_rest, KET_E)
+            # outcome k = 1 keeps the mean branch; both it and branch 1 are squared at once
+            kept = np.empty((2,) + amp.shape[1:], dtype=complex)
+            kept[0] = amp.sum(axis=0) / n
+            kept[1] = amp[0]
+            sigma[::2, lo:hi] = _battery_populations(kept)
+            amp -= kept[0]                      # in place: no second chunk-sized array
+            sigma[1, lo:hi] = _battery_populations(amp).sum(axis=0) / n
+    (p1, rest_weight), (rho_given_1, rho_rest) = _conditional(sigma[:2], _FALLBACKS)
     return {"t": t, "p1": p1, "rho_given_1": rho_given_1, "rest_weight": rest_weight,
-            "rho_rest": rho_rest, "rho_bar": _density(bar),
+            "rho_rest": rho_rest, "rho_bar": _density(sigma[2]),
             "rho_avg": p1[:, None, None] * rho_given_1 + rest_weight[:, None, None] * rho_rest}
 
 

@@ -44,7 +44,7 @@ def _passive_state(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Tr[rho H] of every state of a stack (T, d, d).  rho @ H is one
     (T*d, d) product, bit-equal to the stacked one as in _passive_state."""
-    return np.trace((rho.reshape(-1, len(h)) @ h).reshape(rho.shape), axis1=1, axis2=2).real
+    return (rho.reshape(-1, len(h)) @ h).reshape(rho.shape).trace(axis1=1, axis2=2).real
 
 
 def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -54,25 +54,27 @@ def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     ValueError at the first state below the floor, stack by stack."""
     rho = np.concatenate(stacks)
     w = _energies(rho - _passive_state(rho, vecs), h).reshape(len(stacks), -1)
-    low = np.flatnonzero(w < tol.ERGOTROPY_FLOOR)
-    if low.size:
-        raise ValueError(f"ergotropy {w.flat[low[0]]:g} below numerical floor")
+    low = w < tol.ERGOTROPY_FLOOR
+    if low.any():
+        raise ValueError(f"ergotropy {w[low][0]:g} below numerical floor")
     return np.where(w < 0.0, 0.0, w)
 
 
 def _weighted_sum(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Sum over axis 0 (the outcomes) of p * value where p > 0, after checking
     that every column of `probs` is a probability distribution."""
-    bad = np.flatnonzero((probs < -tol.TRACE_ATOL).any(axis=0)
-                         | (np.abs(probs.sum(axis=0) - 1.0) > tol.PROB_SUM_ATOL))
-    if bad.size:
-        raise ValueError(f"ensemble probabilities {probs[:, bad[0]]} are not a distribution")
+    bad = ((probs < -tol.TRACE_ATOL).any(axis=0)
+           | (np.abs(probs.sum(axis=0) - 1.0) > tol.PROB_SUM_ATOL))
+    if bad.any():
+        raise ValueError(f"ensemble probabilities {probs[:, bad.argmax()]} are not a distribution")
     return sum(np.where(p > 0, p * value, 0.0) for p, value in zip(probs, values))
 
 
 def efficiencies(w: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Efficiency W/E of every entry, NaN where E is below ENERGY_EPS."""
-    return np.divide(w, e, out=np.full_like(e, np.nan), where=e >= tol.ENERGY_EPS)
+    out = np.empty_like(e)
+    out.fill(np.nan)
+    return np.divide(w, e, out=out, where=e >= tol.ENERGY_EPS)
 
 
 def python_values(column: np.ndarray) -> list:

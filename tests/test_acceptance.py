@@ -203,8 +203,7 @@ def test_criterion_09_noise_qualitative(capsys):
 
 def test_criterion_10_determinism(tmp_path, capsys):
     same = []
-    for cmd in (["sweep", "--n", "2,3", "--points", "25", "--engine", "both",
-                 "--seed", "11"],
+    for cmd in (["sweep", "--n", "2,3", "--points", "25", "--engine", "both"],
                 ["noise-study", "--n", "2", "--points", "5", "--t-max", "20",
                  "--shots", "5000", "--depol-p", "0.05", "--seed", "11"]):
         pair = []

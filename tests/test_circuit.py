@@ -363,9 +363,15 @@ class TestIcoProbabilities:
             return final_states(template, angles, points)
 
         monkeypatch.setattr(circuit, "_final_states", recording)
-        monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * 4)
+        # a point holds its 16 amplitudes and 84 of its six parametric gate matrices
+        assert circuit._POINT_AMPLITUDES == 16 + 84
+        monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 100 * 4)
         ico_probabilities(np.linspace(0, 1, 10), np.linspace(0, 10, 10))
         assert evolved == [4, 4, 2]
+        evolved.clear()
+        monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * 4)     # less than one point
+        ico_probabilities(np.linspace(0, 1, 3), np.linspace(0, 10, 3))
+        assert evolved == [1, 1, 1]
 
     @pytest.mark.parametrize("points", [1, 2, 7, 30, 1000])
     @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])

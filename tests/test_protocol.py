@@ -284,5 +284,6 @@ def test_populations_equal_full_unitary_reference(monkeypatch, n, points):
     monkeypatch.setattr(protocol, "_conditional", recording)
     grid = run_ico_sweep(1.3, 0.1, [n], times)
     sigma_1, sigma_rest, bar = reference_populations(n, 1.3, 0.1, times)
-    assert [s.tobytes() for s in conditioned] == [sigma_1.tobytes(), sigma_rest.tobytes()]
+    # one call conditions both outcomes, stacked in the order k = 1, k != 1
+    assert [s.tobytes() for s in conditioned] == [np.array([sigma_1, sigma_rest]).tobytes()]
     assert grid["rho_bar"].diagonal(axis1=1, axis2=2).real.tobytes() == bar.tobytes()
