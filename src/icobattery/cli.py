@@ -105,9 +105,7 @@ class SweepConfig:
             raise ConfigError(f"unknown engine {self.engine!r}")
         for name in ("omega", "coupling", "t_min", "t_max", "tau", "eps_dco"):
             value = getattr(self, name)
-            if name == "t_max" and value is None:
-                continue
-            if not (_is_real(value) and math.isfinite(value)):
+            if not (_is_real(value) and math.isfinite(value) or name == "t_max" and value is None):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         try:
             ModelParams(min(self.n_list), self.omega, self.coupling)
@@ -379,10 +377,19 @@ def noise_study_rows(config: SweepConfig) -> dict[str, np.ndarray]:
 
 # --- argument handling -------------------------------------------------------
 
+def _charger_counts(text: str) -> list[int]:
+    """The value of --n: comma-separated charger counts, e.g. 2,3,4,5."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers such as "
+                                         f"2,3,4,5, got {text!r}") from None
+
+
 # The flags every command reads, with their add_argument options.
 _COMMON_FLAGS = (
     ("--config", dict(type=Path, help="JSON file mirroring SweepConfig")),
-    ("--n", dict(dest="n_list", type=lambda s: [int(x) for x in s.split(",")],
+    ("--n", dict(dest="n_list", type=_charger_counts,
                  help="comma-separated charger counts, e.g. 2,3,4,5")),
     ("--omega", dict(type=float)),
     ("--lambda", dict(dest="coupling", type=float)),
@@ -420,10 +427,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
     # a command's namespace holds only its own flags (see _parser)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    values.update({key: flag for key, flag in flags.items() if flag is not None})
     if "n_list" not in values:
         raise ConfigError("no charger counts given (use --n or a config file)")
     try:
@@ -493,48 +498,9 @@ def _cmd_sweep(config: SweepConfig) -> None:
     write_csv(out, names, columns)
 
 
-_ENCODE = json.JSONEncoder().encode
-
-
-def _put_json(value, put, indent: str = "\n") -> None:
-    """Pass the text of json.dumps(value, indent=2) to `put`, piece by piece,
-    for dicts with str keys, lists, tuples and scalars, without the
-    pure-Python encoder json falls back to under an indent.  Containers are
-    laid out as json lays them out (`indent` starts the value's own line);
-    finite floats are written by float.__repr__, and every other scalar and
-    every key by json's encoder, so NaN, Infinity and string escapes are
-    json's own."""
-    if isinstance(value, dict):
-        if not value:
-            return put("{}")
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            put(sep + _ENCODE(key) + ": ")
-            _put_json(item, put, inner)
-            sep = "," + inner
-        put(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return put("[]")
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            _put_json(item, put, inner)
-            sep = "," + inner
-        put(indent + "]")
-    elif isinstance(value, float) and math.isfinite(value):
-        put(float.__repr__(value))
-    else:
-        put(_ENCODE(value))
-
-
 def _cmd_bursts(config: SweepConfig) -> None:
     out = _require_out(config)
-    chunks = []
-    _put_json(burst_report(config), chunks.append)
-    Path(out).write_text("".join(chunks) + "\n")
+    Path(out).write_text(json.dumps(burst_report(config), indent=2) + "\n")
 
 
 def _cmd_export(config: SweepConfig) -> None:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import ENERGY_EPS
+
 # Amplitudes held at once per chunk of a time grid (16 MB of complex128), in
 # both engines.  One grid point holds N(N+1) of them in `protocol` and N+1 in
 # `analytic`; a chunk is at least one point.
@@ -36,13 +38,16 @@ class ModelParams:
     def __post_init__(self):
         if self.n_chargers < 2:
             raise ValueError(f"need at least 2 chargers, got {self.n_chargers}")
-        # normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits
-        # or to 0, and omega*lambda = 0 leaves t* = sqrt(N ln 2)/(omega*lambda) undefined
-        for name, value in (("omega", self.omega), ("coupling", self.coupling),
-                            ("omega*lambda", self.omega * self.coupling)):
-            if not (sys.float_info.min <= value < math.inf):
-                raise ValueError(f"{name} must be a finite number >= {sys.float_info.min!r} "
-                                 f"(a normal float), got {value!r}")
+        # Normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits or to 0, and
+        # omega*lambda = 0 leaves t* = sqrt(N ln 2)/(omega*lambda) undefined.  The numeric engine
+        # reads E as Tr[rho H]/omega, whose terms E*omega/2 stay normal floats, at full precision,
+        # wherever E >= ENERGY_EPS if omega >= 2 sys.float_info.min / ENERGY_EPS (4.45e-299).
+        normal = sys.float_info.min
+        for name, value, low in (("omega", self.omega, 2 * normal / ENERGY_EPS),
+                                 ("coupling", self.coupling, normal),
+                                 ("omega*lambda", self.omega * self.coupling, normal)):
+            if not (low <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number >= {low!r}, got {value!r}")
 
 
 def battery_hamiltonian(omega: float) -> np.ndarray:

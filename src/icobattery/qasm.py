@@ -49,18 +49,14 @@ def emit_qasm_grid(template, angles, points: int):
     """emit_qasm at each of `points` grid points, as an iterator of texts, of
     the gates of `template`, (kind, qubits, slot) triples whose slot is None
     or indexes `angles`, each angle a float or one per point, as
-    circuit._ICO_TEMPLATE and circuit._ico_angles give them.  Each distinct
-    (kind, qubits, whether a slot is given) is checked as a Gate once, with a
-    stand-in angle, and each slot's angles are formatted once."""
-    lines, slots, checked = [], [], set()
+    circuit._ICO_TEMPLATE and circuit._ico_angles give them.  Each gate of
+    the template is checked as a Gate, with a stand-in angle, before any text
+    is made, and each slot's angles are formatted once."""
+    lines, slots = [], [slot for *_, slot in template if slot is not None]
     for kind, qubits, slot in template:
-        if (shape := (kind, tuple(qubits), slot is None)) not in checked:
-            Gate(kind, qubits, None if slot is None else 0.0)
-            checked.add(shape)
+        Gate(kind, qubits, None if slot is None else 0.0)
         lines.append(f"{kind}{'' if slot is None else '(%s)'} "
                      f"{', '.join(f'qs[{q}]' for q in qubits)};\n")
-        if slot is not None:
-            slots.append(slot)
     cells = {slot: list(map(float.__repr__, np.broadcast_to(
         np.asarray(angles[slot], dtype=float), (points,)).tolist())) for slot in set(slots)}
     # a %-template: the header's gate bodies hold braces but no %

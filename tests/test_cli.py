@@ -72,6 +72,9 @@ SUBNORMAL_CASES = [
       "--points", "2", "--engine", "analytic"], "5e-324"),
 ]
 
+# Values of --n that are not comma-separated integers.
+MALFORMED_N = ["2,", "two", "2,,3"]
+
 
 @pytest.mark.parametrize("args", [
     ["sweep", "--n", "2", "--t-min", "-1", "--engine", "numeric"],
@@ -114,6 +117,7 @@ SUBNORMAL_CASES = [
     ["sweep", "--config", "{tmp}/n_int.json"],
     ["bursts", "--config", "{tmp}/n_null.json"],
     *[argv for argv, _ in SUBNORMAL_CASES],
+    *(["sweep", "--n", n] for n in MALFORMED_N),
 ])
 def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
@@ -142,9 +146,18 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     elif "--config" not in args:
         out = str(tmp_path / "x.csv")
         argv += ["--out", out]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    if args[1:2] == ["--n"] and args[2] in MALFORMED_N:    # argparse rejects it and exits
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"icobattery sweep: error: argument --n: expected comma-separated "
+                            f"integers such as 2,3,4,5, got {args[2]!r}\n")
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+    assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
     if "--out" in args:
         assert repr(out) in err
@@ -160,6 +173,30 @@ def test_subnormal_parameters_exit_2_naming_the_value(tmp_path, capsys, args, va
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"got {value}\n" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_omega_below_precision_floor_exits_2_naming_it(tmp_path, capsys):
+    # at omega = 3e-308 the engines' P_ico drifted 1e-10 apart on rows with E >= 1e-9
+    for omega in ("4.4e-299", "3e-308"):
+        assert main(["sweep", "--n", "2", "--omega", omega, "--lambda", "10", "--points", "3",
+                     "--engine", "both", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        # the bound is 2 sys.float_info.min / ENERGY_EPS
+        assert err == f"error: omega must be a finite number >= 4.450147717014402e-299, " \
+                      f"got {omega}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_omega_at_precision_floor_engines_agree(tmp_path):
+    out = tmp_path / "x.csv"
+    args = ["--n", "2,3", "--omega", "4.5e-299", "--lambda", "10", "--points", "7"]
+    assert main(["sweep", *args, "--engine", "both", "--out", str(out)]) == 0
+    assert main(["sweep", *args, "--engine", "analytic", "--out", str(tmp_path / "a.csv")]) == 0
+    num, ana = (list(csv.DictReader(path.read_text().splitlines()))
+                for path in (out, tmp_path / "a.csv"))
+    p_ico = [(float(r["P_ico"]), float(s["P_ico"])) for r, s in zip(num, ana) if r["P_ico"]]
+    assert len(p_ico) == 10
+    assert all(abs(a - b) <= 1e-14 for a, b in p_ico)
 
 
 def test_undecodable_config_file_exits_2(tmp_path, capsys):
@@ -930,28 +967,6 @@ def test_noise_study_writes_exact_seeds_past_2_63(tmp_path):
             assert [row["seed"] for row in csv.DictReader(fh)] == [str(seed + i) for i in range(3)]
 
 
-_JSON_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e16, 2**70, -2**70, True,
-               False, None, "", 'say "hi"', "back\\slash", "é ü 𝄞  ", "\x00\n\t/"]
-_json_values = st.recursive(
-    st.one_of(st.sampled_from(_JSON_EDGES), st.none(), st.booleans(), st.integers(),
-              st.floats(), st.text()),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-                            st.dictionaries(st.text(max_size=8), inner, max_size=4)),
-    max_leaves=40)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_json_values)
-@example({"tau": 0.5, "per_n": {"2": {"intervals": [], "total": 0.0}, "3": {}},
-          'k"\\é': [[], {}, [1e16, -0.0, math.nan, -math.inf]], "": [[[2**70]]]})
-@example([])
-@example({})
-def test_json_emitter_equals_indented_json_dumps(value):
-    chunks = []
-    cli._put_json(value, chunks.append)
-    assert "".join(chunks) == json.dumps(value, indent=2)
-
-
 @pytest.mark.parametrize("args", [["--n", "2,3,4,5", "--points", "400", "--engine", "both"],
                                   ["--n", "7,3", "--points", "5", "--t-min", "0", "--tau", "0"]])
 def test_bursts_json_is_json_dumps_indented(tmp_path, args):
@@ -1227,6 +1242,48 @@ def cli_arguments(draw):
 @settings(max_examples=60, deadline=None)
 @pytest.mark.filterwarnings("ignore:no counts")
 def test_cli_arguments_exit_cleanly_without_nan(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / {"bursts": "out.json", "export-circuits": "out"}.get(args[0], "out.csv")
+        try:
+            code = main(args + ["--out", str(out)])
+        except SystemExit as exc:     # argparse rejects the argument list
+            code = exc.code
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert _finite_outputs(Path(tmp)) == []
+
+
+# omega, lambda, --t-min and --t-max from anywhere in binary64: the edges of
+# the subnormal and normal ranges, omega's precision floor, 0, inf, NaN and
+# negatives, or left out (None)
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 4.4e-299, 4.5e-299, 1e-9,
+                1.0, sys.float_info.max, math.inf, -math.inf, math.nan]
+_WHOLE_RANGE = st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def whole_range_arguments(draw):
+    """A command line of any command at N in {2, 3, 7} and 3 points, whose
+    omega, lambda, --t-min and --t-max are drawn from the whole binary64
+    range; each is passed as --flag=value, so a negative one reaches float."""
+    command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+    n = draw(st.sampled_from(["2", "3", "7", "2,3,7"])) if command in ("sweep", "bursts") else "2"
+    args = [command, "--n", n, "--points", "3"]
+    if command in ("sweep", "bursts"):
+        args += ["--engine", draw(st.sampled_from(["numeric", "analytic", "both"]))]
+    if command == "noise-study":
+        args += ["--shots", "20", "--depol-p", "0.05"]
+    for flag in ("--omega", "--lambda", "--t-min", "--t-max"):
+        value = draw(_WHOLE_RANGE)
+        if value is not None:
+            args.append(f"{flag}={value!r}")
+    return args
+
+
+@given(args=whole_range_arguments())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:no counts")
+def test_whole_float_range_exits_0_2_or_3(args):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / {"bursts": "out.json", "export-circuits": "out"}.get(args[0], "out.csv")
         try:

@@ -20,6 +20,10 @@ def test_params_validation():
         ModelParams(2, omega=0.0)
     with pytest.raises(ValueError):
         ModelParams(2, coupling=-0.1)
+    # omega's precision floor, 2 sys.float_info.min / ENERGY_EPS = 4.45e-299
+    assert ModelParams(2, omega=4.5e-299).omega == 4.5e-299
+    with pytest.raises(ValueError, match="omega must be a finite number >= 4.45"):
+        ModelParams(2, omega=4.4e-299)
 
 
 def test_battery_hamiltonian_spectrum():

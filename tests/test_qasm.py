@@ -138,8 +138,7 @@ def test_grid_equal_columns_from_separate_arrays():
     assert gate_statements(texts[0])[5] == "yy(-0.0) qs[1], qs[2];"
 
 
-def test_grid_checks_each_distinct_gate_once(monkeypatch):
-    # the 43 gates of the ICO template are 13 distinct (kind, qubits, angle or not)
+def test_grid_checks_every_template_gate(monkeypatch):
     checked = []
 
     def counting(kind, qubits, angle=None):
@@ -150,5 +149,16 @@ def test_grid_checks_each_distinct_gate_once(monkeypatch):
     angles = _ico_angles(*angles_of_time(ModelParams(2, 1.0, 0.1), np.linspace(0.0, 30.0, 5)))
     list(emit_qasm_grid(_ICO_TEMPLATE, angles, 5))
     assert len(_ICO_TEMPLATE) == 43
-    assert sorted(checked) == sorted({(k, q, slot is None) for k, q, slot in _ICO_TEMPLATE})
-    assert len(checked) == 13
+    assert checked == [(kind, qubits, slot is None) for kind, qubits, slot in _ICO_TEMPLATE]
+
+
+@pytest.mark.parametrize("at", [0, 21, 42])
+@pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("rz", (0, 1), 0),
+                                    ("cp", (1, 2), None), ("h", (0,), 0)])
+def test_grid_rejects_a_malformed_template_line_before_any_text(at, broken):
+    # the call itself raises: no text of any point is made
+    template = list(_ICO_TEMPLATE)
+    template[at] = broken
+    angles = _ico_angles(*angles_of_time(ModelParams(2, 1.0, 0.1), np.linspace(0.0, 30.0, 5)))
+    with pytest.raises(ValueError):
+        emit_qasm_grid(template, angles, 5)
