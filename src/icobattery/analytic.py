@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import CHUNK_AMPLITUDES, ModelParams, _rows
+from .model import CHUNK_AMPLITUDES, ModelParams, _rows, check_model
 from .thermo import efficiencies, python_values
 
 
@@ -92,9 +92,10 @@ def closed_form_sweep(omega: float, coupling: float, n_list, times) -> dict[str,
     C = |sum_v alpha_v|^2 - sum_v |alpha_v|^2.
 
     Every column is evaluated once over all rows, each row in O(1) (see
-    _row_sums).  Raises ValueError, naming the time, if the coefficients of
-    some row that _row_sums sums one by one are not normalized.
+    _row_sums).  Raises ValueError where check_model does, or, naming the
+    time, where _row_sums finds a row's coefficients not normalized.
     """
+    check_model(omega, coupling, n_list, times)
     n_row, t = _rows(n_list, times)
     gnd, e, sum_sq = _row_sums(omega, coupling, n_row, t)   # E = sum_{j>=1} |alpha_j|^2
     c_term = sum_sq - e

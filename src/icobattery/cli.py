@@ -23,7 +23,7 @@ import numpy as np
 from . import tolerances as tol
 from .analytic import _t_star, closed_form_sweep
 from .circuit import _ICO_TEMPLATE, _ico_angles, angles_of_time, estimate_counts, ico_counts
-from .model import CHUNK_AMPLITUDES, ModelParams
+from .model import CHUNK_AMPLITUDES, ModelParams, check_model
 from .qasm import emit_qasm_grid
 from .thermo import numeric_sweep, python_values
 
@@ -107,21 +107,14 @@ class SweepConfig:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) or name == "t_max" and value is None):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.t_max is None:      # 0 where omega*lambda = 0, which check_model rejects first
+            self.t_max = 4 * math.pi / (self.omega * self.coupling or math.inf)
         try:
-            ModelParams(min(self.n_list), self.omega, self.coupling)
+            check_model(self.omega, self.coupling, times=(self.t_min, self.t_max))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.t_max is None:
-            self.t_max = 4 * math.pi / (self.omega * self.coupling)
-        if not self.t_min >= 0:
-            raise ConfigError(f"t_min must be >= 0, got {self.t_min}")
         if not self.t_min < self.t_max:
             raise ConfigError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
-        # the phases (3/2) omega t and omega lambda t must stay finite
-        if not (math.isfinite(2 * self.omega * self.t_max)
-                and math.isfinite(self.omega * self.coupling * self.t_max)):
-            raise ConfigError(f"phases omega*t_max and omega*lambda*t_max overflow "
-                              f"at t_max={self.t_max}")
         if not (_is_int(self.points) and self.points >= 2):
             raise ConfigError(f"need an integer number of grid points >= 2, got {self.points!r}")
         if self.points * len(self.n_list) > MAX_ROWS:
@@ -198,8 +191,7 @@ def _sweep_columns(config: SweepConfig):
         raise ConfigError(f"phase max(omega, omega*lambda)*t_max = {phase:g} exceeds "
                           f"{MAX_BOTH_PHASE:g}, beyond which the engines cannot agree "
                           f"within {tol.ENGINE_AGREE_ATOL:g}; lower t_max or pick one engine")
-    engine = {"numeric": numeric_sweep, "analytic": closed_form_sweep,
-              "both": numeric_sweep}[config.engine]
+    engine = closed_form_sweep if config.engine == "analytic" else numeric_sweep
     grid = config.time_grid()
     per_batch = max(1, WRITE_BLOCK // len(grid))
     for lo in range(0, len(config.n_list), per_batch):

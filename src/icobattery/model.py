@@ -26,28 +26,40 @@ KET_E = np.array([0.0, 1.0], dtype=complex)
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 
 
+def check_model(omega, coupling, n_list=(), times=()) -> None:
+    """Raise ValueError naming the first value the model rejects: omega, lambda or
+    omega*lambda below its floor, an N not an integer >= 2, or the least or greatest
+    time t if it is negative or not finite or if 2 omega t or omega lambda t overflows."""
+    # Normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits or to 0, and
+    # omega*lambda = 0 leaves t* undefined.  omega >= 2 sys.float_info.min / ENERGY_EPS (4.45e-299)
+    # keeps the numeric engine's terms E*omega/2 of Tr[rho H] normal wherever E >= ENERGY_EPS.
+    for name, value, low in (("omega", omega, 2 * sys.float_info.min / ENERGY_EPS),
+                             ("coupling", coupling, sys.float_info.min),
+                             ("omega*lambda", omega * coupling, sys.float_info.min)):
+        if not (low <= value < math.inf):
+            raise ValueError(f"{name} must be a finite number >= {low!r}, got {value!r}")
+    for n in n_list:
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 2):
+            raise ValueError(f"every N must be an integer >= 2, got {n!r}")
+    t = np.asarray(times, dtype=float)
+    for value in (t.min().item(), t.max().item()) if t.size else ():   # a NaN is both
+        if not 0 <= value < math.inf:
+            raise ValueError(f"evolution time must be finite and >= 0, got {value!r}")
+        # both phases grow with t; a Python float's overflow does not warn
+        if not math.isfinite(max(2 * float(omega), float(omega * coupling)) * value):
+            raise ValueError(f"phases 2*omega*t and omega*lambda*t overflow at t={value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Single source of truth for N, omega, lambda. `coupling` is the
-    dimensionless XY coupling strength lambda."""
+    """N, omega and lambda (`coupling`, the dimensionless XY coupling) of one model point."""
 
     n_chargers: int
     omega: float = 1.0
     coupling: float = 0.1
 
     def __post_init__(self):
-        if self.n_chargers < 2:
-            raise ValueError(f"need at least 2 chargers, got {self.n_chargers}")
-        # Normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits or to 0, and
-        # omega*lambda = 0 leaves t* = sqrt(N ln 2)/(omega*lambda) undefined.  The numeric engine
-        # reads E as Tr[rho H]/omega, whose terms E*omega/2 stay normal floats, at full precision,
-        # wherever E >= ENERGY_EPS if omega >= 2 sys.float_info.min / ENERGY_EPS (4.45e-299).
-        normal = sys.float_info.min
-        for name, value, low in (("omega", self.omega, 2 * normal / ENERGY_EPS),
-                                 ("coupling", self.coupling, normal),
-                                 ("omega*lambda", self.omega * self.coupling, normal)):
-            if not (low <= value < math.inf):
-                raise ValueError(f"{name} must be a finite number >= {low!r}, got {value!r}")
+        check_model(self.omega, self.coupling, [self.n_chargers])
 
 
 def battery_hamiltonian(omega: float) -> np.ndarray:
@@ -55,7 +67,7 @@ def battery_hamiltonian(omega: float) -> np.ndarray:
     return (omega / 2) * SIGMA_Z
 
 
-def _pair_entries(params: ModelParams, t_l) -> tuple:
+def _pair_entries(omega: float, coupling: float, t_l) -> tuple:
     """The distinct entries of the charging unitary U(t_l) = exp(-i H t_l) on
     Q (x) C, each of shape np.shape(t_l), for the battery-charger Hamiltonian
 
@@ -66,12 +78,8 @@ def _pair_entries(params: ModelParams, t_l) -> tuple:
     then the diagonal and the off-diagonal entry of the single-excitation
     block {|eg>, |ge>}, a cos / -i*sin envelope of argument omega*lambda*t
     under the phase exp(-i*omega*t/2)."""
-    t_l = np.asarray(t_l, dtype=float)
-    if (t_l < 0).any() or not np.isfinite(t_l).all():
-        raise ValueError(f"evolution time must be finite and >= 0, got {t_l}")
-    om, lam = params.omega, params.coupling
-    envelope, half = om * lam * t_l, np.exp(-0.5j * om * t_l)
-    return (np.exp(0.5j * om * t_l), np.exp(-1.5j * om * t_l),
+    envelope, half = omega * coupling * t_l, np.exp(-0.5j * omega * t_l)
+    return (np.exp(0.5j * omega * t_l), np.exp(-1.5j * omega * t_l),
             half * np.cos(envelope), half * (-1j * np.sin(envelope)))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, _pair_entries, _rows
+from .model import CHUNK_AMPLITUDES, KET_E, KET_G, ModelParams, _pair_entries, _rows, check_model
 
 _EYE_2 = np.eye(2)
 
@@ -108,9 +108,9 @@ def run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[str, np.
     its rows in chunks of at most CHUNK_AMPLITUDES amplitudes (N(N+1) a row)
     or one row, each reduced to battery populations before the next starts,
     and the states of all rows are formed from these at once."""
-    params = ModelParams(min(n_list, default=2), omega, coupling)   # checks every N, omega, lambda
+    check_model(omega, coupling, n_list, times)
     n_row, t = _rows(n_list, times)
-    _, ee, diag, off = _pair_entries(params, t / n_row)
+    _, ee, diag, off = _pair_entries(omega, coupling, t / n_row)
     block = np.array([[diag, off], [off, diag]]) / ee
     del _, ee, diag, off                        # only the block is kept over the chunks
     # populations of outcome k = 1, of k != 1 and of branch 1 (the DCO state)

@@ -94,19 +94,18 @@ def report_grid(states: dict[str, np.ndarray], omega: float) -> dict[str, np.nda
     built at import, and nothing assumes the states are diagonal.  The
     callers bound the rows (the CLI passes at most WRITE_BLOCK).  Raises
     ValueError at the first failing check of `report`, in that order."""
-    h = battery_hamiltonian(omega)
-    unit = omega  # hbar*omega with hbar = 1
+    h = battery_hamiltonian(omega)      # energies divided by omega are in hbar*omega
 
     w_given_1, w_rest, w_bar = _ergotropies(
         [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], h, _H_VECS)
     e_ico, e_dco = _energies(np.concatenate([states["rho_avg"], states["rho_bar"]]) - _RHO_G,
-                             h).reshape(2, -1) / unit
+                             h).reshape(2, -1) / omega
     w_ico = _weighted_sum(np.array([states["p1"], states["rest_weight"]]),
-                          np.array([w_given_1, w_rest])) / unit
-    w_dco = w_bar / unit
+                          np.array([w_given_1, w_rest])) / omega
+    w_dco = w_bar / omega
     return {"E": e_ico, "W_ico": w_ico, "P_ico": efficiencies(w_ico, e_ico),
             "E_dco": e_dco, "W_dco": w_dco, "P_dco": efficiencies(w_dco, e_dco),
-            "passive_k1": w_given_1 / unit <= tol.PASSIVITY_ATOL,
+            "passive_k1": w_given_1 / omega <= tol.PASSIVITY_ATOL,
             "passive_dco": w_dco <= tol.PASSIVITY_ATOL}
 
 

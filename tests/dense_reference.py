@@ -47,7 +47,7 @@ def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
     cos / -i*sin exchange envelope with argument omega*lambda*t on the
     single-excitation pair {|eg>, |ge>}.  For an array of times, one matrix
     per time along trailing axes: shape (4, 4) + np.shape(t_l)."""
-    gg, ee, diag, off = _pair_entries(params, t_l)
+    gg, ee, diag, off = _pair_entries(params.omega, params.coupling, t_l)
     u = np.zeros((4, 4) + np.shape(gg), dtype=complex)
     # indices: 2*q + c with g=0, e=1
     u[0, 0], u[3, 3] = gg, ee                               # |gg><gg|, |ee><ee|

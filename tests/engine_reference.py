@@ -16,7 +16,7 @@ import numpy as np
 from icobattery import protocol
 from icobattery import tolerances as tol
 from icobattery.analytic import _row_sums
-from icobattery.model import KET_E, KET_G, ModelParams, battery_hamiltonian
+from icobattery.model import KET_E, KET_G, battery_hamiltonian, check_model
 from icobattery.protocol import _branch_amplitudes
 from icobattery.thermo import _energies, _ergotropies, _weighted_sum, efficiencies
 
@@ -42,13 +42,12 @@ def tiled_conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarr
     return weight, eye_density(pops)
 
 
-def twice_pair_entries(params: ModelParams, t_l) -> tuple:
+def twice_pair_entries(omega: float, coupling: float, t_l) -> tuple:
     """`model._pair_entries` forming e^{-i w t / 2} and w l t twice each."""
     t_l = np.asarray(t_l, dtype=float)
-    om, lam = params.omega, params.coupling
-    c, s = np.cos(om * lam * t_l), np.sin(om * lam * t_l)
-    return (np.exp(0.5j * om * t_l), np.exp(-1.5j * om * t_l),
-            np.exp(-0.5j * om * t_l) * c, np.exp(-0.5j * om * t_l) * (-1j * s))
+    c, s = np.cos(omega * coupling * t_l), np.sin(omega * coupling * t_l)
+    return (np.exp(0.5j * omega * t_l), np.exp(-1.5j * omega * t_l),
+            np.exp(-0.5j * omega * t_l) * c, np.exp(-0.5j * omega * t_l) * (-1j * s))
 
 
 def tiled_rows(n_list, times) -> tuple[np.ndarray, np.ndarray]:
@@ -62,9 +61,9 @@ def tiled_run_ico_sweep(omega: float, coupling: float, n_list, times) -> dict[st
     the branches; it chunks by `protocol.CHUNK_AMPLITUDES` as read at call
     time, so a test that patches it chunks both forms alike."""
     times = np.asarray(times, dtype=float)
-    params = ModelParams(min(n_list, default=2), omega, coupling)
+    check_model(omega, coupling, n_list, times)
     n_row, t = tiled_rows(n_list, times)
-    _, ee, diag, off = twice_pair_entries(params, t / n_row)
+    _, ee, diag, off = twice_pair_entries(omega, coupling, t / n_row)
     block = np.array([[diag, off], [off, diag]]) / ee
     sigma_1, sigma_rest, bar = np.empty((3, len(t), 2))
     for i, n in enumerate(n_list):

@@ -239,11 +239,11 @@ class TestClosedFormGrid:
             closed_form_sweep(1.0, 0.1, [2], [3.0, 40 * np.pi, 1e-3])
 
     def test_non_finite_time_raises(self):
-        # NaN coefficients fail the normalization check instead of giving a report of NaN
-        with pytest.raises(ValueError, match="normalization nan deviates from 1"):
+        # model.check_model rejects the time before any coefficient is formed
+        with pytest.raises(ValueError, match=r"evolution time must be finite and >= 0, got nan$"):
             closed_form_report(P2, np.nan)
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="normalization nan"):
-            closed_form_report(P2, np.inf)      # cos(inf) warns, then the check raises
+        with pytest.raises(ValueError, match=r"evolution time must be finite and >= 0, got inf$"):
+            closed_form_report(P2, np.inf)
 
 
 def one_n_columns(params, times):

@@ -118,6 +118,9 @@ MALFORMED_N = ["2,", "two", "2,,3"]
     ["bursts", "--config", "{tmp}/n_null.json"],
     *[argv for argv, _ in SUBNORMAL_CASES],
     *(["sweep", "--n", n] for n in MALFORMED_N),
+    # times that model.check_model rejects: negative, and a phase 2*omega*t that overflows
+    ["sweep", "--n", "2", "--t-min", "-1"],
+    ["sweep", "--n", "2", "--omega", "10", "--t-max", "1e308"],
 ])
 def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):

@@ -6,7 +6,7 @@ import pytest
 import icobattery.protocol as protocol
 from icobattery import tolerances as tol
 from icobattery.analytic import closed_form_sweep
-from icobattery.model import KET_E, KET_G, ModelParams, _pair_entries, battery_hamiltonian
+from icobattery.model import KET_E, KET_G, _pair_entries, battery_hamiltonian
 from icobattery.protocol import (_battery_populations, _branch_amplitudes, _conditional,
                                  _density, run_ico_sweep)
 from icobattery.thermo import _H_VECS, report_grid
@@ -34,18 +34,16 @@ def assert_columns_bitwise(got, want):
 def first_chunk(n, points):
     """The amplitudes of the first chunk the engine evolves for N = n over
     grid(points)."""
-    params = ModelParams(n, OMEGA, LAM)
     rows = min(points, max(1, protocol.CHUNK_AMPLITUDES // (n * (n + 1))))
-    _, ee, diag, off = _pair_entries(params, grid(points)[:rows] / n)
+    _, ee, diag, off = _pair_entries(OMEGA, LAM, grid(points)[:rows] / n)
     return _branch_amplitudes(n, np.array([[diag, off], [off, diag]]) / ee)
 
 
 @pytest.mark.parametrize("n", N_VALUES)
 @pytest.mark.parametrize("points", POINTS)
 def test_pair_entries_equal_twice_formed(n, points):
-    params = ModelParams(n, OMEGA, LAM)
     for t_l in (grid(points) / n, grid(points)[0] / n):   # a lone time, as pair_unitary takes
-        got, want = _pair_entries(params, t_l), ref.twice_pair_entries(params, t_l)
+        got, want = _pair_entries(OMEGA, LAM, t_l), ref.twice_pair_entries(OMEGA, LAM, t_l)
         assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
 
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icobattery.analytic import closed_form_sweep
 from icobattery.model import ModelParams, battery_hamiltonian
+from icobattery.thermo import numeric_sweep
 
 from dense_reference import embed_pair, pair_hamiltonian, pair_unitary, switch_register_layout
 from labeled_linalg import PAIR_LAYOUT, Operator, exp_neg_i, require_unitary, battery_charger_layout
@@ -16,6 +18,9 @@ def test_params_validation():
     ModelParams(2)
     with pytest.raises(ValueError):
         ModelParams(1)
+    with pytest.raises(ValueError, match="every N must be an integer >= 2, got 2.5"):
+        ModelParams(2.5)
+    assert ModelParams(np.int64(3)).n_chargers == 3      # numpy integers pass
     with pytest.raises(ValueError):
         ModelParams(2, omega=0.0)
     with pytest.raises(ValueError):
@@ -24,6 +29,34 @@ def test_params_validation():
     assert ModelParams(2, omega=4.5e-299).omega == 4.5e-299
     with pytest.raises(ValueError, match="omega must be a finite number >= 4.45"):
         ModelParams(2, omega=4.4e-299)
+
+
+# (omega, lambda, N, t) inputs that model.check_model rejects, each with the
+# value its message names
+REJECTED = [
+    ((0.0, 0.1, 2, 1.0), "omega", "0.0"),
+    ((4.4e-299, 0.1, 2, 1.0), "omega", "4.4e-299"),
+    ((1.0, 5e-324, 2, 1.0), "coupling", "5e-324"),
+    ((1.0, 0.1, 1, 1.0), "every N", "1"),
+    ((1.0, 0.1, 2.5, 1.0), "every N", "2.5"),
+    ((1.0, 0.1, True, 1.0), "every N", "True"),
+    ((1.0, 0.1, 2, -1.0), "evolution time", "-1.0"),
+    ((1.0, 0.1, 2, np.nan), "evolution time", "nan"),
+    ((1.0, 0.1, 2, np.inf), "evolution time", "inf"),
+    ((10.0, 0.1, 2, 1e308), "phases", "t=1e+308"),
+]
+
+
+@pytest.mark.parametrize("case, name, value", REJECTED)
+def test_engines_reject_the_same_inputs(case, name, value):
+    omega, coupling, n, t = case
+    messages = []
+    for engine in (closed_form_sweep, numeric_sweep):
+        with pytest.raises(ValueError) as exc:
+            engine(omega, coupling, [3, n], [0.5, t])      # the rejected value comes second
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(name) and messages[0].endswith(value)
 
 
 def test_battery_hamiltonian_spectrum():
