@@ -7,12 +7,16 @@ provides a gate-level two-charger circuit with shot sampling and
 depolarizing noise.
 """
 
+import importlib
+
 from .analytic import ClosedFormReport, closed_form_report, dco_zero_window
-from .circuit import Gate, QuantumCircuit, angles_of_time, build_ico_circuit
 from .model import ModelParams, battery_hamiltonian
 from .protocol import ProtocolResult, run_ico, run_ico_sweep
-from .qasm import emit_qasm, parse_qasm
 from .thermo import EnergyReport, report, report_grid
+
+# The circuit and QASM names load on first access (PEP 562): a sweep runs neither.
+_LAZY = {"Gate": "circuit", "QuantumCircuit": "circuit", "angles_of_time": "circuit",
+         "build_ico_circuit": "circuit", "emit_qasm": "qasm", "parse_qasm": "qasm"}
 
 __all__ = [
     "ClosedFormReport", "EnergyReport", "Gate", "ModelParams", "ProtocolResult",
@@ -22,3 +26,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -20,6 +20,7 @@ from .thermo import efficiencies, python_values
 
 @dataclass(frozen=True)
 class ClosedFormReport:
+    """The closed-form energy accounting of both protocols at one point (N, t)."""
     t: float
     C1: float                 # interference term for the uniform-superposition outcome
     p1: float

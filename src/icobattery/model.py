@@ -7,7 +7,6 @@ Matrices are plain complex arrays; two-qubit ones act on Q (x) C, index 2q + c.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -33,20 +32,25 @@ def check_model(omega, coupling, n_list=(), times=()) -> None:
     # Normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits or to 0, and
     # omega*lambda = 0 leaves t* undefined.  omega >= 2 sys.float_info.min / ENERGY_EPS (4.45e-299)
     # keeps the numeric engine's terms E*omega/2 of Tr[rho H] normal wherever E >= ENERGY_EPS.
+    # Ints compare exactly; omega*lambda is formed once both are in the float range.
     for name, value, low in (("omega", omega, 2 * sys.float_info.min / ENERGY_EPS),
                              ("coupling", coupling, sys.float_info.min),
-                             ("omega*lambda", omega * coupling, sys.float_info.min)):
-        if not (low <= value < math.inf):
+                             ("omega*lambda", None, sys.float_info.min)):
+        value = omega * coupling if value is None else value
+        if not (low <= value <= sys.float_info.max):
             raise ValueError(f"{name} must be a finite number >= {low!r}, got {value!r}")
     for n in n_list:
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 2):
             raise ValueError(f"every N must be an integer >= 2, got {n!r}")
-    t = np.asarray(times, dtype=float)
-    for value in (t.min().item(), t.max().item()) if t.size else ():   # a NaN is both
-        if not 0 <= value < math.inf:
+    try:
+        t = np.asarray(times, dtype=float)
+    except OverflowError:       # an int beyond the float range
+        t = np.array([max(times, key=abs)], dtype=object)
+    for value in t[[t.argmin(), t.argmax()]].tolist() if t.size else ():   # a NaN is both
+        if not 0 <= value <= sys.float_info.max:
             raise ValueError(f"evolution time must be finite and >= 0, got {value!r}")
         # both phases grow with t; a Python float's overflow does not warn
-        if not math.isfinite(max(2 * float(omega), float(omega * coupling)) * value):
+        if not max(2 * float(omega), float(omega * coupling)) * value <= sys.float_info.max:
             raise ValueError(f"phases 2*omega*t and omega*lambda*t overflow at t={value!r}")
 
 

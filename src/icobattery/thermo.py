@@ -24,6 +24,7 @@ _H_VECS = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class EnergyReport:
+    """One protocol's energy accounting at one point: E, W, P = W/E and passivity."""
     E: float                  # stored energy, hbar*omega units
     W: float                  # ergotropy, hbar*omega units
     P: float | None           # efficiency W/E, None when E is below threshold

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import icobattery.circuit as circuit
 import icobattery.cli as cli
 from icobattery.cli import (
     ConfigError,
@@ -75,6 +76,14 @@ SUBNORMAL_CASES = [
 # Values of --n that are not comma-separated integers.
 MALFORMED_N = ["2,", "two", "2,,3"]
 
+# The engines that rejected input must not reach, each with the module a
+# command looks it up in.
+ENGINES = ((cli, "numeric_sweep"), (cli, "closed_form_sweep"), (circuit, "ico_counts"))
+
+# The float fields of SweepConfig, each given an int beyond the float range by a
+# config file in test_invalid_input_exits_2.
+FLOAT_KEYS = ("omega", "coupling", "t_min", "t_max", "tau", "eps_dco")
+
 
 @pytest.mark.parametrize("args", [
     ["sweep", "--n", "2", "--t-min", "-1", "--engine", "numeric"],
@@ -121,13 +130,15 @@ MALFORMED_N = ["2,", "two", "2,,3"]
     # times that model.check_model rejects: negative, and a phase 2*omega*t that overflows
     ["sweep", "--n", "2", "--t-min", "-1"],
     ["sweep", "--n", "2", "--omega", "10", "--t-max", "1e308"],
+    # a config file's int beyond the float range, which no float can hold
+    *(["bursts", "--config", f"{{tmp}}/big_{key}.json"] for key in FLOAT_KEYS),
 ])
 def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
     def engine(*args, **kwargs):
         raise AssertionError("bad input must be rejected before any engine runs")
 
-    for name in ("numeric_sweep", "closed_form_sweep", "ico_counts"):
-        monkeypatch.setattr(cli, name, engine)
+    for owner, name in ENGINES:
+        monkeypatch.setattr(owner, name, engine)
     (tmp_path / "file").write_text("")
     (tmp_path / "noise_shots.csv").mkdir()
     # config files, each with what its error must name
@@ -138,7 +149,10 @@ def test_invalid_input_exits_2(tmp_path, monkeypatch, capsys, args):
                "list.json": (["seed"], "got list"), "str.json": ("abc", "got str"),
                "n_int.json": ({"n_list": 5}, "n_list must be a list of charger counts, got int"),
                "n_null.json": ({"n_list": None},
-                               "n_list must be a list of charger counts, got NoneType")}
+                               "n_list must be a list of charger counts, got NoneType"),
+               **{f"big_{key}.json": ({"n_list": [2], key: 10**400},
+                                      f"{key} must be a finite number, got {10**400}")
+                  for key in FLOAT_KEYS}}
     for name, (value, _) in configs.items():
         (tmp_path / name).write_text(json.dumps(value))
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
@@ -668,6 +682,7 @@ class TestBursts:
 @given(n_list=st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True),
        points=st.integers(2, 3 * 7 + 1), engine=st.sampled_from(["numeric", "analytic", "both"]))
 @example(n_list=[3, 2], points=30, engine="both")   # N = 2's burst over rows 27-28 spans 2 batches
+@example(n_list=[2, 3], points=17, engine="both")   # N = 3's passive_k1 ties at t = 7.5 pi
 @settings(max_examples=25, deadline=None)
 def test_short_batches_leave_outputs_unchanged(n_list, points, engine):
     # with WRITE_BLOCK = 7, grids of up to 7 points go whole, 7 // points of them a
@@ -757,7 +772,7 @@ class TestExportCircuits:
     @pytest.mark.parametrize("broken", [("swap", (0, 1), None), ("h", (0, 1), None),
                                         ("cz", (1,), None), ("xx", (1, 2), None)])
     def test_broken_template_raises(self, tmp_path, monkeypatch, broken):
-        monkeypatch.setattr(cli, "_ICO_TEMPLATE", (*cli._ICO_TEMPLATE, broken))
+        monkeypatch.setattr(circuit, "_ICO_TEMPLATE", (*circuit._ICO_TEMPLATE, broken))
         with pytest.raises(ValueError):
             export_circuits(SweepConfig(n_list=[2], points=3, t_max=30.0), tmp_path)
         assert not list(tmp_path.iterdir())
@@ -823,8 +838,8 @@ class TestBootstrap:
         whole = run()
         calls = []
         monkeypatch.setattr(cli, "BOOTSTRAP_CHUNK", chunk)
-        real = cli.estimate_counts
-        monkeypatch.setattr(cli, "estimate_counts",
+        real = circuit.estimate_counts
+        monkeypatch.setattr(circuit, "estimate_counts",
                             lambda draws, shots: calls.append(len(draws)) or real(draws, shots))
         assert run() == whole
         assert calls == [len(part) * cli.BOOTSTRAP_RESAMPLES
@@ -877,7 +892,7 @@ class TestBootstrap:
                                           cli.BOOTSTRAP_RESAMPLES)
                 assert row["se_P"] == se_p
         assert expected and len(caught) == len(expected)
-        assert all(w.filename == cli.estimate_counts.__code__.co_filename for w in caught)
+        assert all(w.filename == circuit.estimate_counts.__code__.co_filename for w in caught)
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
@@ -1038,8 +1053,8 @@ def test_foreign_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, command, 
     def engine(*args, **kwargs):
         raise AssertionError("a foreign flag must be rejected before any engine runs")
 
-    for name in ("numeric_sweep", "closed_form_sweep", "ico_counts"):
-        monkeypatch.setattr(cli, name, engine)
+    for owner, name in ENGINES:
+        monkeypatch.setattr(owner, name, engine)
     value = next(own[flag] for own in OWN_FLAGS.values() if flag in own)
     argv = [command, "--n", "2", "--points", "3", *itertools.chain(*OWN_FLAGS[command].items()),
             flag, value, "--out", str(tmp_path / OUT_NAMES.get(command, "out.csv"))]
@@ -1122,8 +1137,8 @@ class TestMain:
         def engine(*args, **kwargs):
             raise AssertionError("--out must be checked before any engine runs")
 
-        for name in ("numeric_sweep", "closed_form_sweep", "ico_counts"):
-            monkeypatch.setattr(cli, name, engine)
+        for owner, name in ENGINES:
+            monkeypatch.setattr(owner, name, engine)
         for args in (["sweep", "--n", "2", "--points", "3"],
                      ["sweep", "--n", "2,3", "--points", "3", "--engine", "numeric"],
                      ["bursts", "--n", "2,3", "--points", "3"],

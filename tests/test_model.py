@@ -44,6 +44,10 @@ REJECTED = [
     ((1.0, 0.1, 2, np.nan), "evolution time", "nan"),
     ((1.0, 0.1, 2, np.inf), "evolution time", "inf"),
     ((10.0, 0.1, 2, 1e308), "phases", "t=1e+308"),
+    # ints beyond the float range, named by a short id
+    pytest.param((10**400, 0.1, 2, 1.0), "omega", str(10**400), id="case10-omega-10**400"),
+    pytest.param((1.0, 0.1, 2, 10**400), "evolution time", str(10**400),
+                 id="case11-evolution time-10**400"),
 ]
 
 
