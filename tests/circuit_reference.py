@@ -4,13 +4,12 @@ These are the one-circuit-at-a-time forms that `icobattery.circuit` batches
 over a time grid: gate matrices from one angle each, one `tensordot` per gate
 on a single 4-qubit state, the count estimator on one mapping, and the
 bootstrap that calls it once per resample.  `icobattery.circuit` and
-`icobattery.cli` are checked against them.  `moveaxis_apply` and
-`moveaxis_final_states` keep the earlier form of the library's grid kernel,
-which the library must reproduce bit for bit, as must `broadcast_final_states`,
-the kernel with every fixed gate copied to each grid point, and
-`unshared_final_states` of `unshared_ico_gates`, the ICO circuit written out
-gate by gate, which form every gate's angle and matrices anew instead of
-sharing them through the library's gate template and its four angle slots.
+`icobattery.cli` are checked against them.  `moveaxis_apply` keeps the
+earlier form of the library's kernel `apply`, which the library must
+reproduce bit for bit, as must `unshared_final_states` of
+`unshared_ico_gates`, the ICO circuit written out gate by gate, which form
+every gate's angle and matrices anew instead of sharing them through the
+library's gate template and its four angle slots.
 `library_gate_matrix`, `circuit_unitary` and `simulate` instead run the
 library's own kernels; only tests use them, so they live here rather than in
 `icobattery.circuit`.
@@ -86,32 +85,6 @@ def template_of(circ: QuantumCircuit) -> tuple[list, list]:
     gate has a slot of its own, its index, and the angles of those slots."""
     return ([(g.kind, g.qubits, None if g.angle is None else i) for i, g in enumerate(circ.gates)],
             [g.angle for g in circ.gates])
-
-
-def moveaxis_final_states(template, angles, points: int) -> np.ndarray:
-    """`icobattery.circuit._final_states` in its earlier form: every gate,
-    a column of angles included, broadcast to a stack of `points` matrices
-    and applied by moveaxis_apply."""
-    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
-    psi[(0,) * N_QUBITS] = 1.0
-    for kind, qubits, angle in resolve(template, angles):
-        mats = circuit.gate_matrices(kind, angle)
-        psi = moveaxis_apply(psi, np.broadcast_to(mats, (points,) + mats.shape[-2:]), qubits)
-    return psi
-
-
-def broadcast_final_states(gates, points: int) -> np.ndarray:
-    """`icobattery.circuit._final_states` with a gate of one matrix broadcast
-    to a stack of `points` copies, one matrix product per point, as the
-    library applied it before passing the one matrix to `apply`."""
-    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
-    psi[(0,) * N_QUBITS] = 1.0
-    for kind, qubits, angle in gates:
-        mats = circuit.gate_matrices(kind, angle)
-        if mats.ndim == 2:
-            mats = np.broadcast_to(mats, (points,) + mats.shape)
-        psi = circuit.apply(psi, mats, qubits)
-    return psi
 
 
 def unshared_ico_gates(theta, phi) -> list[tuple]:

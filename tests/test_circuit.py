@@ -316,7 +316,10 @@ class TestStackedKernel:
 
 
 class TestKernelPinned:
-    """`apply` equals its earlier two-moveaxis form bit for bit."""
+    """`apply` equals its earlier two-moveaxis form bit for bit.  The circuit's
+    probabilities reach the output files only through sampled counts, which a
+    change in their last bits does not move, so no output comparison sees
+    such a change to the kernel."""
 
     @pytest.mark.parametrize("qubits", [(q,) for q in range(4)]
                              + [(a, b) for a in range(4) for b in range(4) if a != b])
@@ -372,26 +375,6 @@ class TestIcoProbabilities:
         monkeypatch.setattr(circuit, "CHUNK_AMPLITUDES", 16 * 4)     # less than one point
         ico_probabilities(np.linspace(0, 1, 3), np.linspace(0, 10, 3))
         assert evolved == [1, 1, 1]
-
-    @pytest.mark.parametrize("points", [1, 2, 7, 30, 1000])
-    @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
-    def test_equals_moveaxis_kernel_bitwise(self, monkeypatch, points, p):
-        _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
-        got = ico_probabilities(theta, phi, p)
-        monkeypatch.setattr(circuit, "_final_states", ref.moveaxis_final_states)
-        assert np.array_equal(got, ico_probabilities(theta, phi, p))
-
-    @pytest.mark.parametrize("points", [1, 3, 30])
-    def test_shared_matrices_equal_broadcast_stacks_bitwise(self, points):
-        # the 16 fixed gates (h, x, cz) that _probabilities applies, the closing H
-        # on D included, each as one matrix over every point
-        _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
-        template = [*circuit._ICO_TEMPLATE, ("h", (0,), None)]
-        angles = circuit._ico_angles(theta, phi)
-        assert sum(slot is None for _, _, slot in template) == 16
-        got = circuit._final_states(template, angles, points)
-        want = ref.broadcast_final_states(ref.resolve(template, angles), points)
-        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("points", [1, 3, 30])
     def test_shared_angles_build_each_stack_once(self, monkeypatch, points):

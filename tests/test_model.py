@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from icobattery.analytic import closed_form_sweep
 from icobattery.model import ModelParams, battery_hamiltonian
+from icobattery.protocol import run_ico_sweep
 from icobattery.thermo import numeric_sweep
 
 from dense_reference import embed_pair, pair_hamiltonian, pair_unitary, switch_register_layout
@@ -61,6 +62,20 @@ def test_engines_reject_the_same_inputs(case, name, value):
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(name) and messages[0].endswith(value)
+
+
+def test_empty_grids_keep_their_shapes_and_dtypes():
+    flags = ("passive_k1", "passive_dco")
+    closed_form = [(key, (0,), np.dtype(bool if key in flags else float))
+                   for key in ("t", "C1", "p1", "E", "W_ico", "W_dco", "P_ico", "P_dco", *flags)]
+    for n_list, times in (([3, 2], []), ([], [0.5, 1.0])):
+        cols = closed_form_sweep(1.3, 0.1, n_list, times)
+        assert [(key, col.shape, col.dtype) for key, col in cols.items()] == closed_form
+    states = [(key, (0, 2, 2) if key.startswith("rho") else (0,),
+               np.dtype(complex if key.startswith("rho") else float))
+              for key in ("t", "p1", "rho_given_1", "rest_weight", "rho_rest", "rho_bar", "rho_avg")]
+    cols = run_ico_sweep(1.3, 0.1, [3, 2], [])
+    assert [(key, col.shape, col.dtype) for key, col in cols.items()] == states
 
 
 def test_battery_hamiltonian_spectrum():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
 from icobattery.protocol import run_ico, run_ico_sweep
-from icobattery.thermo import python_values, report, report_grid
+from icobattery.thermo import _H_VECS, python_values, report, report_grid
 from conftest import random_density, random_hermitian, sweep_results
 
 H_Q = battery_hamiltonian(1.0)  # (1/2) sigma_z, |e> = index 1
@@ -323,3 +323,10 @@ def test_python_values_turn_nan_into_none_whatever_the_column():
     assert [repr(v) for v in python_values(np.array([0.25, -0.0]))] == ["0.25", "-0.0"]
     assert python_values(np.array([True, False])) == [True, False]
     assert python_values(np.array([3, 4])) == [3, 4]
+
+
+def test_shared_eigenvectors_are_what_eigh_returns_at_every_omega():
+    omegas = np.concatenate([10.0 ** np.random.default_rng(5).uniform(-300, 300, 2000),
+                             [5e-324, 1e-310, 1.0, 2.0, 1.7e308]])
+    assert all(np.linalg.eigh(battery_hamiltonian(om))[1].tobytes() == _H_VECS.tobytes()
+               for om in omegas)
