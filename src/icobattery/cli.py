@@ -261,7 +261,13 @@ def burst_report(config: SweepConfig) -> dict:
     """Per-N burst intervals (maximal grid runs with P_dco <= eps and
     P_ico >= tau), the analytic first-window length t*, and a strict-growth
     verdict for t* across n_list.  The hits of every batch are joined first,
-    so a run that crosses a batch boundary is one interval."""
+    so a run that crosses a batch boundary is one interval.  A t* beyond the
+    float range is a ConfigError raised before any engine runs."""
+    t_stars = [_t_star(n, config.omega, config.coupling) for n in config.n_list]
+    for n, t_star in zip(config.n_list, t_stars):
+        if not math.isfinite(t_star):
+            raise ConfigError(f"t* of N={n} overflows at omega*lambda = "
+                              f"{config.omega * config.coupling!r}; raise omega or lambda")
     grid = config.time_grid()
     hits = np.concatenate([(cols["P_dco"] <= config.eps_dco) & (cols["P_ico"] >= config.tau)
                            for cols in _sweep_columns(config)])     # NaN: no hit
@@ -272,10 +278,8 @@ def burst_report(config: SweepConfig) -> dict:
     for k, a, b in zip(row[::2].tolist(), grid[edge[::2]].tolist(),
                        grid[edge[1::2] - 1].tolist()):
         found[k].append([a, b])
-    per_n, t_stars = {}, []
-    for n, intervals in zip(config.n_list, found):
-        t_star = _t_star(n, config.omega, config.coupling)
-        t_stars.append(t_star)
+    per_n = {}
+    for n, intervals, t_star in zip(config.n_list, found, t_stars):
         per_n[str(n)] = {"intervals": intervals,
                          "total_burst_duration": float(sum(b - a for a, b in intervals)),
                          "t_star": t_star}

@@ -29,9 +29,10 @@ def check_model(omega, coupling, n_list=(), times=()) -> None:
     """Raise ValueError naming the first value the model rejects: omega, lambda or
     omega*lambda below its floor, an N not an integer >= 2, or the least or greatest
     time t if it is negative or not finite or if 2 omega t or omega lambda t overflows."""
-    # Normal floats: a subnormal omega rounds (omega/2) sigma_z to fewer bits or to 0, and
+    # Normal floats: a subnormal omega rounds the levels -+omega/2 to fewer bits or to 0, and
     # omega*lambda = 0 leaves t* undefined.  omega >= 2 sys.float_info.min / ENERGY_EPS (4.45e-299)
-    # keeps the numeric engine's terms E*omega/2 of Tr[rho H] normal wherever E >= ENERGY_EPS.
+    # keeps the numeric engine's terms (rho_ii - r) omega/2 of E and W normal wherever
+    # |rho_ii - r| >= ENERGY_EPS (r is |g><g|'s population for E, the passive state's for W).
     # Ints compare exactly; omega*lambda is formed once both are in the float range.
     for name, value, low in (("omega", omega, 2 * sys.float_info.min / ENERGY_EPS),
                              ("coupling", coupling, sys.float_info.min),

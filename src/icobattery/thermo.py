@@ -1,8 +1,11 @@
-"""Passive states, ergotropy, daemonic ergotropy, stored energy, efficiency.
+"""Ergotropy, daemonic ergotropy, stored energy and efficiency of the battery qubit.
 
-Energies in EnergyReport and report_grid are in units of hbar*omega; the
-stacked helpers (_ergotropies, _energies, ...) work in whatever units the
-supplied Hamiltonian carries and for any finite dimension.
+H = (omega/2) sigma_z is diagonal with ascending levels E_g < E_e, so a state's energy
+Tr[rho H] is rho_gg E_g + rho_ee E_e whatever its coherences, and its passive state puts
+the larger eigenvalue r_max on |g>: the ergotropy is (rho_gg - r_max) E_g + (rho_ee - r_min) E_e.
+These are the only nonzero terms of Tr[rho H] in H's eigenbasis, so the two-level form is
+exact; eigvalsh still takes every state's spectrum, and no state is assumed diagonal.
+Energies are in units of hbar*omega, those of the stacked helpers in the levels' unit.
 """
 from __future__ import annotations
 
@@ -12,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import KET_G, ModelParams, battery_hamiltonian
+from .model import ModelParams, battery_hamiltonian
 from .protocol import ProtocolResult, run_ico_sweep
-
-# Built once for report_grid: the initial battery state |g><g|, and the
-# eigenvectors of H = (omega/2) sigma_z in ascending order of energy: the
-# identity, which eigh returns for H bit for bit at every omega > 0.
-_RHO_G = np.outer(KET_G, KET_G.conj())
-_H_VECS = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -32,29 +29,19 @@ class EnergyReport:
     passive_dco: bool
 
 
-def _passive_state(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Populations of rho sorted descending onto the energy eigenvectors
-    `vecs`, sorted ascending; rho may be a stack (..., d, d) of states.
-    Degenerate populations keep eigensolver order; ergotropy is tie-invariant.
-    One (T*d, d) product, one BLAS call rather than one per state, takes the
-    same length-d dot products as the stacked one, so the bits are its bits."""
-    pops = np.linalg.eigvalsh(rho)[..., None, ::-1]          # descending
-    return ((vecs * pops).reshape(-1, len(vecs)) @ vecs.conj().T).reshape(rho.shape)
+def _energies(pops: np.ndarray, levels) -> np.ndarray:
+    """pops_g E_g + pops_e E_e for every row (pops_g, pops_e) of pops (T, 2)."""
+    return pops[:, 0] * levels[0] + pops[:, 1] * levels[1]
 
 
-def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Tr[rho H] of every state of a stack (T, d, d).  rho @ H is one
-    (T*d, d) product, bit-equal to the stacked one as in _passive_state."""
-    return (rho.reshape(-1, len(h)) @ h).reshape(rho.shape).trace(axis1=1, axis2=2).real
-
-
-def _ergotropies(stacks, h: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Ergotropy (K, T) of every state of K stacks (T, d, d), given the
-    eigenvectors `vecs` of h, so that one decomposition of h serves them all:
-    one eigvalsh and trace over the stacks concatenated in order.  Raises
-    ValueError at the first state below the floor, stack by stack."""
+def _ergotropies(stacks, levels) -> np.ndarray:
+    """Ergotropy (K, T) of every state of K stacks (T, 2, 2) on the ascending
+    levels (E_g, E_e): one eigvalsh over the stacks concatenated in order,
+    whose eigenvalues, descending, are the passive state's populations.
+    Raises ValueError at the first state below the floor, stack by stack."""
     rho = np.concatenate(stacks)
-    w = _energies(rho - _passive_state(rho, vecs), h).reshape(len(stacks), -1)
+    pops = rho.diagonal(axis1=1, axis2=2).real - np.linalg.eigvalsh(rho)[:, ::-1]
+    w = _energies(pops, levels).reshape(len(stacks), -1)
     low = w < tol.ERGOTROPY_FLOOR
     if low.any():
         raise ValueError(f"ergotropy {w[low][0]:g} below numerical floor")
@@ -89,18 +76,17 @@ def report_grid(states: dict[str, np.ndarray], omega: float) -> dict[str, np.nda
     """`report` at every row of run_ico_sweep's columns `states`, for battery
     frequency omega, as columns: E (the ICO stored energy), W_ico, P_ico,
     E_dco, W_dco, P_dco, passive_k1 and passive_dco, with NaN for an
-    undefined P.  The ergotropies of rho_given_1, rho_rest
-    and rho_bar, in that order, take one batched eigvalsh and trace, and the
-    energies of rho_avg and rho_bar one batched trace; H's eigenvectors are
-    built at import, and nothing assumes the states are diagonal.  The
-    callers bound the rows (the CLI passes at most WRITE_BLOCK).  Raises
-    ValueError at the first failing check of `report`, in that order."""
-    h = battery_hamiltonian(omega)      # energies divided by omega are in hbar*omega
-
+    undefined P.  The ergotropies of rho_given_1, rho_rest and rho_bar take
+    one batched eigvalsh, in that order, and the stored energies are those of
+    rho_avg's and rho_bar's populations less |g><g|'s.  The callers bound the
+    rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
+    first failing check of `report`, in that order."""
+    levels = battery_hamiltonian(omega).diagonal().real   # divided by omega: hbar*omega units
     w_given_1, w_rest, w_bar = _ergotropies(
-        [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], h, _H_VECS)
-    e_ico, e_dco = _energies(np.concatenate([states["rho_avg"], states["rho_bar"]]) - _RHO_G,
-                             h).reshape(2, -1) / omega
+        [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], levels)
+    rho = np.concatenate([states["rho_avg"], states["rho_bar"]])
+    pops = rho.diagonal(axis1=1, axis2=2).real - (1.0, 0.0)     # less |g><g|'s
+    e_ico, e_dco = _energies(pops, levels).reshape(2, -1) / omega
     w_ico = _weighted_sum(np.array([states["p1"], states["rest_weight"]]),
                           np.array([w_given_1, w_rest])) / omega
     w_dco = w_bar / omega

@@ -567,12 +567,15 @@ def _passivity_margins(omega, lam, n, times) -> dict[str, np.ndarray]:
        s=st.one_of(st.integers(-12, 12).map(lambda k: 2.0 ** k), st.floats(1e-3, 1e3)))
 @example(n=3, omega=0.6473941955764151, lam=0.05, start=1.9754340253789158e-142, points=2, s=2.0)
 @example(n=3, omega=1.0, lam=0.5, start=0.0, points=17, s=5.0)     # p1 = 1/4 at row 9
+@example(n=5, omega=2.847074546133455, lam=1.0, start=2.0398397265792043e-139, points=2, s=8.0)
 @settings(max_examples=40, deadline=None)
 def test_time_scaling_leaves_columns_unchanged(n, omega, lam, start, points, s):
     # every phase is omega t or omega lambda t, and energies are in units of hbar omega,
     # so (omega, t) -> (omega / s, s t) changes only t; bit for bit where s is a power of 2,
-    # except in subnormal entries, where dividing by omega rounds (at t ~ 1e-142, W_ico
-    # is about 6e-314), so those are held to the tolerance of an inexact scaling.  There
+    # except where dividing by omega rounds: in subnormal entries (at t ~ 1e-142, W_ico is
+    # about 6e-314) and in entries whose value in H's units at the smaller omega is subnormal
+    # (at t ~ 1e-139, W_ico is about 2.8e-308, and 2.8e-308 * omega / 8 is subnormal).  Those
+    # are held to the tolerance of an inexact scaling.  There
     # a passivity flag may also flip where the quantities that decide it tie within that
     # tolerance: at p1 = 1/4, gnd = exc exactly, and the scaled run rounds either way
     t_max = 4 * math.pi / (omega * lam)
@@ -595,7 +598,8 @@ def test_time_scaling_leaves_columns_unchanged(n, omega, lam, start, points, s):
             elif a.dtype != float:
                 assert a.tobytes() == b.tobytes(), (engine, key)
             elif exact:
-                sub = _subnormal(a) | _subnormal(b)
+                low = min(omega, omega / s)
+                sub = _rounded_by_omega(a, low) | _rounded_by_omega(b, low)
                 assert a[~sub].tobytes() == b[~sub].tobytes(), (engine, key)
                 assert (np.abs(a - b)[sub] <= atol).all(), (engine, key)
             elif key.startswith("P_"):
@@ -607,8 +611,11 @@ def test_time_scaling_leaves_columns_unchanged(n, omega, lam, start, points, s):
                 assert np.max(np.abs(a - b)) <= atol, (engine, key)
 
 
-def _subnormal(x: np.ndarray) -> np.ndarray:
-    return (x != 0) & (np.abs(x) < np.finfo(float).tiny)
+def _rounded_by_omega(x: np.ndarray, omega: float) -> np.ndarray:
+    """The nonzero entries of a column in units of hbar omega that are subnormal, or
+    whose value in H's units, |x| omega, is: there dividing by omega rounds."""
+    tiny = np.finfo(float).tiny
+    return (x != 0) & ((np.abs(x) < tiny) | (np.abs(x) * omega < tiny))
 
 
 class TestBursts:
@@ -677,6 +684,17 @@ class TestBursts:
             assert data["intervals"], "expected at least one burst"
             first = data["intervals"][0]
             assert first[1] <= data["t_star"] + grid_step
+
+    def test_infinite_t_star_exits_2_before_any_engine_runs(self, tmp_path, capsys, monkeypatch):
+        # 7 / (omega * lambda) overflows at lambda = the smallest normal float and omega = 1
+        monkeypatch.setattr(cli, "_sweep_columns", lambda config: pytest.fail("an engine ran"))
+        out = tmp_path / "b.json"
+        assert main(["bursts", "--n", "2,7", "--points", "3", "--engine", "numeric",
+                     "--lambda=2.2250738585072014e-308", "--t-max=5e-324",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: t* of N=7 overflows at omega*lambda = "
+                                           "2.2250738585072014e-308; raise omega or lambda\n")
+        assert not out.exists()
 
 
 @given(n_list=st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True),
@@ -1299,6 +1317,8 @@ def whole_range_arguments(draw):
 
 
 @given(args=whole_range_arguments())
+@example(args=["bursts", "--n", "7", "--points", "3", "--engine", "numeric",     # t* overflows
+               "--lambda=2.2250738585072014e-308", "--t-max=5e-324"])
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore:no counts")
 def test_whole_float_range_exits_0_2_or_3(args):

@@ -1,21 +1,26 @@
 import itertools
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
 from icobattery.protocol import run_ico, run_ico_sweep
-from icobattery.thermo import _H_VECS, python_values, report, report_grid
-from conftest import random_density, random_hermitian, sweep_results
+from icobattery.thermo import python_values, report, report_grid
+from conftest import random_density, sweep_results
 
-H_Q = battery_hamiltonian(1.0)  # (1/2) sigma_z, |e> = index 1
-VECS_Q = np.linalg.eigh(H_Q)[1]
+LEVELS_Q = battery_hamiltonian(1.0).diagonal().real  # (E_g, E_e) = (-1/2, 1/2)
 GG = np.diag([1.0, 0.0]).astype(complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
+# check_model's omega floor, 2 * sys.float_info.min / ENERGY_EPS, and a top well inside the range
+OMEGA_FLOOR = 2 * sys.float_info.min / tolerances.ENERGY_EPS
+OMEGAS = st.floats(math.log10(OMEGA_FLOOR), 300.0).map(
+    lambda e: min(max(10.0 ** e, OMEGA_FLOOR), 1e300))
 
 
 def brute_force_ergotropy(rho, h):
@@ -27,38 +32,33 @@ def brute_force_ergotropy(rho, h):
     return float(np.trace(rho @ h).real - best)
 
 
-class TestPassiveState:
-    def test_inverted_population(self):
-        assert np.allclose(thermo._passive_state(EE, VECS_Q), GG, atol=1e-12)
-
-    def test_fixed_point(self):
-        rho = np.diag([0.7, 0.3]).astype(complex)
-        assert np.allclose(thermo._passive_state(rho, VECS_Q), rho, atol=1e-12)
-
-    def test_two_level_sort(self):
-        rho = np.diag([0.3, 0.7]).astype(complex)
-        assert np.allclose(thermo._passive_state(rho, VECS_Q), np.diag([0.7, 0.3]), atol=1e-12)
+def populations(rho):
+    """The diagonals (rho_gg, rho_ee) of a stack of states."""
+    return rho.diagonal(axis1=-2, axis2=-1).real
 
 
 class TestErgotropy:
     def test_ground_state(self):
-        assert thermo._ergotropies([GG[None]], H_Q, VECS_Q)[0, 0] == 0.0
+        assert thermo._ergotropies([GG[None]], LEVELS_Q)[0, 0] == 0.0
+        # a passive mixed state is its own passive state
+        passive = np.diag([0.7, 0.3]).astype(complex)
+        assert thermo._ergotropies([passive[None]], LEVELS_Q)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_excited_state(self):
-        assert thermo._ergotropies([EE[None]], H_Q, VECS_Q)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert thermo._ergotropies([EE[None]], LEVELS_Q)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_inversion(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
-        assert thermo._ergotropies([rho[None]], H_Q, VECS_Q)[0, 0] == pytest.approx(0.4, abs=1e-12)
+        assert thermo._ergotropies([rho[None]], LEVELS_Q)[0, 0] == pytest.approx(0.4, abs=1e-12)
 
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
+    @given(seed=st.integers(0, 2**32 - 1), omega=st.floats(1e-3, 1e3))
     @settings(max_examples=40, deadline=None)
-    def test_matches_permutation_oracle(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, dim)
-        h = random_hermitian(rng, dim)
-        w = thermo._ergotropies([rho[None]], h, np.linalg.eigh(h)[1])[0, 0]
-        assert w == pytest.approx(brute_force_ergotropy(rho, h), abs=1e-10)
+    def test_matches_permutation_oracle(self, seed, omega):
+        # non-diagonal states, whose passive state is not their diagonal sorted
+        rho = random_density(np.random.default_rng(seed), 2)
+        h = battery_hamiltonian(omega)
+        w = thermo._ergotropies([rho[None]], h.diagonal().real)[0, 0]
+        assert w == pytest.approx(brute_force_ergotropy(rho, h), rel=1e-12, abs=1e-12 * omega)
 
 
 class TestDaemonicErgotropy:
@@ -67,18 +67,18 @@ class TestDaemonicErgotropy:
 
     def test_single_outcome_reduces_to_plain(self):
         rho = np.diag([0.2, 0.8]).astype(complex)
-        w = thermo._ergotropies([rho[None]], H_Q, VECS_Q)
+        w = thermo._ergotropies([rho[None]], LEVELS_Q)
         assert thermo._weighted_sum(np.ones((1, 1)), w)[0] == pytest.approx(w[0, 0])
 
     def test_dominates_average_state(self):
-        w = thermo._ergotropies([np.array([GG, EE, 0.5 * GG + 0.5 * EE])], H_Q, VECS_Q)[0]
+        w = thermo._ergotropies([np.array([GG, EE, 0.5 * GG + 0.5 * EE])], LEVELS_Q)[0]
         assert thermo._weighted_sum(np.full((2, 1), 0.5), w[:2, None])[0] == pytest.approx(
             0.5, abs=1e-12)
         assert w[2] == 0.0
 
     def test_identical_states(self):
         rho = np.diag([0.1, 0.9]).astype(complex)
-        w = thermo._ergotropies([np.array([rho] * 4)], H_Q, VECS_Q)[0]
+        w = thermo._ergotropies([np.array([rho] * 4)], LEVELS_Q)[0]
         assert thermo._weighted_sum(np.full((4, 1), 0.25), w[:, None])[0] == pytest.approx(w[0])
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -88,25 +88,27 @@ class TestDaemonicErgotropy:
         probs = rng.dirichlet(np.ones(3))
         states = [random_density(rng, 2) for _ in range(3)]
         avg = sum(p * r for p, r in zip(probs, states))
-        w = thermo._ergotropies([np.array(states + [avg])], H_Q, VECS_Q)[0]
+        w = thermo._ergotropies([np.array(states + [avg])], LEVELS_Q)[0]
         assert thermo._weighted_sum(probs[:, None], w[:3, None])[0] >= w[3] - 1e-10
 
 
 class TestStoredEnergy:
-    """Tr[rho H] - Tr[rho0 H] as _energies of the difference."""
+    """Tr[rho H] - Tr[rho0 H] as _energies of the difference of the populations."""
 
     def test_no_change(self):
         rho = np.diag([0.4, 0.6]).astype(complex)
-        assert thermo._energies((rho - rho)[None], H_Q)[0] == pytest.approx(0.0, abs=1e-12)
+        assert thermo._energies(populations((rho - rho)[None]), LEVELS_Q)[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_full_inversion(self):
-        assert thermo._energies((EE - GG)[None], H_Q)[0] == pytest.approx(1.0, abs=1e-12)
+        assert thermo._energies(populations((EE - GG)[None]), LEVELS_Q)[0] == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_frozen_point(self):
         # closed form 1 - cos^4(omega*lambda*t/2) at t = 2 pi
         params = ModelParams(2, omega=1.0, coupling=0.1)
         r = run_ico(params, 2 * np.pi)
-        e = thermo._energies((r.rho_avg - GG)[None], H_Q)[0]
+        e = thermo._energies(populations((r.rho_avg - GG)[None]), LEVELS_Q)[0]
         assert e == pytest.approx(0.181864, abs=1e-5)
 
 
@@ -176,30 +178,6 @@ def pointwise_ergotropy(rho, h):
     return max(float(np.trace((rho - passive) @ h).real), 0.0)
 
 
-def stacked_passive_state(rho, vecs):
-    """`thermo._passive_state` in its stacked form: one matrix product per
-    state of the stack, which the flattened product must equal bit for bit."""
-    return (vecs * np.linalg.eigvalsh(rho)[..., None, ::-1]) @ vecs.conj().T
-
-
-def stacked_energies(rho, h):
-    """`thermo._energies` in its stacked form, one rho @ h product per state."""
-    return np.trace(rho @ h, axis1=1, axis2=2).real
-
-
-@pytest.mark.parametrize("dim", [2, 3, 5])
-@pytest.mark.parametrize("count", [1, 2, 7, 2000])
-def test_flattened_products_bitwise_equal_to_stacked(dim, count):
-    rng = np.random.default_rng(100 * dim + count)
-    h = random_hermitian(rng, dim)
-    vecs = np.linalg.eigh(h)[1]
-    states = random_states(rng, count, dim)
-    passive = thermo._passive_state(states, vecs)
-    assert passive.tobytes() == stacked_passive_state(states, vecs).tobytes()
-    for rho in (states, states - passive):
-        assert thermo._energies(rho, h).tobytes() == stacked_energies(rho, h).tobytes()
-
-
 def pointwise_report(r, params):
     """The energy accounting of one ProtocolResult, state by state, with
     Python floats: the per-point reference for report_grid."""
@@ -240,29 +218,45 @@ class TestReportGrid:
             assert (ico.E, ico.W, dco.E, dco.W) == tuple(
                 cols[k][i] for k in ("E", "W_ico", "E_dco", "W_dco"))
 
-    def test_bitwise_equal_to_pointwise_report_on_non_diagonal_states(self):
+    @given(n=st.integers(2, 12), omega=OMEGAS, lam=st.floats(1e-3, 1e3),
+           fractions=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
+    @example(n=2, omega=OMEGA_FLOOR, lam=1e-3, fractions=[0.0, 0.3, 1.0])
+    @example(n=12, omega=1e300, lam=1e3, fractions=[0.0, 0.3, 1.0])
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_pointwise_report_on_drawn_protocol_states(self, n, omega, lam,
+                                                                         fractions):
+        # the same at omega across check_model's whole range, fractions of the window 4 pi/(omega lambda)
+        times = np.array(fractions) * (4 * np.pi / (omega * lam))
+        grid = run_ico_sweep(omega, lam, [n], times)
+        assert_columns_equal_pointwise(report_grid(grid, omega), grid, ModelParams(n, omega, lam))
+
+    @given(seed=st.integers(0, 2**32 - 1), omega=OMEGAS)
+    @example(seed=11, omega=1.7)
+    @example(seed=11, omega=OMEGA_FLOOR)
+    @example(seed=11, omega=1e300)
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_equal_to_pointwise_report_on_non_diagonal_states(self, seed, omega):
         # nothing may assume the diagonal states that the protocol produces
-        rng = np.random.default_rng(11)
-        params = ModelParams(2, omega=1.7, coupling=0.2)
-        p1 = rng.uniform(0.0, 1.0, 500)
-        given_1, rest, bar = (random_states(rng, 500, 2) for _ in range(3))
-        grid = {"t": np.arange(500.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
+        rng = np.random.default_rng(seed)
+        p1 = rng.uniform(0.0, 1.0, 200)
+        given_1, rest, bar = (random_states(rng, 200, 2) for _ in range(3))
+        grid = {"t": np.arange(200.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
                 "rho_rest": rest, "rho_bar": bar,
                 "rho_avg": p1[:, None, None] * given_1 + (1.0 - p1)[:, None, None] * rest}
-        cols = report_grid(grid, params.omega)
-        assert_columns_equal_pointwise(cols, grid, params)
+        cols = report_grid(grid, omega)
+        assert_columns_equal_pointwise(cols, grid, ModelParams(2, omega=omega, coupling=0.2))
         assert not cols["passive_k1"].all() and not cols["passive_dco"].all()
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_stacked_ergotropy_bitwise_equal_to_pointwise(self, dim):
-        rng = np.random.default_rng(dim)
-        h = random_hermitian(rng, dim)
-        states = random_states(rng, 2000, dim)
-        vecs = np.linalg.eigh(h)[1]
-        got = thermo._ergotropies([states], h, vecs)[0]
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_stacked_ergotropy_bitwise_equal_to_pointwise(self, seed):
+        rng = np.random.default_rng(seed)
+        h = battery_hamiltonian(10.0 ** rng.uniform(-3.0, 3.0))
+        states = random_states(rng, 2000, 2)
+        got = thermo._ergotropies([states], h.diagonal().real)[0]
         want = [pointwise_ergotropy(rho, h) for rho in states]
         assert got.tolist() == want
-        assert [thermo._ergotropies([rho[None]], h, vecs)[0, 0] for rho in states[:50]] == want[:50]
+        assert [thermo._ergotropies([rho[None]], h.diagonal().real)[0, 0]
+                for rho in states[:50]] == want[:50]
 
     def test_raises_below_ergotropy_floor(self, monkeypatch):
         grid = run_ico_sweep(1.0, 0.1, [3], [0.0, 20.0])     # both ergotropies are 0 at t = 0
@@ -282,10 +276,9 @@ class TestReportGrid:
         grid = {"t": np.arange(4.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
                 "rho_rest": rest, "rho_bar": bar, "rho_avg": 0.5 * (given_1 + rest)}
         monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
-        vecs = np.linalg.eigh(h)[1]
-        thermo._ergotropies([given_1], h, vecs)       # passes
+        thermo._ergotropies([given_1], h.diagonal().real)       # passes
         with pytest.raises(ValueError) as each:
-            thermo._ergotropies([rest], h, vecs)
+            thermo._ergotropies([rest], h.diagonal().real)
         w = pointwise_ergotropy(rest[2], h)
         assert str(each.value) == f"ergotropy {w:g} below numerical floor"
         with pytest.raises(ValueError) as whole:
@@ -326,7 +319,16 @@ def test_python_values_turn_nan_into_none_whatever_the_column():
 
 
 def test_shared_eigenvectors_are_what_eigh_returns_at_every_omega():
+    # report_grid reads populations in the basis |g>, |e> and takes the levels from H's
+    # diagonal, ascending wherever check_model accepts omega: eigh of H returns that basis
+    # bit for bit, and that diagonal as its eigenvalues (to the last bit that its scaling
+    # of tiny matrices rounds)
     omegas = np.concatenate([10.0 ** np.random.default_rng(5).uniform(-300, 300, 2000),
-                             [5e-324, 1e-310, 1.0, 2.0, 1.7e308]])
-    assert all(np.linalg.eigh(battery_hamiltonian(om))[1].tobytes() == _H_VECS.tobytes()
-               for om in omegas)
+                             [5e-324, 1e-310, OMEGA_FLOOR, 1.0, 2.0, 1.7e308]])
+    for om in omegas:
+        h = battery_hamiltonian(om)
+        values, vecs = np.linalg.eigh(h)
+        levels = h.diagonal().real
+        assert vecs.tobytes() == np.eye(2, dtype=complex).tobytes(), om
+        assert np.allclose(values, levels, rtol=4 * np.finfo(float).eps, atol=0.0), om
+        assert levels[0] < levels[1] or om < OMEGA_FLOOR, om
