@@ -8,6 +8,7 @@ violation detected during the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -37,9 +38,12 @@ BOOTSTRAP_CHUNK = max(1, CHUNK_AMPLITUDES // (4 * BOOTSTRAP_RESAMPLES))
 MAX_CHARGERS = 1000
 
 # Largest number of output rows (points x charger counts) accepted.  A sweep
-# holds its output columns of every row until all batches are checked; at
-# 4 x 250 000 rows it peaks at 141 MB of resident memory with --engine both,
-# 134 MB with --engine numeric and 122 MB with --engine analytic.
+# holds its output columns of every row until all batches are checked.
+# `sweep --n 2,3,4,5 --points 250000` peaks at 137.0 MiB of resident memory
+# with --engine both, 121.2 MiB with --engine numeric and 119.4 MiB with
+# --engine analytic, in 9.4, 9.8 and 8.0 s: ru_maxrss of a fresh process and
+# the fastest time around main, of 3 runs each (Python 3.11, numpy 2.4, a
+# shared 2-vCPU x86-64 host; peaks within 0.2 MiB, times up to 1.8x slower).
 MAX_ROWS = 1_000_000
 
 # Rows computed per batch (whole grids of consecutive charger counts, or a
@@ -231,6 +235,18 @@ def _cells(column) -> list[str]:
 _QUOTABLE = re.compile('[,"\r\n]')
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Attach `path` to an OSError raised inside that names no file, as ENOSPC
+    or EIO at write or at close does, so that main reports the file that failed."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
 def write_csv(path, fieldnames, columns) -> None:
     """Write the columns named `fieldnames` of the mapping `columns` as CSV
     rows, WRITE_BLOCK rows at a time.  A column is an array, whose cells
@@ -250,7 +266,7 @@ def write_csv(path, fieldnames, columns) -> None:
                                          for lo in range(0, len(strings), WRITE_BLOCK)):
             raise ValueError(f"column {name!r}: its name or a string cell holds a comma, "
                              f"a quote or a line break")
-    with open(path, "w", newline="") as fh:
+    with _naming(path), open(path, "w", newline="") as fh:
         fh.write(",".join(fieldnames) + "\n")
         for lo in range(0, len(columns[fieldnames[0]]), WRITE_BLOCK):
             cells = [_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames]
@@ -317,7 +333,8 @@ def export_circuits(config: SweepConfig, out_dir) -> dict:
         angles = circuit._ico_angles(thetas[block], phis[block])
         texts = qasm.emit_qasm_grid(circuit._ICO_TEMPLATE, angles, len(names[block]))
         for name, text in zip(names[block], texts):
-            with open(os.path.join(out_dir, name), "w") as fh:
+            path = os.path.join(out_dir, name)
+            with _naming(path), open(path, "w") as fh:
                 fh.write(text)
     manifest = {"t": grid, "theta": thetas, "phi": phis, "filename": names}
     write_csv(os.path.join(out_dir, "manifest.csv"), MANIFEST_FIELDS, manifest)

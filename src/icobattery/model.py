@@ -3,7 +3,8 @@
 Basis convention: |g> = index 0, |e> = index 1 on every two-level system, so
 sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order.
 hbar = 1 everywhere; energies are reported in units of hbar*omega.
-Matrices are plain complex arrays; two-qubit ones act on Q (x) C, index 2q + c.
+Matrices are plain complex arrays: sigma_z and the battery Hamiltonian, 2 x 2.  The
+charging unitary on Q (x) C is held as its distinct entries (_pair_entries).
 """
 from __future__ import annotations
 

@@ -8,7 +8,9 @@ Energies are in units of hbar*omega throughout.
 
 # state / operator invariants
 NORM_ATOL = 1e-12          # pure-state 2-norm deviation from 1
-TRACE_ATOL = 1e-12         # density-operator trace deviation from 1
+# density-operator trace deviation from 1, and the level below which an outcome
+# probability counts as negative (thermo._weighted_sum)
+TRACE_ATOL = 1e-12
 
 # thermodynamics
 PROB_SUM_ATOL = 1e-10      # deviation from 1 of an ensemble's probability sum

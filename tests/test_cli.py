@@ -345,6 +345,49 @@ class TestSweep:
             cfg = SweepConfig(n_list=n_list, points=5, t_min=0.3, engine=engine)
             assert len(list(cli._sweep_columns(cfg))) == -(-len(n_list) // per_batch) * blocks
 
+    # Grids from t = 0, at the real WRITE_BLOCK and CHUNK_AMPLITUDES.
+    @pytest.mark.parametrize("n_list, points, engine", [
+        pytest.param([3, 32, 2], 50, "both", id="three-grids-one-batch-n-out-of-order"),
+        # the numeric engine evolves N = 200's 30 rows in two chunks, of 26 and 4
+        # rows, and N = 2's and N = 3's in one each
+        pytest.param([2, 200, 3], 30, "both", id="n200-in-two-chunks"),
+        # a row of N = 1000 holds N(N+1) > CHUNK_AMPLITUDES / 2 amplitudes, so the
+        # numeric engine evolves each of its 3 rows as a chunk of its own
+        pytest.param([2, 1000, 3], 3, "both", id="n1000-a-chunk-a-row"),
+        # 20000 points exceed WRITE_BLOCK = 16384 rows, so each N is computed in two
+        # blocks of consecutive times
+        pytest.param([3, 2], 20000, "both", id="two-time-blocks-per-n"),
+        # t = 0 and, at N = 2, t = 40 pi, where the closed form's geometric series is
+        # singular and the coefficients are summed one by one
+        pytest.param([3, 1000, 2], 50, "analytic", id="singular-series"),
+    ])
+    def test_multi_n_sweep_equals_its_per_n_sweeps(self, tmp_path, n_list, points, engine):
+        def rows(ns):
+            out = tmp_path / "s.csv"
+            assert main(["sweep", "--n", ",".join(map(str, ns)), "--points", str(points),
+                         "--engine", engine, "--out", str(out)]) == 0
+            return out.read_text().splitlines()[1:]
+
+        assert rows(n_list) == [row for n in n_list for row in rows([n])]
+
+    def test_engine_both_writes_the_numeric_engines_columns(self, tmp_path):
+        # both take every column of ROW_FIELDS from numeric_sweep; only --engine both
+        # adds max_engine_dev, one field more
+        rows = {}
+        for engine in ("numeric", "both"):
+            out = tmp_path / f"{engine}.csv"
+            assert main(["sweep", "--n", "5,2,3", "--points", "300", "--engine", engine,
+                         "--out", str(out)]) == 0
+            rows[engine] = [line.split(",") for line in out.read_text().splitlines()]
+        assert {len(row) for row in rows["numeric"]} == {len(cli.ROW_FIELDS)}
+        assert {len(row) for row in rows["both"]} == {len(cli.ROW_FIELDS) + 1}
+        assert rows["numeric"] == [row[:len(cli.ROW_FIELDS)] for row in rows["both"]]
+
+    def test_engines_agree_over_charger_counts_2_to_32(self, tmp_path):
+        # --engine both exits 3 on the first row where the engines disagree
+        assert main(["sweep", "--n", ",".join(map(str, range(2, 33))), "--points", "200",
+                     "--engine", "both", "--out", str(tmp_path / "s.csv")]) == 0
+
 
 class TestEngineBothStrict:
     """--engine both compares defined-ness of P and the passivity flags too."""
@@ -977,6 +1020,22 @@ def test_sweep_csv_equals_per_cell_reference(tmp_path, engine, n_list, points, t
     assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_long_grid_rows_equal_a_two_point_grids_rows(tmp_path):
+    # a row's bits do not depend on how many rows share the flattened products: the
+    # first and last row of each N of a 2 x 20000-point sweep, whose batches multiply
+    # 6 * 16384 states at once, equal the rows of a 2-point sweep over the same t
+    # range, whose one batch multiplies 12; neither end of the range is t = 0 or a
+    # full period, where every quantity is exact
+    def lines(points):
+        out = tmp_path / f"{points}.csv"
+        assert main(["sweep", "--n", "3,2", "--points", str(points), "--t-min", "0.3",
+                     "--t-max", "97.1", "--engine", "both", "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    long = lines(20000)
+    assert [long[1], long[20000], long[20001], long[40000]] == lines(2)[1:]
+
+
 @pytest.mark.filterwarnings("ignore:no counts")
 def test_noise_csvs_equal_per_cell_reference(tmp_path):
     # the five columns both files hold are formatted once and written twice
@@ -1004,12 +1063,17 @@ def test_noise_study_writes_exact_seeds_past_2_63(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["--n", "2,3,4,5", "--points", "400", "--engine", "both"],
-                                  ["--n", "7,3", "--points", "5", "--t-min", "0", "--tau", "0"]])
+                                  ["--n", "7,3", "--points", "5", "--t-min", "0", "--tau", "0"],
+                                  ["--n", ",".join(map(str, range(2, 33))), "--points", "400",
+                                   "--engine", "analytic"]])
 def test_bursts_json_is_json_dumps_indented(tmp_path, args):
     out = tmp_path / "b.json"
     assert main(["bursts", *args, "--out", str(out)]) == 0
     report = burst_report(cli.build_config(cli._parser().parse_args(["bursts", *args])))
-    assert out.read_text() == json.dumps(report, indent=2) + "\n"
+    text = out.read_text()
+    assert text == json.dumps(report, indent=2) + "\n"
+    # and so it round-trips through json
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @pytest.mark.filterwarnings("ignore:no counts")
@@ -1201,6 +1265,24 @@ def test_write_error_exits_2_naming_the_path(tmp_path, capsys, args, target):
     path = str(tmp_path / target)
     assert capsys.readouterr().err == (f"error: cannot write {path!r}: "
                                        f"{os.strerror(errno.ENOENT)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.filterwarnings("ignore:no counts")
+@pytest.mark.parametrize("args, target", [
+    (["noise-study", "--n", "2", "--shots", "10", "--depol-p", "0.1", "--out", "{tmp}/n.csv"],
+     "n_shots.csv"),
+    (["export-circuits", "--n", "2", "--out", "{tmp}"], "ico_n2_t1.qasm"),
+])
+def test_write_error_naming_no_file_exits_2_naming_the_path(tmp_path, capsys, args, target):
+    # a link to /dev/full opens, and fails at write or close with an error that names
+    # no file; the file that failed is named, not --out
+    (tmp_path / target).symlink_to("/dev/full")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in args] + ["--points", "3"]
+    assert main(argv) == 2
+    path = str(tmp_path / target)
+    assert capsys.readouterr().err == (f"error: cannot write {path!r}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
 
 
 @pytest.mark.filterwarnings("ignore:no counts")

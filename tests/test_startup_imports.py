@@ -1,8 +1,10 @@
-"""A process imports only the modules its command runs.
+"""A process imports only the modules its command runs, and runs on numpy and
+the standard library alone.
 
 The circuit simulator, the QASM writer and json load on first use: a sweep
 runs none of them, a burst report needs json alone.  Each import set is read
-in a fresh interpreter, since this one has loaded every module already.
+in a fresh interpreter, since this one has loaded every module already, in
+which the test extras scipy, pytest and hypothesis cannot be imported.
 """
 import importlib
 import os
@@ -19,14 +21,19 @@ SRC = Path(icobattery.__file__).resolve().parents[1]
 # The modules a command may leave unloaded.
 DEFERRED = ("icobattery.circuit", "icobattery.qasm", "json")
 
+# Run first in every fresh interpreter: importing a test extra raises ImportError.
+WITHOUT_TEST_EXTRAS = ("import sys\n"
+                       "for m in ('scipy', 'pytest', 'hypothesis'):\n    sys.modules[m] = None\n")
+
 # The public names that load on first access, each with the module that defines it.
 LAZY_NAMES = {"Gate": "circuit", "QuantumCircuit": "circuit", "angles_of_time": "circuit",
               "build_ico_circuit": "circuit", "emit_qasm": "qasm", "parse_qasm": "qasm"}
 
 
 def deferred_loaded(code: str, cwd: Path) -> list[str]:
-    """The modules of DEFERRED that a fresh interpreter holds after running `code` in `cwd`."""
-    probe = f"{code}\nimport sys\nprint(*(m for m in {DEFERRED!r} if m in sys.modules))"
+    """The modules of DEFERRED that a fresh interpreter without the test extras
+    holds after running `code` in `cwd`."""
+    probe = f"{WITHOUT_TEST_EXTRAS}{code}\nprint(*(m for m in {DEFERRED!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
