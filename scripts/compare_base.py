@@ -49,6 +49,10 @@ COMMANDS = (
     (*CLI, "bursts", "--n", N_2_TO_32, "--points", "400", "--out", "bursts.json"),
     (*CLI, "noise-study", "--n", "2", "--points", "30", "--shots", "20000", "--depol-p", "0.05",
      "--out", "noise.csv"),
+    # most of the 3-shot study's bootstrap resamples have an empty branch or an undefined P,
+    # and its 2000 rows span two BOOTSTRAP_CHUNK calls
+    (*CLI, "noise-study", "--n", "2", "--t-min", "0", "--points", "2000", "--shots", "3",
+     "--depol-p", "0.0", "--out", "noise_3_shots.csv"),
     (*CLI, "export-circuits", "--n", "2", "--points", "30", "--out", "circuits"),
     # the numeric engine splits N = 200's rows into chunks and holds one row of N = 1000 a chunk
     (*CLI, "sweep", "--n", "2,200,1000", "--points", "30", "--engine", "both",

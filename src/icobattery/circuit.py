@@ -248,8 +248,8 @@ def estimate_counts(counts, shots) -> dict[str, np.ndarray]:
 
     The conditional battery states are z-diagonal, so counts suffice:
     E = p(e); W = sum_d p(d) max(0, p(e|d) - p(g|d)); both in hbar*omega.
-    Each switch outcome without counts in a row warns once and contributes
-    0 ergotropy.
+    A switch outcome without counts contributes 0 ergotropy; one warning a
+    call gives the number of rows that lack each outcome.
     """
     counts = np.asarray(counts, dtype=float)
     total = np.broadcast_to(np.asarray(shots, dtype=float), counts.shape[:1])
@@ -257,8 +257,10 @@ def estimate_counts(counts, shots) -> dict[str, np.ndarray]:
         raise ValueError("empty counts")
     n_d = counts[:, 0::2] + counts[:, 1::2]       # (R, 2): outcomes + and -
     empty = n_d == 0
-    for _, d in np.argwhere(empty):
-        warnings.warn(f"no counts for switch outcome {'+-'[d]!r}; branch contributes 0 ergotropy")
+    if empty.any():
+        plus, minus = np.count_nonzero(empty, axis=0)
+        warnings.warn(f"no counts for switch outcome '+' in {plus} and '-' in {minus} of "
+                      f"{len(empty)} rows; those branches contribute 0 ergotropy")
     pe_d = np.divide(counts[:, 1::2], n_d, out=np.zeros_like(n_d), where=~empty)
     gain = (n_d / total[:, None]) * np.maximum(0.0, 2 * pe_d - 1.0)
     e = (counts[:, 1] + counts[:, 3]) / total

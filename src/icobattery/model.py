@@ -15,9 +15,9 @@ import numpy as np
 
 from .tolerances import ENERGY_EPS
 
-# Amplitudes held at once per chunk of a time grid (16 MB of complex128), in
-# both engines.  One grid point holds N(N+1) of them in `protocol` and N+1 in
-# `analytic`; a chunk is at least one point.
+# Amplitudes held at once per chunk of a time grid (16 MB of complex128); a chunk is at
+# least one point, of N(N+1) amplitudes in `protocol`, N+1 in `analytic`, 100 in
+# circuit.ico_probabilities (_POINT_AMPLITUDES) and 4 * BOOTSTRAP_RESAMPLES in cli.BOOTSTRAP_CHUNK.
 CHUNK_AMPLITUDES = 1 << 20
 
 KET_G = np.array([1.0, 0.0], dtype=complex)

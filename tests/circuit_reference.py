@@ -16,11 +16,12 @@ library's own kernels; only tests use them, so they live here rather than in
 """
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
 
-from icobattery import circuit
+from icobattery import circuit, cli
 from icobattery.circuit import OUTCOME_KEYS, N_QUBITS, QuantumCircuit, build_ico_circuit
 from icobattery import tolerances as tol
 from icobattery.thermo import EnergyReport
@@ -179,6 +180,22 @@ def estimate(counts, shots=None) -> EnergyReport:
                         passive_k1=branch_pops.get("+", 0.0) <= 0.5, passive_dco=p_e <= 0.5)
 
 
+def run_counting_empty(fn, *args) -> tuple:
+    """`fn(*args)`, the summed rows without '+' and without '-' counts that its warnings report,
+    and the number of warnings: one a call of `estimate_counts`, one a branch of `estimate`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    empty = (0, 0)
+    for w in caught:
+        plus, minus, branch = re.fullmatch(
+            r"no counts for switch outcome (?:'\+' in (\d+) and '-' in (\d+) of \d+ rows; those "
+            r"branches contribute|'([+-])'; branch contributes) 0 ergotropy", str(w.message)).groups()
+        assert w.filename == (__file__ if branch else circuit.__file__), w.filename
+        empty = (empty[0] + int(plus or branch == "+"), empty[1] + int(minus or branch == "-"))
+    return result, empty, len(caught)
+
+
 def bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng, resamples: int) -> float | None:
     """Bootstrap standard error of the efficiency, one `estimate` per resample."""
     vals = []
@@ -187,3 +204,12 @@ def bootstrap_p_se(counts_vec: np.ndarray, shots: int, rng, resamples: int) -> f
         if rep.P is not None:
             vals.append(rep.P)
     return float(np.std(vals)) if len(vals) > 1 else None
+
+
+def noise_study(cols, shots: int) -> list[tuple]:
+    """`estimate` and `bootstrap_p_se` of each row of `cols`' count columns,
+    resampled by default_rng(seed + 10**9) as in `cli.noise_study_rows`."""
+    counts = np.column_stack([cols[k] for k in cli.SHOT_FIELDS[5:]]).astype(float)
+    rngs = (np.random.default_rng(int(seed) + 10**9) for seed in cols["seed"])
+    return [(estimate(dict(zip(OUTCOME_KEYS, c)), shots),
+             bootstrap_p_se(c, shots, rng, cli.BOOTSTRAP_RESAMPLES)) for c, rng in zip(counts, rngs)]

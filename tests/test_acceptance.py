@@ -201,11 +201,7 @@ def test_criterion_09_noise_qualitative(capsys):
                  f"({drop_ok})")
 
 
-@pytest.mark.filterwarnings("default:no counts")
 def test_criterion_10_determinism(tmp_path, capsys):
-    # the 3-shot study warns once per empty branch, 276 183 times a pass; the
-    # "default" action shows each message once and returns at once on its
-    # repeats, where "ignore" would match every repeat against the filters
     same = {}
     for name, cmd in (("sweep", ["sweep", "--n", "2,3", "--points", "25", "--engine", "both"]),
                       ("noise-study", ["noise-study", "--n", "2", "--points", "5", "--t-max", "20",

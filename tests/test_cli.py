@@ -8,7 +8,6 @@ import os
 import re
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -873,15 +872,11 @@ class TestBootstrap:
     def test_matches_per_resample_loop(self, shots, seed):
         rng = np.random.default_rng(seed)
         counts_vec = rng.multinomial(shots, [0.5, 0.2, 0.2, 0.1]).astype(float)
-        with warnings.catch_warnings(record=True) as got_warnings:
-            warnings.simplefilter("always")
-            got = cli._bootstrap_p_se(counts_vec[None], shots, [np.random.default_rng(seed)])[0]
-        with warnings.catch_warnings(record=True) as want_warnings:
-            warnings.simplefilter("always")
-            want = ref.bootstrap_p_se(counts_vec, shots, np.random.default_rng(seed),
-                                      cli.BOOTSTRAP_RESAMPLES)
-        assert got == want
-        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        got, got_empty, calls_warned = ref.run_counting_empty(
+            cli._bootstrap_p_se, counts_vec[None], shots, [np.random.default_rng(seed)])
+        want, want_empty, _ = ref.run_counting_empty(
+            ref.bootstrap_p_se, counts_vec, shots, np.random.default_rng(seed), cli.BOOTSTRAP_RESAMPLES)
+        assert got == [want] and got_empty == want_empty and calls_warned == (sum(want_empty) > 0)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunked_equals_unchunked(self, monkeypatch, chunk):
@@ -890,19 +885,18 @@ class TestBootstrap:
         counts = rng.multinomial(6, [0.4, 0.3, 0.2, 0.1], size=20).astype(float)
         seeds = range(100, 120)
 
-        def run():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                se = cli._bootstrap_p_se(counts, 6, (np.random.default_rng(s) for s in seeds))
-            return se, [str(w.message) for w in caught]
-
-        whole = run()
-        calls = []
-        monkeypatch.setattr(cli, "BOOTSTRAP_CHUNK", chunk)
+        want, want_empty, _ = ref.run_counting_empty(
+            lambda: [ref.bootstrap_p_se(c, 6, np.random.default_rng(s), cli.BOOTSTRAP_RESAMPLES)
+                     for c, s in zip(counts, seeds)])
         real = circuit.estimate_counts
-        monkeypatch.setattr(circuit, "estimate_counts",
-                            lambda draws, shots: calls.append(len(draws)) or real(draws, shots))
-        assert run() == whole
+        for size in (cli.BOOTSTRAP_CHUNK, chunk):     # unchunked, then chunked
+            calls = []
+            monkeypatch.setattr(cli, "BOOTSTRAP_CHUNK", size)
+            monkeypatch.setattr(circuit, "estimate_counts",
+                                lambda draws, shots: calls.append(len(draws)) or real(draws, shots))
+            got = ref.run_counting_empty(cli._bootstrap_p_se, counts, 6,
+                                         map(np.random.default_rng, seeds))
+            assert got == (want, want_empty, len(calls)) and min(want_empty) > 0
         assert calls == [len(part) * cli.BOOTSTRAP_RESAMPLES
                          for part in np.array_split(counts, range(chunk, 20, chunk))]
 
@@ -918,18 +912,12 @@ class TestBootstrap:
         assert defined[0] == defined[2] == defined[5] == cli.BOOTSTRAP_RESAMPLES
         assert 1 < defined[1] < cli.BOOTSTRAP_RESAMPLES and defined[3] == 0
         assert 1 < defined[4] < cli.BOOTSTRAP_RESAMPLES
-        with warnings.catch_warnings(record=True) as got_warnings:
-            warnings.simplefilter("always")
-            got = cli._bootstrap_p_se(counts, 20, (np.random.default_rng(s) for s in seeds))
-        with warnings.catch_warnings(record=True) as want_warnings:
-            warnings.simplefilter("always")
-            want = [ref.bootstrap_p_se(c, 20, np.random.default_rng(s), cli.BOOTSTRAP_RESAMPLES)
-                    for c, s in zip(counts, seeds)]
-        assert len(got) == len(want)
-        for row, (g, w) in enumerate(zip(got, want)):
-            assert g == w, row
-        assert got[3] is None
-        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        got, got_empty, calls_warned = ref.run_counting_empty(
+            cli._bootstrap_p_se, counts, 20, (np.random.default_rng(s) for s in seeds))
+        want, want_empty, _ = ref.run_counting_empty(
+            lambda: [ref.bootstrap_p_se(c, 20, np.random.default_rng(s), cli.BOOTSTRAP_RESAMPLES)
+                     for c, s in zip(counts, seeds)])
+        assert got == want and got[3] is None and got_empty == want_empty and calls_warned == 1
 
     def test_chunk_bounds_draws_per_call(self):
         assert cli.BOOTSTRAP_CHUNK * 4 * cli.BOOTSTRAP_RESAMPLES <= cli.CHUNK_AMPLITUDES
@@ -937,23 +925,13 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("shots, depol_p", [(1, 0.05), (3, 0.0), (40, 0.2)])
     def test_noise_study_warning_count_unchanged(self, shots, depol_p):
-        # one warning per empty branch of the point estimate and of each resample
+        # one warning a call (two calls), against the reference's one a branch
         cfg = SweepConfig(n_list=[2], points=12, t_max=30.0, shots=shots,
                           depolarizing_p=depol_p, seed=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cols = noise_study_rows(cfg)
-        rows, shot_rows = rows_of(cols, cli.NOISE_FIELDS), rows_of(cols, cli.SHOT_FIELDS)
-        with warnings.catch_warnings(record=True) as expected:
-            warnings.simplefilter("always")
-            for row, raw in zip(rows, shot_rows):
-                counts = np.array([raw[k] for k in ("c_pg", "c_pe", "c_mg", "c_me")], float)
-                ref.estimate(dict(zip(OUTCOME_KEYS, counts)), shots)
-                se_p = ref.bootstrap_p_se(counts, shots, np.random.default_rng(row["seed"] + 10**9),
-                                          cli.BOOTSTRAP_RESAMPLES)
-                assert row["se_P"] == se_p
-        assert expected and len(caught) == len(expected)
-        assert all(w.filename == circuit.estimate_counts.__code__.co_filename for w in caught)
+        cols, empty, calls_warned = ref.run_counting_empty(noise_study_rows, cfg)
+        want, want_empty, _ = ref.run_counting_empty(ref.noise_study, cols, shots)
+        assert python_values(cols["se_P"]) == [se_p for _, se_p in want]
+        assert sum(want_empty) > 0 and empty == want_empty and 1 <= calls_warned <= 2
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
@@ -1047,6 +1025,16 @@ def test_noise_csvs_equal_per_cell_reference(tmp_path):
     for path, names in ((out, cli.NOISE_FIELDS), (tmp_path / "noise_shots.csv", cli.SHOT_FIELDS)):
         reference_csv(tmp_path / "ref.csv", names, cols)
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_three_shot_noise_study_warns_once_per_estimate_call(tmp_path):
+    # one warning for the point estimate and one for each of two BOOTSTRAP_CHUNK calls
+    args = "noise-study --n 2 --t-min 0 --points 2000 --shots 3 --depol-p 0.0 --out".split()
+    code, empty, calls_warned = ref.run_counting_empty(main, [*args, str(tmp_path / "noise.csv")])
+    shot_rows = np.genfromtxt(tmp_path / "noise_shots.csv", delimiter=",", names=True)
+    want_empty = ref.run_counting_empty(ref.noise_study, shot_rows, 3)[1]
+    assert (code, calls_warned, len(shot_rows)) == (0, 3, 2000)
+    assert min(empty) > 0 and empty == want_empty
 
 
 @pytest.mark.filterwarnings("ignore:no counts")
