@@ -64,6 +64,11 @@ COMMANDS = (
     # a grid longer than WRITE_BLOCK, in two time blocks per N, at omega != 1 and lambda > 1
     (*CLI, "sweep", "--n", "3,2", "--points", "20000", "--omega", "0.37", "--lambda", "2",
      "--engine", "both", "--out", "sweep_blocks.csv"),
+    # an exact passivity tie at t = 7.5 pi, and at t = 0 the rest-weight fallback state
+    (*CLI, "sweep", "--n", "3", "--points", "17", "--engine", "both", "--out", "sweep_tie.csv"),
+    # the products of the levels -+omega/2 with the populations reach the subnormal range
+    (*CLI, "sweep", "--n", "2,5", "--points", "9", "--omega", "1e-298", "--engine", "numeric",
+     "--out", "sweep_subnormal.csv"),
     (sys.executable, "{tree}/scripts/reproduce_bursts.py", "scripts"),
     (sys.executable, "{tree}/scripts/noise_study.py", "scripts"),
     (sys.executable, "{tree}/scripts/export_circuits.py", "scripts/circuits"),

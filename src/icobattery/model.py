@@ -4,7 +4,7 @@ Basis convention: |g> = index 0, |e> = index 1 on every two-level system, so
 sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order.
 hbar = 1 everywhere; energies are reported in units of hbar*omega.
 Matrices are plain complex arrays: sigma_z and the battery Hamiltonian, 2 x 2.  The
-charging unitary on Q (x) C is held as its distinct entries (_pair_entries).
+charging unitary on Q (x) C is held as the entries the numeric engine reads (_pair_entries).
 """
 from __future__ import annotations
 
@@ -19,9 +19,6 @@ from .tolerances import ENERGY_EPS
 # least one point, of N(N+1) amplitudes in `protocol`, N+1 in `analytic`, 100 in
 # circuit.ico_probabilities (_POINT_AMPLITUDES) and 4 * BOOTSTRAP_RESAMPLES in cli.BOOTSTRAP_CHUNK.
 CHUNK_AMPLITUDES = 1 << 20
-
-KET_G = np.array([1.0, 0.0], dtype=complex)
-KET_E = np.array([0.0, 1.0], dtype=complex)
 
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 
@@ -74,19 +71,19 @@ def battery_hamiltonian(omega: float) -> np.ndarray:
 
 
 def _pair_entries(omega: float, coupling: float, t_l) -> tuple:
-    """The distinct entries of the charging unitary U(t_l) = exp(-i H t_l) on
-    Q (x) C, each of shape np.shape(t_l), for the battery-charger Hamiltonian
+    """The entries of the charging unitary U(t_l) = exp(-i H t_l) on Q (x) C
+    that the numeric engine reads, each of shape np.shape(t_l), for the
+    battery-charger Hamiltonian
 
         H = (omega/2)(sigma_z^C + 1) + (omega/2) sigma_z^Q
             + (omega*lambda/2)(sigma_x^Q sigma_x^C + sigma_y^Q sigma_y^C):
 
-    the |gg> phase exp(+i*omega*t/2) and the |ee> phase exp(-3i*omega*t/2),
-    then the diagonal and the off-diagonal entry of the single-excitation
-    block {|eg>, |ge>}, a cos / -i*sin envelope of argument omega*lambda*t
-    under the phase exp(-i*omega*t/2)."""
+    the |ee> phase exp(-3i*omega*t/2), then the diagonal and the off-diagonal
+    entry of the single-excitation block {|eg>, |ge>}, a cos / -i*sin
+    envelope of argument omega*lambda*t under the phase exp(-i*omega*t/2).
+    The |gg> phase never meets the engine's sector."""
     envelope, half = omega * coupling * t_l, np.exp(-0.5j * omega * t_l)
-    return (np.exp(0.5j * omega * t_l), np.exp(-1.5j * omega * t_l),
-            half * np.cos(envelope), half * (-1j * np.sin(envelope)))
+    return np.exp(-1.5j * omega * t_l), half * np.cos(envelope), half * (-1j * np.sin(envelope))
 
 
 def _rows(n_list, times) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,11 @@
 """Ergotropy, daemonic ergotropy, stored energy and efficiency of the battery qubit.
 
-H = (omega/2) sigma_z is diagonal with ascending levels E_g < E_e, so a state's energy
-Tr[rho H] is rho_gg E_g + rho_ee E_e whatever its coherences, and its passive state puts
-the larger eigenvalue r_max on |g>: the ergotropy is (rho_gg - r_max) E_g + (rho_ee - r_min) E_e.
-These are the only nonzero terms of Tr[rho H] in H's eigenbasis, so the two-level form is
-exact; eigvalsh still takes every state's spectrum, and no state is assumed diagonal.
+H = (omega/2) sigma_z is diagonal with ascending levels E_g < E_e, and every battery
+state of the protocol is diagonal in its eigenbasis, so a state is its populations
+(p_g, p_e): its energy is p_g E_g + p_e E_e, and its passive state puts the larger
+population on |g> (Allahverdyan, Balian, Nieuwenhuizen, EPL 67, 565, 2004).  The
+ergotropy is (p - sort(p) descending) . (E_g, E_e): the populations of a diagonal
+state are its eigenvalues (tests/ compare it with eigvalsh bit for bit).
 Energies are in units of hbar*omega, those of the stacked helpers in the levels' unit.
 """
 from __future__ import annotations
@@ -30,18 +31,17 @@ class EnergyReport:
 
 
 def _energies(pops: np.ndarray, levels) -> np.ndarray:
-    """pops_g E_g + pops_e E_e for every row (pops_g, pops_e) of pops (T, 2)."""
-    return pops[:, 0] * levels[0] + pops[:, 1] * levels[1]
+    """pops_g E_g + pops_e E_e for every row (pops_g, pops_e) of pops (..., 2)."""
+    return pops[..., 0] * levels[0] + pops[..., 1] * levels[1]
 
 
 def _ergotropies(stacks, levels) -> np.ndarray:
-    """Ergotropy (K, T) of every state of K stacks (T, 2, 2) on the ascending
-    levels (E_g, E_e): one eigvalsh over the stacks concatenated in order,
-    whose eigenvalues, descending, are the passive state's populations.
-    Raises ValueError at the first state below the floor, stack by stack."""
-    rho = np.concatenate(stacks)
-    pops = rho.diagonal(axis1=1, axis2=2).real - np.linalg.eigvalsh(rho)[:, ::-1]
-    w = _energies(pops, levels).reshape(len(stacks), -1)
+    """Ergotropy (K, T) of every state of K population stacks (T, 2) on the
+    ascending levels (E_g, E_e): each state less its passive state, its
+    populations sorted in descending order.  Raises ValueError at the first
+    state below the floor, stack by stack."""
+    pops = np.array(stacks)
+    w = _energies(pops - np.sort(pops)[..., ::-1], levels)
     low = w < tol.ERGOTROPY_FLOOR
     if low.any():
         raise ValueError(f"ergotropy {w[low][0]:g} below numerical floor")
@@ -76,19 +76,18 @@ def report_grid(states: dict[str, np.ndarray], omega: float) -> dict[str, np.nda
     """`report` at every row of run_ico_sweep's columns `states`, for battery
     frequency omega, as columns: E (the ICO stored energy), W_ico, P_ico,
     E_dco, W_dco, P_dco, passive_k1 and passive_dco, with NaN for an
-    undefined P.  The ergotropies of rho_given_1, rho_rest and rho_bar take
-    one batched eigvalsh, in that order, and the stored energies are those of
-    rho_avg's and rho_bar's populations less |g><g|'s.  The callers bound the
-    rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
+    undefined P.  The ergotropies are those of pops_given_1, pops_rest and
+    pops_bar, in that order, and the stored energies those of the outcome
+    mixture's and pops_bar's populations less |g><g|'s.  The callers bound
+    the rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
     first failing check of `report`, in that order."""
     levels = battery_hamiltonian(omega).diagonal().real   # divided by omega: hbar*omega units
-    w_given_1, w_rest, w_bar = _ergotropies(
-        [states["rho_given_1"], states["rho_rest"], states["rho_bar"]], levels)
-    rho = np.concatenate([states["rho_avg"], states["rho_bar"]])
-    pops = rho.diagonal(axis1=1, axis2=2).real - (1.0, 0.0)     # less |g><g|'s
-    e_ico, e_dco = _energies(pops, levels).reshape(2, -1) / omega
-    w_ico = _weighted_sum(np.array([states["p1"], states["rest_weight"]]),
-                          np.array([w_given_1, w_rest])) / omega
+    p1, rest_weight = states["p1"], states["rest_weight"]
+    given_1, rest, bar = states["pops_given_1"], states["pops_rest"], states["pops_bar"]
+    w_given_1, w_rest, w_bar = _ergotropies([given_1, rest, bar], levels)
+    mixture = p1[:, None] * given_1 + rest_weight[:, None] * rest
+    e_ico, e_dco = _energies(np.array([mixture, bar]) - (1.0, 0.0), levels) / omega
+    w_ico = _weighted_sum(np.array([p1, rest_weight]), np.array([w_given_1, w_rest])) / omega
     w_dco = w_bar / omega
     return {"E": e_ico, "W_ico": w_ico, "P_ico": efficiencies(w_ico, e_ico),
             "E_dco": e_dco, "W_dco": w_dco, "P_dco": efficiencies(w_dco, e_dco),
@@ -107,7 +106,7 @@ def report(result: ProtocolResult, params: ModelParams) -> tuple[EnergyReport, E
     """Energy accounting for the ICO ensemble and the DCO reference state;
     the one-point case of `report_grid`.
 
-    ICO uses the two-outcome ensemble {(p1, rho_given_1), (1-p1, rho_rest)};
+    ICO uses the two-outcome ensemble {(p1, pops_given_1), (1-p1, pops_rest)};
     both reports share the stored energy (the E_DCO = E_ICO equality)
     but it is computed independently for each here.  Each of the three
     states' ergotropy is computed once and also decides its passivity, in

@@ -21,6 +21,11 @@ def sweep_results(cols):
             for i in range(len(cols["t"]))]
 
 
+def mixture(r):
+    """The populations of the outcome-weighted battery mixture of a ProtocolResult."""
+    return r.p1 * r.pops_given_1 + r.rest_weight * r.pops_rest
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

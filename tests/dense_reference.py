@@ -5,9 +5,12 @@ switch-controlled unitary is built as a dense block-diagonal matrix of
 ordered products of embedded pair unitaries, so its size is N 2^(N+1); the
 library's excitation-sector engine (`icobattery.protocol`) is checked
 against it, and `pair_unitary`, the 4x4 unitary laid out from the library's
-`model._pair_entries`, against the exponential of `pair_hamiltonian`.  `branch_state` lays the closed-form coefficients of
-`icobattery.analytic` (`alpha_coeffs`) out on the battery-charger register,
-so they can be checked against the dense evolution too.
+`model._pair_entries` and the |gg> phase, against the exponential of
+`pair_hamiltonian`.  Its battery states are full 2x2 partial traces, whose
+coherences `run_ico` checks to vanish before it keeps their populations.
+`branch_state` lays the closed-form coefficients of `icobattery.analytic`
+(`alpha_coeffs`) out on the battery-charger register, so they can be
+checked against the dense evolution too.
 """
 from __future__ import annotations
 
@@ -17,10 +20,12 @@ import numpy as np
 
 from icobattery import tolerances as tol
 from icobattery.analytic import _alpha_block
-from icobattery.model import KET_E, KET_G, SIGMA_Z, ModelParams, _pair_entries
+from icobattery.model import SIGMA_Z, ModelParams, _pair_entries
 from icobattery.protocol import ProtocolResult
 from labeled_linalg import PAIR_LAYOUT, Layout, Operator, PureState, battery_charger_layout
 
+KET_G = np.array([1.0, 0.0], dtype=complex)
+KET_E = np.array([0.0, 1.0], dtype=complex)
 # sigma_x = |e><g| + |g><e|, sigma_y = -i|e><g| + i|g><e|
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -45,12 +50,14 @@ def pair_unitary(params: ModelParams, t_l) -> np.ndarray:
     the H of pair_hamiltonian, from the entries `model._pair_entries` gives:
     phases exp(-3i*omega*t/2) on |ee>, exp(+i*omega*t/2) on |gg>, and a
     cos / -i*sin exchange envelope with argument omega*lambda*t on the
-    single-excitation pair {|eg>, |ge>}.  For an array of times, one matrix
-    per time along trailing axes: shape (4, 4) + np.shape(t_l)."""
-    gg, ee, diag, off = _pair_entries(params.omega, params.coupling, t_l)
-    u = np.zeros((4, 4) + np.shape(gg), dtype=complex)
+    single-excitation pair {|eg>, |ge>}; the |gg> phase, which the library
+    does not form, is formed here.  For an array of times, one matrix per
+    time along trailing axes: shape (4, 4) + np.shape(t_l)."""
+    ee, diag, off = _pair_entries(params.omega, params.coupling, t_l)
+    u = np.zeros((4, 4) + np.shape(ee), dtype=complex)
     # indices: 2*q + c with g=0, e=1
-    u[0, 0], u[3, 3] = gg, ee                               # |gg><gg|, |ee><ee|
+    u[0, 0] = np.exp(0.5j * params.omega * np.asarray(t_l))     # |gg><gg|
+    u[3, 3] = ee                                                # |ee><ee|
     u[1, 1] = u[2, 2] = diag                                # |ge><ge|, |eg><eg|
     u[1, 2] = u[2, 1] = off                                 # |ge><eg|, |eg><ge|
     return u
@@ -177,9 +184,17 @@ def evolved_state(params: ModelParams, t: float) -> np.ndarray:
     return total_unitary(params, t).mat @ initial_state(params).vec
 
 
+def diagonal_populations(rho: np.ndarray) -> np.ndarray:
+    """The populations (rho_gg, rho_ee) of a battery state, after checking
+    that its coherences vanish: the engine holds only populations."""
+    assert rho[0, 1] == 0 and rho[1, 0] == 0, rho
+    return rho.diagonal().real.copy()
+
+
 def run_ico(params: ModelParams, t: float) -> ProtocolResult:
     """Dense counterpart of `icobattery.protocol.run_ico`: measure the switch
-    with kron(projector, identity) and trace out everything but the battery."""
+    with kron(projector, identity), trace out everything but the battery, and
+    keep the populations of the 2x2 states, whose coherences must vanish."""
     n = params.n_chargers
     layout = switch_register_layout(n)
     psi = evolved_state(params, t)
@@ -192,15 +207,12 @@ def run_ico(params: ModelParams, t: float) -> ProtocolResult:
 
     sigma_1 = reduced_density(PureState(layout, psi_1, normalized=False), {"Q"}).mat
     sigma_rest = reduced_density(PureState(layout, psi_rest, normalized=False), {"Q"}).mat
-
-    ket_e = np.outer(KET_E, KET_E.conj())
-    rho_given_1 = sigma_1 / p1 if p1 > tol.ENERGY_EPS else np.outer(KET_G, KET_G.conj())
-    rho_rest = sigma_rest / rest_weight if rest_weight > tol.ENERGY_EPS else ket_e
-
-    rho_bar = run_dco(params, t, 1)
-    return ProtocolResult(t=t, p1=p1, rho_given_1=rho_given_1,
-                          rest_weight=rest_weight, rho_rest=rho_rest, rho_bar=rho_bar,
-                          rho_avg=p1 * rho_given_1 + rest_weight * rho_rest)
+    pops_1, pops_rest = diagonal_populations(sigma_1), diagonal_populations(sigma_rest)
+    fallback_1, fallback_rest = np.abs(KET_G) ** 2, np.abs(KET_E) ** 2
+    return ProtocolResult(
+        t=t, p1=p1, rest_weight=rest_weight, pops_bar=diagonal_populations(run_dco(params, t, 1)),
+        pops_given_1=pops_1 / p1 if p1 > tol.ENERGY_EPS else fallback_1,
+        pops_rest=pops_rest / rest_weight if rest_weight > tol.ENERGY_EPS else fallback_rest)
 
 
 def run_dco(params: ModelParams, t: float, j: int) -> np.ndarray:

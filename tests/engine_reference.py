@@ -2,11 +2,10 @@
 
 These build their shared arrays on every call, through numpy's Python-level
 wrappers: `np.stack` of the battery populations, `np.tile` of the fallback
-state, an `np.eye(2)` per density stack, and e^{-i w t / 2} and w l t formed
-twice per call.  `icobattery.protocol` and `icobattery.model` build those
-arrays once and must reproduce these forms bit for bit.  The whole sweeps
-are checked byte for byte against the base commit by
-`scripts/compare_base.py`.
+populations, and e^{-i w t / 2} and w l t formed twice per call.
+`icobattery.protocol` and `icobattery.model` build those arrays once and
+must reproduce these forms bit for bit.  The whole sweeps are checked byte
+for byte against the base commit by `scripts/compare_base.py`.
 """
 from __future__ import annotations
 
@@ -23,23 +22,18 @@ def stacked_battery_populations(amp: np.ndarray) -> np.ndarray:
     return np.stack([pops[..., 0, :], excited], axis=-1)
 
 
-def eye_density(pops: np.ndarray) -> np.ndarray:
-    """`protocol._density` with an `np.eye(2)` per call."""
-    return (pops[..., None] * np.eye(2)).astype(complex)
-
-
 def tiled_conditional(sigma: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`protocol._conditional` with its fallback from `np.tile`."""
     weight = sigma[:, 0] + sigma[:, 1]
-    pops = np.divide(sigma, weight[:, None], out=np.tile(fallback.real, (len(weight), 1)),
+    pops = np.divide(sigma, weight[:, None], out=np.tile(fallback, (len(weight), 1)),
                      where=weight[:, None] > tol.ENERGY_EPS)
-    return weight, eye_density(pops)
+    return weight, pops
 
 
 def twice_pair_entries(omega: float, coupling: float, t_l) -> tuple:
     """`model._pair_entries` forming e^{-i w t / 2} and w l t twice each."""
     t_l = np.asarray(t_l, dtype=float)
     c, s = np.cos(omega * coupling * t_l), np.sin(omega * coupling * t_l)
-    return (np.exp(0.5j * omega * t_l), np.exp(-1.5j * omega * t_l),
-            np.exp(-0.5j * omega * t_l) * c, np.exp(-0.5j * omega * t_l) * (-1j * s))
+    return (np.exp(-1.5j * omega * t_l), np.exp(-0.5j * omega * t_l) * c,
+            np.exp(-0.5j * omega * t_l) * (-1j * s))
 

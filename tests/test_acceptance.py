@@ -20,6 +20,7 @@ from icobattery.thermo import report
 
 from circuit_reference import charging_gates, circuit_unitary
 from cli_reference import rows as rows_of
+from conftest import mixture
 from dense_reference import total_unitary
 
 OMEGA, COUPLING = 1.0, 0.1
@@ -86,8 +87,8 @@ def test_criterion_02_closed_form_energy(grid, capsys):
 
 def test_criterion_03_complement_outcome(grid, capsys):
     data, _ = grid
-    ket_ee = np.array([[0.0, 0.0], [0.0, 1.0]])
-    dev = max(np.max(np.abs(result.rho_rest - ket_ee))
+    excited = np.array([0.0, 1.0])         # the populations of |e><e|
+    dev = max(np.max(np.abs(result.pops_rest - excited))
               for n in N_VALUES for _, result, *_ in data[n])
     ok = dev <= 1e-9
     _verdict(capsys, 3, "complement outcome is |e><e|", ok, f"max deviation {dev:.2e}")
@@ -139,7 +140,7 @@ def test_criterion_06_daemonic_dominance(grid, capsys):
         for _, result, ico, dco, _ in data[n]:
             worst_gap = min(worst_gap, ico.W - dco.W)
             # the outcome-weighted battery mixture must equal the DCO state
-            mix_dev = max(mix_dev, np.max(np.abs(result.rho_avg - result.rho_bar)))
+            mix_dev = max(mix_dev, np.max(np.abs(mixture(result) - result.pops_bar)))
     ok = worst_gap >= -1e-10 and mix_dev <= 1e-10
     _verdict(capsys, 6, "daemonic dominance",
              ok, f"min(W_ico - W_dco) = {worst_gap:.2e}, mixture dev {mix_dev:.2e}")

@@ -15,10 +15,10 @@ from icobattery.analytic import (
     closed_form_sweep,
     dco_zero_window,
 )
-from icobattery.model import KET_E, KET_G, ModelParams
+from icobattery.model import ModelParams
 from icobattery.thermo import efficiencies, python_values
 
-from dense_reference import alpha_coeffs, branch_state, ordered_charging_unitary
+from dense_reference import KET_E, KET_G, alpha_coeffs, branch_state, ordered_charging_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
@@ -237,6 +237,15 @@ class TestClosedFormGrid:
         monkeypatch.setattr(tolerances, "NORM_ATOL", -1.0)
         with pytest.raises(ValueError, match=r"normalization .* at t=125\.66370614359172$"):
             closed_form_sweep(1.0, 0.1, [2], [3.0, 40 * np.pi, 1e-3])
+
+    def test_exact_tie_of_ground_and_excited_populations_is_passive(self, monkeypatch):
+        # (gnd, E, |sum alpha|^2) = (0.25, 0.75, 0.5) at N = 2 gives C = -0.25 and
+        # exc = 0.25 exactly: the given-1 state is (1/2, 1/2), passive with W_ico = 1/2
+        sums = tuple(np.array([v]) for v in (0.25, 0.75, 0.5))
+        monkeypatch.setattr(icobattery.analytic, "_row_sums", lambda *args: sums)
+        cols = closed_form_sweep(1.0, 0.1, [2], [1.0])
+        assert cols["passive_k1"].tolist() == [True]
+        assert cols["W_ico"].tolist() == [0.5] and cols["p1"].tolist() == [0.5]
 
     def test_non_finite_time_raises(self):
         # model.check_model rejects the time before any coefficient is formed

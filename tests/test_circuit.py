@@ -21,6 +21,7 @@ from icobattery.model import ModelParams
 from icobattery.protocol import run_ico
 from icobattery.thermo import python_values, report
 
+from conftest import mixture
 from dense_reference import total_unitary
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
@@ -188,7 +189,7 @@ class TestSimulate:
             p_pg, p_pe, _, p_me = ico_probabilities(*at(t))[0]
             r = run_ico(P2, t)
             assert p_pg + p_pe == pytest.approx(r.p1, abs=1e-10)
-            assert p_pe + p_me == pytest.approx(r.rho_avg[1, 1].real, abs=1e-10)
+            assert p_pe + p_me == pytest.approx(mixture(r)[1], abs=1e-10)
 
 
 class TestSample:

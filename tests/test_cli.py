@@ -1027,13 +1027,14 @@ def test_noise_csvs_equal_per_cell_reference(tmp_path):
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_three_shot_noise_study_warns_once_per_estimate_call(tmp_path):
+def test_three_shot_noise_study_warns_once_per_estimate_call(tmp_path, monkeypatch):
     # one warning for the point estimate and one for each of two BOOTSTRAP_CHUNK calls
-    args = "noise-study --n 2 --t-min 0 --points 2000 --shots 3 --depol-p 0.0 --out".split()
+    monkeypatch.setattr(cli, "BOOTSTRAP_CHUNK", 100)
+    args = "noise-study --n 2 --t-min 0 --points 200 --shots 3 --depol-p 0.0 --out".split()
     code, empty, calls_warned = ref.run_counting_empty(main, [*args, str(tmp_path / "noise.csv")])
     shot_rows = np.genfromtxt(tmp_path / "noise_shots.csv", delimiter=",", names=True)
     want_empty = ref.run_counting_empty(ref.noise_study, shot_rows, 3)[1]
-    assert (code, calls_warned, len(shot_rows)) == (0, 3, 2000)
+    assert (code, calls_warned, len(shot_rows)) == (0, 3, 200)
     assert min(empty) > 0 and empty == want_empty
 
 

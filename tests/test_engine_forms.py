@@ -5,9 +5,8 @@ import pytest
 
 import icobattery.protocol as protocol
 from icobattery import tolerances as tol
-from icobattery.model import KET_E, KET_G, _pair_entries
-from icobattery.protocol import (_battery_populations, _branch_amplitudes, _conditional,
-                                 _density)
+from icobattery.model import _pair_entries
+from icobattery.protocol import _FALLBACKS, _battery_populations, _branch_amplitudes, _conditional
 
 import engine_reference as ref
 
@@ -25,8 +24,8 @@ def first_chunk(n, points):
     """The amplitudes of the first chunk the engine evolves for N = n over
     grid(points)."""
     rows = min(points, max(1, protocol.CHUNK_AMPLITUDES // (n * (n + 1))))
-    _, ee, diag, off = _pair_entries(OMEGA, LAM, grid(points)[:rows] / n)
-    return _branch_amplitudes(n, np.array([[diag, off], [off, diag]]) / ee)
+    ee, diag, off = _pair_entries(OMEGA, LAM, grid(points)[:rows] / n)
+    return _branch_amplitudes(n, diag / ee, off / ee)
 
 
 @pytest.mark.parametrize("n", N_VALUES)
@@ -44,7 +43,8 @@ def test_battery_populations_equal_stacked(n, points):
     mean = amp.sum(axis=0) / n
     assert mean.tobytes() == amp.mean(axis=0).tobytes()
     for part in (amp, amp[0], mean, amp - mean):
-        got, want = _battery_populations(part), ref.stacked_battery_populations(part)
+        want = ref.stacked_battery_populations(part)
+        got = _battery_populations(part.copy())        # the copy is overwritten
         assert got.shape == want.shape == part.shape[:-2] + (part.shape[-1], 2)
         assert got.tobytes() == want.tobytes()
     pops = _battery_populations(amp - mean)
@@ -54,12 +54,12 @@ def test_battery_populations_equal_stacked(n, points):
 @pytest.mark.parametrize("n", N_VALUES)
 @pytest.mark.parametrize("points", POINTS)
 def test_conditional_and_density_equal_tiled(n, points):
+    # the conditional states, held as the populations of their diagonal density matrices
     amp = first_chunk(n, points)
     for sigma in (_battery_populations(amp.mean(axis=0)),
                   _battery_populations(amp).mean(axis=0)):
         sigma[::2] *= tol.ENERGY_EPS      # every other weight below ENERGY_EPS takes the fallback
-        for fallback in (KET_G, KET_E):
+        for fallback in _FALLBACKS:      # |g> and |e>
             got, want = _conditional(sigma, fallback), ref.tiled_conditional(sigma, fallback)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert _density(sigma).tobytes() == ref.eye_density(sigma).tobytes()
 

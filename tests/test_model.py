@@ -71,9 +71,8 @@ def test_empty_grids_keep_their_shapes_and_dtypes():
     for n_list, times in (([3, 2], []), ([], [0.5, 1.0])):
         cols = closed_form_sweep(1.3, 0.1, n_list, times)
         assert [(key, col.shape, col.dtype) for key, col in cols.items()] == closed_form
-    states = [(key, (0, 2, 2) if key.startswith("rho") else (0,),
-               np.dtype(complex if key.startswith("rho") else float))
-              for key in ("t", "p1", "rho_given_1", "rest_weight", "rho_rest", "rho_bar", "rho_avg")]
+    states = [(key, (0, 2) if key.startswith("pops") else (0,), np.dtype(float))
+              for key in ("t", "p1", "pops_given_1", "rest_weight", "pops_rest", "pops_bar")]
     cols = run_ico_sweep(1.3, 0.1, [3, 2], [])
     assert [(key, col.shape, col.dtype) for key, col in cols.items()] == states
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,13 +13,13 @@ from icobattery.protocol import _battery_populations, _branch_amplitudes, run_ic
 import dense_reference
 from dense_reference import (cyclic_sequence, initial_state, pair_unitary, sector_indices,
                              switch_projector, total_unitary)
-from conftest import sweep_results
+from conftest import mixture, sweep_results
 from labeled_linalg import PAIR_LAYOUT, battery_charger_layout, require_unitary, Operator
 
 P2 = ModelParams(2, omega=1.0, coupling=0.1)
 
-KET_GG = np.diag([1.0, 0.0])
-KET_EE = np.diag([0.0, 1.0])
+GROUND = np.array([1.0, 0.0])     # the populations (p_g, p_e) of |g> and |e>
+EXCITED = np.array([0.0, 1.0])
 
 
 def test_cyclic_sequence():
@@ -32,9 +33,10 @@ def test_cyclic_sequence():
 
 @pytest.mark.parametrize("n", range(2, 51))
 def test_steps_follow_the_columns_of_cyclic_sequence(n):
-    # this block doubles component 0 and copies it into the charger the step
-    # acts on, so order j leaves 2^k on the charger that its step k acts on
-    amp = _branch_amplitudes(n, np.array([[2.0, 0.0], [1.0, 0.0]])[..., None])
+    # the block (diag, off) = (2, 1) doubles component 0 and adds it to the
+    # untouched charger the step acts on, so order j leaves 2^k on the charger
+    # that its step k acts on
+    amp = _branch_amplitudes(n, np.array([2.0]), np.array([1.0]))
     steps = np.log2(amp[:, 1:, 0].real).astype(int)
     assert steps.tolist() == [[cyclic_sequence(j, n).index(c) for c in range(1, n + 1)]
                               for j in range(1, n + 1)]
@@ -105,26 +107,26 @@ class TestRunIco:
     def test_time_zero(self):
         r = run_ico(P2, 0.0)
         assert r.p1 == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(r.rho_given_1, KET_GG, atol=1e-12)
+        assert np.allclose(r.pops_given_1, GROUND, atol=1e-12)
 
     def test_frozen_point_two_pi(self):
         # closed-form oracle values, independently verified by direct
         # 16x2-dim state-vector evolution
         r = run_ico(P2, 2 * np.pi)
         assert r.p1 == pytest.approx(0.818250, abs=1e-5)
-        assert r.rho_given_1[0, 0].real == pytest.approx(0.99986, abs=1e-4)
+        assert r.pops_given_1[0] == pytest.approx(0.99986, abs=1e-4)
 
     @pytest.mark.parametrize("t", [0.7, 2 * np.pi, 9.4])
     @pytest.mark.parametrize("n", [2, 3])
     def test_mixture_identity(self, n, t):
         params = ModelParams(n, omega=1.0, coupling=0.1)
         r = run_ico(params, t)
-        assert np.max(np.abs(r.rho_avg - r.rho_bar)) <= 1e-10
+        assert np.max(np.abs(mixture(r) - r.pops_bar)) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.7, 2 * np.pi, 9.4])
     def test_complement_is_excited_state(self, t):
         r = run_ico(P2, t)
-        assert np.max(np.abs(r.rho_rest - KET_EE)) <= 1e-9
+        assert np.max(np.abs(r.pops_rest - EXCITED)) <= 1e-9
 
     def test_weights_sum_to_one(self):
         r = run_ico(ModelParams(3), 3.3)
@@ -143,15 +145,15 @@ def branch_populations(params, t):
     as the rows of an (N, 2) array, from the sector engine's branches."""
     n = params.n_chargers
     u = pair_unitary(params, np.array([t / n]))
-    return _battery_populations(_branch_amplitudes(n, u[1:3, 1:3] / u[3, 3]))[:, 0]
+    return _battery_populations(_branch_amplitudes(n, u[1, 1] / u[3, 3], u[1, 2] / u[3, 3]))[:, 0]
 
 
 class TestRunDco:
     """The definite-order states: branch j is the battery state that order j
-    alone leaves, and branch 1 is run_ico's reference state rho_bar."""
+    alone leaves, and branch 1 is run_ico's reference state pops_bar."""
 
     def test_time_zero(self):
-        assert np.allclose(run_ico(P2, 0.0).rho_bar, KET_GG, atol=1e-12)
+        assert np.allclose(run_ico(P2, 0.0).pops_bar, GROUND, atol=1e-12)
         assert np.allclose(branch_populations(P2, 0.0), [[1.0, 0.0]] * 2, atol=1e-12)
 
     def test_order_independent(self):
@@ -159,20 +161,20 @@ class TestRunDco:
             params = ModelParams(n, omega=1.0, coupling=0.1)
             pops = branch_populations(params, 6.1)
             assert np.max(np.abs(pops - pops[0])) <= 1e-12
-            assert np.max(np.abs(np.diag(run_ico(params, 6.1).rho_bar) - pops[0])) <= 1e-12
+            assert np.max(np.abs(run_ico(params, 6.1).pops_bar - pops[0])) <= 1e-12
 
     def test_frozen_excited_population(self):
         # closed form 1 - cos^4(omega*lambda*t/2)
-        rho = run_ico(P2, 2 * np.pi).rho_bar
-        assert rho[1, 1].real == pytest.approx(0.181864, abs=1e-5)
+        pops = run_ico(P2, 2 * np.pi).pops_bar
+        assert pops[1] == pytest.approx(0.181864, abs=1e-5)
         exact = 1 - np.cos(0.1 * np.pi) ** 4
-        assert rho[1, 1].real == pytest.approx(exact, abs=1e-12)
+        assert pops[1] == pytest.approx(exact, abs=1e-12)
         assert branch_populations(P2, 2 * np.pi)[:, 1] == pytest.approx([exact] * 2, abs=1e-12)
 
     def test_energy_equality_with_ico(self):
         for t in (1.1, 2 * np.pi, 8.8):
             r = run_ico(ModelParams(3, omega=1.0, coupling=0.1), t)
-            assert abs(r.rho_avg[1, 1].real - r.rho_bar[1, 1].real) <= 1e-10
+            assert abs(mixture(r)[1] - r.pops_bar[1]) <= 1e-10
 
 
 class TestSectorEngine:
@@ -184,7 +186,7 @@ class TestSectorEngine:
             dense = dense_reference.run_ico(params, t)
             assert sector.t == t
             assert abs(sector.p1 - dense.p1) <= 1e-12
-            for field in ("rho_given_1", "rho_rest", "rho_bar"):
+            for field in ("pops_given_1", "pops_rest", "pops_bar"):
                 dev = np.max(np.abs(getattr(sector, field) - getattr(dense, field)))
                 assert dev <= 1e-12, (n, t, field, dev)
 
@@ -207,25 +209,24 @@ class TestSectorEngine:
         assert [r.t for r in chunked] == list(times)
         for a, b in zip(whole, chunked):
             assert a.p1 == b.p1
-            assert np.array_equal(a.rho_rest, b.rho_rest)
-            assert np.array_equal(a.rho_bar, b.rho_bar)
+            assert np.array_equal(a.pops_rest, b.pops_rest)
+            assert np.array_equal(a.pops_bar, b.pops_bar)
 
     def test_grid_columns_and_points(self):
         params = ModelParams(4, omega=1.0, coupling=0.1)
         times = np.linspace(0.0, 30.0, 7)
         grid = run_ico_sweep(1.0, 0.1, [4], times)
-        assert list(grid) == ["t", "p1", "rho_given_1", "rest_weight", "rho_rest", "rho_bar",
-                              "rho_avg"]
+        assert list(grid) == ["t", "p1", "pops_given_1", "rest_weight", "pops_rest", "pops_bar"]
         assert grid["t"].shape == grid["p1"].shape == grid["rest_weight"].shape == (7,)
-        for field in ("rho_given_1", "rho_rest", "rho_bar", "rho_avg"):
-            assert grid[field].shape == (7, 2, 2)
+        for field in ("pops_given_1", "pops_rest", "pops_bar"):
+            assert grid[field].shape == (7, 2)
         point, alone = sweep_results(grid)[3], run_ico(params, times[3])
         assert (point.t, point.p1, point.rest_weight) == (alone.t, alone.p1, alone.rest_weight)
-        for field in ("rho_given_1", "rho_rest", "rho_bar", "rho_avg"):
+        for field in ("pops_given_1", "pops_rest", "pops_bar"):
             assert np.array_equal(getattr(point, field), getattr(alone, field))
-        alone.rho_bar[0, 0] = 7.0                     # a result shares no array with a later one
-        assert run_ico(params, times[3]).rho_bar[0, 0] != 7.0
-        assert run_ico_sweep(1.0, 0.1, [4], [])["rho_avg"].shape == (0, 2, 2)
+        alone.pops_bar[0] = 7.0                       # a result shares no array with a later one
+        assert run_ico(params, times[3]).pops_bar[0] != 7.0
+        assert run_ico_sweep(1.0, 0.1, [4], [])["pops_bar"].shape == (0, 2)
 
     def test_large_n_matches_closed_form(self):
         from icobattery.analytic import closed_form_report
@@ -234,7 +235,21 @@ class TestSectorEngine:
         for t, r in zip(times, sweep_results(run_ico_sweep(1.0, 0.1, [60], times))):
             ana = closed_form_report(params, t)
             assert abs(r.p1 - ana.p1) <= 1e-12
-            assert abs(r.rho_avg[1, 1].real - ana.E) <= 1e-12
+            assert abs(mixture(r)[1] - ana.E) <= 1e-12
+
+
+def test_a_sweep_holds_one_chunk_of_amplitudes_at_a_time():
+    # N = 101 over 162 times evolves two chunks, of 101 and 61 rows: the amplitudes
+    # are squared in place, and a chunk is freed before the next one is evolved
+    times = np.linspace(0.0, 4 * np.pi / 0.1, 162)
+    chunk = protocol.CHUNK_AMPLITUDES // (101 * 102) * (101 * 102) * 16     # bytes of 101 rows
+    tracemalloc.start()
+    try:
+        run_ico_sweep(1.0, 0.1, [101], times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk < peak < 1.1 * chunk
 
 
 @given(n_list=st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True),
@@ -255,18 +270,19 @@ def test_sweep_rows_equal_each_n_alone(n_list, points, omega, lam, chunk):
         alone = run_ico_sweep(omega, lam, [n], times)
         rows = slice(k * points, (k + 1) * points)
         for key, col in alone.items():
-            assert swept[key].shape[1:] == col.shape[1:] == ((2, 2) if col.ndim > 1 else ())
+            assert swept[key].shape[1:] == col.shape[1:] == ((2,) if col.ndim > 1 else ())
             assert swept[key][rows].tobytes() == col.tobytes(), (n, key)
 
 
 def reference_populations(n, omega, lam, times):
     """sigma_1, sigma_rest and bar of one chunk of N's rows, from the block
     cut out of the full pair unitary and one `_battery_populations` call on
-    each of the mean branch, the deviations and branch 1."""
+    each of the mean branch, the deviations and branch 1 (each overwritten)."""
     u = pair_unitary(ModelParams(n, omega, lam), np.asarray(times) / n)
-    amp = _branch_amplitudes(n, u[1:3, 1:3] / u[3, 3])
+    amp = _branch_amplitudes(n, u[1, 1] / u[3, 3], u[1, 2] / u[3, 3])
     mean = amp.mean(axis=0)
-    return (_battery_populations(mean), _battery_populations(amp - mean).mean(axis=0),
+    deviations = amp - mean
+    return (_battery_populations(mean), _battery_populations(deviations).mean(axis=0),
             _battery_populations(amp[0]))
 
 
@@ -286,4 +302,4 @@ def test_populations_equal_full_unitary_reference(monkeypatch, n, points):
     sigma_1, sigma_rest, bar = reference_populations(n, 1.3, 0.1, times)
     # one call conditions both outcomes, stacked in the order k = 1, k != 1
     assert [s.tobytes() for s in conditioned] == [np.array([sigma_1, sigma_rest]).tobytes()]
-    assert grid["rho_bar"].diagonal(axis1=1, axis2=2).real.tobytes() == bar.tobytes()
+    assert grid["pops_bar"].tobytes() == bar.tobytes()

@@ -12,11 +12,11 @@ from icobattery import thermo, tolerances
 from icobattery.model import ModelParams, battery_hamiltonian
 from icobattery.protocol import run_ico, run_ico_sweep
 from icobattery.thermo import python_values, report, report_grid
-from conftest import random_density, sweep_results
+from conftest import mixture, random_density, sweep_results
 
 LEVELS_Q = battery_hamiltonian(1.0).diagonal().real  # (E_g, E_e) = (-1/2, 1/2)
-GG = np.diag([1.0, 0.0]).astype(complex)
-EE = np.diag([0.0, 1.0]).astype(complex)
+GROUND = np.array([1.0, 0.0])     # the populations (p_g, p_e) of |g> and |e>
+EXCITED = np.array([0.0, 1.0])
 # check_model's omega floor, 2 * sys.float_info.min / ENERGY_EPS, and a top well inside the range
 OMEGA_FLOOR = 2 * sys.float_info.min / tolerances.ENERGY_EPS
 OMEGAS = st.floats(math.log10(OMEGA_FLOOR), 300.0).map(
@@ -32,33 +32,39 @@ def brute_force_ergotropy(rho, h):
     return float(np.trace(rho @ h).real - best)
 
 
-def populations(rho):
-    """The diagonals (rho_gg, rho_ee) of a stack of states."""
-    return rho.diagonal(axis1=-2, axis2=-1).real
+def density(pops):
+    """The diagonal density matrix (2, 2) with populations `pops` (p_g, p_e)."""
+    return np.diag(pops).astype(complex)
+
+
+def random_populations(rng, count):
+    """The populations (count, 2) of `count` random states: their diagonals."""
+    return np.array([random_density(rng, 2).diagonal().real for _ in range(count)])
 
 
 class TestErgotropy:
     def test_ground_state(self):
-        assert thermo._ergotropies([GG[None]], LEVELS_Q)[0, 0] == 0.0
+        assert thermo._ergotropies([GROUND[None]], LEVELS_Q)[0, 0] == 0.0
         # a passive mixed state is its own passive state
-        passive = np.diag([0.7, 0.3]).astype(complex)
+        passive = np.array([0.7, 0.3])
         assert thermo._ergotropies([passive[None]], LEVELS_Q)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_excited_state(self):
-        assert thermo._ergotropies([EE[None]], LEVELS_Q)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert thermo._ergotropies([EXCITED[None]], LEVELS_Q)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_inversion(self):
-        rho = np.diag([0.3, 0.7]).astype(complex)
-        assert thermo._ergotropies([rho[None]], LEVELS_Q)[0, 0] == pytest.approx(0.4, abs=1e-12)
+        pops = np.array([0.3, 0.7])
+        assert thermo._ergotropies([pops[None]], LEVELS_Q)[0, 0] == pytest.approx(0.4, abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), omega=st.floats(1e-3, 1e3))
     @settings(max_examples=40, deadline=None)
     def test_matches_permutation_oracle(self, seed, omega):
-        # non-diagonal states, whose passive state is not their diagonal sorted
-        rho = random_density(np.random.default_rng(seed), 2)
+        # the least energy over every assignment of the state's spectrum to H's levels
+        pops = random_populations(np.random.default_rng(seed), 1)
         h = battery_hamiltonian(omega)
-        w = thermo._ergotropies([rho[None]], h.diagonal().real)[0, 0]
-        assert w == pytest.approx(brute_force_ergotropy(rho, h), rel=1e-12, abs=1e-12 * omega)
+        w = thermo._ergotropies([pops], h.diagonal().real)[0, 0]
+        assert w == pytest.approx(brute_force_ergotropy(density(pops[0]), h), rel=1e-12,
+                                  abs=1e-12 * omega)
 
 
 class TestDaemonicErgotropy:
@@ -66,19 +72,20 @@ class TestDaemonicErgotropy:
     the outcomes (axis 0) of the ergotropies of its states."""
 
     def test_single_outcome_reduces_to_plain(self):
-        rho = np.diag([0.2, 0.8]).astype(complex)
-        w = thermo._ergotropies([rho[None]], LEVELS_Q)
+        pops = np.array([0.2, 0.8])
+        w = thermo._ergotropies([pops[None]], LEVELS_Q)
         assert thermo._weighted_sum(np.ones((1, 1)), w)[0] == pytest.approx(w[0, 0])
 
     def test_dominates_average_state(self):
-        w = thermo._ergotropies([np.array([GG, EE, 0.5 * GG + 0.5 * EE])], LEVELS_Q)[0]
+        w = thermo._ergotropies([np.array([GROUND, EXCITED, 0.5 * GROUND + 0.5 * EXCITED])],
+                                LEVELS_Q)[0]
         assert thermo._weighted_sum(np.full((2, 1), 0.5), w[:2, None])[0] == pytest.approx(
             0.5, abs=1e-12)
         assert w[2] == 0.0
 
     def test_identical_states(self):
-        rho = np.diag([0.1, 0.9]).astype(complex)
-        w = thermo._ergotropies([np.array([rho] * 4)], LEVELS_Q)[0]
+        pops = np.array([0.1, 0.9])
+        w = thermo._ergotropies([np.array([pops] * 4)], LEVELS_Q)[0]
         assert thermo._weighted_sum(np.full((4, 1), 0.25), w[:, None])[0] == pytest.approx(w[0])
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -86,9 +93,9 @@ class TestDaemonicErgotropy:
     def test_daemonic_dominance_random(self, seed):
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(3))
-        states = [random_density(rng, 2) for _ in range(3)]
-        avg = sum(p * r for p, r in zip(probs, states))
-        w = thermo._ergotropies([np.array(states + [avg])], LEVELS_Q)[0]
+        states = random_populations(rng, 3)
+        avg = sum(p * pops for p, pops in zip(probs, states))
+        w = thermo._ergotropies([np.array([*states, avg])], LEVELS_Q)[0]
         assert thermo._weighted_sum(probs[:, None], w[:3, None])[0] >= w[3] - 1e-10
 
 
@@ -96,19 +103,18 @@ class TestStoredEnergy:
     """Tr[rho H] - Tr[rho0 H] as _energies of the difference of the populations."""
 
     def test_no_change(self):
-        rho = np.diag([0.4, 0.6]).astype(complex)
-        assert thermo._energies(populations((rho - rho)[None]), LEVELS_Q)[0] == pytest.approx(
-            0.0, abs=1e-12)
+        pops = np.array([0.4, 0.6])
+        assert thermo._energies((pops - pops)[None], LEVELS_Q)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_inversion(self):
-        assert thermo._energies(populations((EE - GG)[None]), LEVELS_Q)[0] == pytest.approx(
+        assert thermo._energies((EXCITED - GROUND)[None], LEVELS_Q)[0] == pytest.approx(
             1.0, abs=1e-12)
 
     def test_frozen_point(self):
         # closed form 1 - cos^4(omega*lambda*t/2) at t = 2 pi
         params = ModelParams(2, omega=1.0, coupling=0.1)
         r = run_ico(params, 2 * np.pi)
-        e = thermo._energies(populations((r.rho_avg - GG)[None]), LEVELS_Q)[0]
+        e = thermo._energies((mixture(r) - GROUND)[None], LEVELS_Q)[0]
         assert e == pytest.approx(0.181864, abs=1e-5)
 
 
@@ -150,7 +156,7 @@ class TestReport:
         for t in np.linspace(0, 4 * np.pi / 0.1, 40):
             r = run_ico(params, t)
             ico, _ = report(r, params)
-            gap = r.rho_given_1[0, 0].real - r.rho_given_1[1, 1].real
+            gap = r.pops_given_1[0] - r.pops_given_1[1]
             if abs(gap) > 1e-8:  # away from the passive/active crossover
                 assert ico.passive_k1 == (gap > 0)
 
@@ -180,12 +186,16 @@ def pointwise_ergotropy(rho, h):
 
 def pointwise_report(r, params):
     """The energy accounting of one ProtocolResult, state by state, with
-    Python floats: the per-point reference for report_grid."""
+    Python floats, on the 2x2 density matrices of its populations: the
+    per-point reference for report_grid."""
     h, unit = battery_hamiltonian(params.omega), params.omega
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    w1, wr, wb = (pointwise_ergotropy(rho, h) for rho in (r.rho_given_1, r.rho_rest, r.rho_bar))
-    e_ico = float(np.trace((r.rho_avg - rho0) @ h).real) / unit
-    e_dco = float(np.trace((r.rho_bar - rho0) @ h).real) / unit
+    rho0 = density(GROUND)
+    rho_given_1, rho_rest, rho_bar = (density(pops)
+                                      for pops in (r.pops_given_1, r.pops_rest, r.pops_bar))
+    rho_avg = r.p1 * rho_given_1 + r.rest_weight * rho_rest
+    w1, wr, wb = (pointwise_ergotropy(rho, h) for rho in (rho_given_1, rho_rest, rho_bar))
+    e_ico = float(np.trace((rho_avg - rho0) @ h).real) / unit
+    e_dco = float(np.trace((rho_bar - rho0) @ h).real) / unit
     w_ico = float(sum(p * w for p, w in ((r.p1, w1), (r.rest_weight, wr)) if p > 0)) / unit
     eff = lambda w, e: w / e if e >= tolerances.ENERGY_EPS else None
     return {"E": e_ico, "W_ico": w_ico, "P_ico": eff(w_ico, e_ico), "E_dco": e_dco,
@@ -199,10 +209,6 @@ def assert_columns_equal_pointwise(cols, grid, params):
         want = pointwise_report(point, params)
         got = {k: python_values(col[i:i + 1])[0] for k, col in cols.items()}
         assert repr(got) == repr(want), (i, got, want)   # repr: -0.0 differs from 0.0
-
-
-def random_states(rng, count, dim):
-    return np.array([random_density(rng, dim) for _ in range(count)])
 
 
 class TestReportGrid:
@@ -235,14 +241,13 @@ class TestReportGrid:
     @example(seed=11, omega=OMEGA_FLOOR)
     @example(seed=11, omega=1e300)
     @settings(max_examples=30, deadline=None)
-    def test_bitwise_equal_to_pointwise_report_on_non_diagonal_states(self, seed, omega):
-        # nothing may assume the diagonal states that the protocol produces
+    def test_bitwise_equal_to_pointwise_report_on_random_diagonal_states(self, seed, omega):
+        # the populations of random states, not only those the protocol produces
         rng = np.random.default_rng(seed)
         p1 = rng.uniform(0.0, 1.0, 200)
-        given_1, rest, bar = (random_states(rng, 200, 2) for _ in range(3))
-        grid = {"t": np.arange(200.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
-                "rho_rest": rest, "rho_bar": bar,
-                "rho_avg": p1[:, None, None] * given_1 + (1.0 - p1)[:, None, None] * rest}
+        given_1, rest, bar = (random_populations(rng, 200) for _ in range(3))
+        grid = {"t": np.arange(200.0), "p1": p1, "pops_given_1": given_1, "rest_weight": 1.0 - p1,
+                "pops_rest": rest, "pops_bar": bar}
         cols = report_grid(grid, omega)
         assert_columns_equal_pointwise(cols, grid, ModelParams(2, omega=omega, coupling=0.2))
         assert not cols["passive_k1"].all() and not cols["passive_dco"].all()
@@ -251,12 +256,12 @@ class TestReportGrid:
     def test_stacked_ergotropy_bitwise_equal_to_pointwise(self, seed):
         rng = np.random.default_rng(seed)
         h = battery_hamiltonian(10.0 ** rng.uniform(-3.0, 3.0))
-        states = random_states(rng, 2000, 2)
+        states = random_populations(rng, 2000)
         got = thermo._ergotropies([states], h.diagonal().real)[0]
-        want = [pointwise_ergotropy(rho, h) for rho in states]
+        want = [pointwise_ergotropy(density(pops), h) for pops in states]
         assert got.tolist() == want
-        assert [thermo._ergotropies([rho[None]], h.diagonal().real)[0, 0]
-                for rho in states[:50]] == want[:50]
+        assert [thermo._ergotropies([pops[None]], h.diagonal().real)[0, 0]
+                for pops in states[:50]] == want[:50]
 
     def test_raises_below_ergotropy_floor(self, monkeypatch):
         grid = run_ico_sweep(1.0, 0.1, [3], [0.0, 20.0])     # both ergotropies are 0 at t = 0
@@ -265,21 +270,20 @@ class TestReportGrid:
             report_grid(grid, 1.0)
 
     def test_first_state_below_floor_is_named_stack_by_stack(self, monkeypatch):
-        # rho_bar falls below the floor at point 1 and rho_rest at point 2: rho_rest's
+        # pops_bar falls below the floor at point 1 and pops_rest at point 2: pops_rest's
         # is named, as when each stack was checked on its own, given_1 then rest then bar
         h = battery_hamiltonian(1.0)
-        excited = np.diag([0.0, 1.0]).astype(complex)
-        given_1, rest, bar = (np.array([excited] * 4) for _ in range(3))
-        rest[2] = np.diag([0.5 - 1e-7, 0.5 + 1e-7])      # ergotropy 2e-7
-        bar[1] = np.diag([0.5 - 2e-7, 0.5 + 2e-7])       # ergotropy 4e-7
+        given_1, rest, bar = (np.array([EXCITED] * 4) for _ in range(3))
+        rest[2] = [0.5 - 1e-7, 0.5 + 1e-7]      # ergotropy 2e-7
+        bar[1] = [0.5 - 2e-7, 0.5 + 2e-7]       # ergotropy 4e-7
         p1 = np.full(4, 0.5)
-        grid = {"t": np.arange(4.0), "p1": p1, "rho_given_1": given_1, "rest_weight": 1.0 - p1,
-                "rho_rest": rest, "rho_bar": bar, "rho_avg": 0.5 * (given_1 + rest)}
+        grid = {"t": np.arange(4.0), "p1": p1, "pops_given_1": given_1, "rest_weight": 1.0 - p1,
+                "pops_rest": rest, "pops_bar": bar}
         monkeypatch.setattr(tolerances, "ERGOTROPY_FLOOR", 1e-6)
         thermo._ergotropies([given_1], h.diagonal().real)       # passes
         with pytest.raises(ValueError) as each:
             thermo._ergotropies([rest], h.diagonal().real)
-        w = pointwise_ergotropy(rest[2], h)
+        w = pointwise_ergotropy(density(rest[2]), h)
         assert str(each.value) == f"ergotropy {w:g} below numerical floor"
         with pytest.raises(ValueError) as whole:
             report_grid(grid, 1.0)
@@ -295,6 +299,19 @@ class TestReportGrid:
         assert undefined[[0, 4, 8]].all() and undefined.sum() == 3
         assert np.isnan(cols["P_ico"][undefined]).all() and np.isnan(cols["P_dco"][undefined]).all()
         assert not np.isnan(cols["P_ico"][~undefined]).any()
+
+    @pytest.mark.parametrize("omega", [OMEGA_FLOOR, 1.0, 1e300])
+    def test_given_1_populations_at_a_tie_are_passive_with_zero_ergotropy(self, omega):
+        # (0.5, 0.5) is its own passive state whichever level takes which population
+        tie = np.array([0.5, 0.5])
+        p1 = np.array([1.0, 0.5])
+        grid = {"t": np.arange(2.0), "p1": p1, "pops_given_1": np.array([tie, tie]),
+                "rest_weight": 1.0 - p1, "pops_rest": np.array([EXCITED, tie]),
+                "pops_bar": np.array([tie, tie])}
+        cols = report_grid(grid, omega)
+        assert cols["W_ico"].tolist() == [0.0, 0.0] and cols["W_dco"].tolist() == [0.0, 0.0]
+        assert cols["passive_k1"].all() and cols["passive_dco"].all()
+        assert cols["E"].tolist() == cols["E_dco"].tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("n_list, omega, lam", [([2, 3, 4, 5], 1.0, 0.1), ([32, 3, 2], 2.7, 1.3),
