@@ -58,7 +58,9 @@ COMMANDS = (
     (*CLI, "sweep", "--n", "2,200,1000", "--points", "30", "--engine", "both",
      "--out", "sweep_chunks.csv"),
     # omega * lambda * t rounds differently in each order of the products (it does not at
-    # omega = 1 or lambda = 2)
+    # omega = 1 or lambda = 2): with the subnormal sweep below, the only check that sees
+    # model._pair_entries form omega * (lambda * t) (mutant L1 of CHANGES.md's table of
+    # retired pins), so keep both
     (*CLI, "sweep", "--n", "2,3,7,32", "--points", "400", "--omega", "1.3", "--lambda", "0.1",
      "--engine", "both", "--out", "sweep_omega_lambda.csv"),
     # a grid longer than WRITE_BLOCK, in two time blocks per N, at omega != 1 and lambda > 1
@@ -66,9 +68,13 @@ COMMANDS = (
      "--engine", "both", "--out", "sweep_blocks.csv"),
     # an exact passivity tie at t = 7.5 pi, and at t = 0 the rest-weight fallback state
     (*CLI, "sweep", "--n", "3", "--points", "17", "--engine", "both", "--out", "sweep_tie.csv"),
-    # the products of the levels -+omega/2 with the populations reach the subnormal range
+    # the products of the levels -+omega/2 with the populations reach the subnormal range;
+    # it also sees mutant L1 (see the omega = 1.3 sweep above)
     (*CLI, "sweep", "--n", "2,5", "--points", "9", "--omega", "1e-298", "--engine", "numeric",
      "--out", "sweep_subnormal.csv"),
+    # its sweep.csv is the first file to show protocol._conditional multiplying by 1 / weight
+    # in place of dividing (mutant L3 of the same table); every sweep CSV shows it, and of
+    # the tests only one failure-message test does
     (sys.executable, "{tree}/scripts/reproduce_bursts.py", "scripts"),
     (sys.executable, "{tree}/scripts/noise_study.py", "scripts"),
     (sys.executable, "{tree}/scripts/export_circuits.py", "scripts/circuits"),

@@ -46,6 +46,16 @@ MAX_CHARGERS = 1000
 # shared 2-vCPU x86-64 host; peaks within 0.2 MiB, times up to 1.8x slower).
 MAX_ROWS = 1_000_000
 
+# Largest numeric-engine work accepted with --engine numeric or both, in
+# amplitude-steps: points x the sum of N(N+1) over n_list.  `sweep --engine
+# numeric` took 18-29 ns a step at N = 50, 100 and 200, 34-47 ns at N = 300
+# and 1000, and 70-80 ns at N = 600 (best of 3 around main, 1e7-3e7 steps
+# each; Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host with AVX-512).  At
+# the cap that is 3-13 minutes, about 7 at NS_PER_STEP, the rate of the largest
+# canonical command, `sweep --n 2,200,1000 --points 30` (3.1e7 steps).
+MAX_NUMERIC_WORK = 10 ** 10
+NS_PER_STEP = 40
+
 # Rows computed per batch (whole grids of consecutive charger counts, or a
 # block of consecutive times of one N), and rows or exported circuits
 # formatted and written per block: bounds memory.
@@ -75,6 +85,12 @@ def _is_int(value) -> bool:
 def _is_finite(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)     # exact for an int
+
+
+def _duration(steps: int) -> str:
+    """The time of `steps` amplitude-steps at NS_PER_STEP, in minutes or hours."""
+    seconds = steps * NS_PER_STEP * 1e-9
+    return f"{seconds / 3600:.1f} hours" if seconds >= 3600 else f"{seconds / 60:.0f} minutes"
 
 
 @dataclass
@@ -124,6 +140,13 @@ class SweepConfig:
         if self.points * len(self.n_list) > MAX_ROWS:
             raise ConfigError(f"points x charger counts = {self.points * len(self.n_list)} "
                               f"exceeds the row limit {MAX_ROWS}")
+        work = self.points * sum(n * (n + 1) for n in self.n_list)
+        if self.engine != "analytic" and work > MAX_NUMERIC_WORK:
+            raise ConfigError(f"points x sum N(N+1) = {work:.6g} amplitude-steps of the numeric "
+                              f"engine exceed the limit {MAX_NUMERIC_WORK:.0e}: about "
+                              f"{_duration(work)} at {NS_PER_STEP} ns a step, against "
+                              f"{_duration(MAX_NUMERIC_WORK)} at the limit; lower --points or "
+                              f"the largest N, or use --engine analytic")
         if self.shots is not None and not (_is_int(self.shots) and 1 <= self.shots <= MAX_SHOTS):
             raise ConfigError(f"shots must be an integer in [1, {MAX_SHOTS}], got {self.shots!r}")
         if self.depolarizing_p is not None and not (

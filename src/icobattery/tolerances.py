@@ -8,8 +8,10 @@ Energies are in units of hbar*omega throughout.
 
 # state / operator invariants
 NORM_ATOL = 1e-12          # pure-state 2-norm deviation from 1
-# density-operator trace deviation from 1, and the level below which an outcome
-# probability counts as negative (thermo._weighted_sum)
+# the level below which an outcome probability counts as negative
+# (thermo._weighted_sum); the library checks no trace, and only the tests'
+# dense oracle (labeled_linalg.require_density) holds a density operator's
+# trace deviation from 1 to it
 TRACE_ATOL = 1e-12
 
 # thermodynamics

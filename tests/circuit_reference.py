@@ -6,10 +6,9 @@ on a single 4-qubit state, the count estimator on one mapping, and the
 bootstrap that calls it once per resample.  `icobattery.circuit` and
 `icobattery.cli` are checked against them.  `moveaxis_apply` keeps the
 earlier form of the library's kernel `apply`, which the library must
-reproduce bit for bit, as must `unshared_final_states` of
-`unshared_ico_gates`, the ICO circuit written out gate by gate, which form
-every gate's angle and matrices anew instead of sharing them through the
-library's gate template and its four angle slots.
+reproduce bit for bit.  `unshared_ico_gates` is the ICO circuit written out
+gate by gate, each gate forming its own angle, against which the library's
+gate template and its four angle slots are checked.
 `library_gate_matrix`, `circuit_unitary` and `simulate` instead run the
 library's own kernels; only tests use them, so they live here rather than in
 `icobattery.circuit`.
@@ -101,17 +100,6 @@ def unshared_ico_gates(theta, phi) -> list[tuple]:
         return [("x", (d,), None), *gates, ("x", (d,), None)] if control_value == 0 else gates
     return [("h", (0,), None), ("x", (2,), None), ("x", (3,), None),
             *block(0, 2), *block(0, 3), *block(1, 3), *block(1, 2)]
-
-
-def unshared_final_states(gates, points: int) -> np.ndarray:
-    """`icobattery.circuit._final_states` of (kind, qubits, angle) triples,
-    with one `gate_matrices` call per gate, as it was before gates that share
-    an angle shared its matrices."""
-    psi = np.zeros((2,) * N_QUBITS + (points,), dtype=complex)
-    psi[(0,) * N_QUBITS] = 1.0
-    for kind, qubits, angle in gates:
-        psi = circuit.apply(psi, circuit.gate_matrices(kind, angle), qubits)
-    return psi
 
 
 def final_state(circuit: QuantumCircuit) -> np.ndarray:

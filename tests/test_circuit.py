@@ -318,7 +318,9 @@ class TestKernelPinned:
     """`apply` equals its earlier two-moveaxis form bit for bit.  The circuit's
     probabilities reach the output files only through sampled counts, which a
     change in their last bits does not move, so no output comparison sees
-    such a change to the kernel."""
+    such a change to the kernel.  This class alone kills `apply` forming its
+    product through `np.einsum('...ij,...jk->...ik', ...)`: other last bits,
+    every other test passing and every output byte the same."""
 
     @pytest.mark.parametrize("qubits", [(q,) for q in range(4)]
                              + [(a, b) for a in range(4) for b in range(4) if a != b])
@@ -377,6 +379,11 @@ class TestIcoProbabilities:
 
     @pytest.mark.parametrize("points", [1, 3, 30])
     def test_shared_angles_build_each_stack_once(self, monkeypatch, points):
+        """The template's slots hold the angles of the circuit written out gate
+        by gate, and `_final_states` builds each (kind, slot) stack once.  The
+        stack count alone kills a `_final_states` that calls `gate_matrices`
+        once per gate: the same bits from 44 calls in place of 9, extra work
+        that no output byte and no benchmark bound sees."""
         # 28 parametric gates over the four slots (-theta/2, theta/2, -phi, phi/2)
         # take 6 stacks: xx and yy at +-theta/2, cp at -phi, rz at phi/2
         _, (theta, phi) = grid_angles(P2, np.linspace(0.0, 4 * np.pi / 0.1, points))
@@ -398,21 +405,11 @@ class TestIcoProbabilities:
             return gate_matrices(kind, angles)
 
         monkeypatch.setattr(circuit, "gate_matrices", counting)
-        got = circuit._final_states(template, angles, points)
+        circuit._final_states(template, angles, points)
         assert sum(kind in circuit._PARAMETRIC for kind, _, _ in template) == 28
         assert sorted(k for k in built if k in circuit._PARAMETRIC) == [
             "cp", "rz", "xx", "xx", "yy", "yy"]
         assert sorted(k for k in built if k not in circuit._PARAMETRIC) == ["cz", "h", "x"]
-        monkeypatch.setattr(circuit, "gate_matrices", gate_matrices)
-        assert got.tobytes() == ref.unshared_final_states(unshared, points).tobytes()
-
-    def test_float_angles_of_equal_value_build_apart(self):
-        # told apart by slot: -0.0 == 0.0, yet each slot builds its own matrix
-        template = [("rz", (0,), 0), ("h", (0,), None), ("rz", (0,), 1), ("cp", (0, 1), 2)]
-        angles = [0.0, -0.0, 0.3]
-        got = circuit._final_states(template, angles, 2)
-        assert got.tobytes() == ref.unshared_final_states(ref.resolve(template, angles),
-                                                          2).tobytes()
 
     def test_ico_counts_matches_per_circuit_sample(self):
         angles, (theta, phi) = grid_angles(P2, GRIDS[0][2])

@@ -258,6 +258,10 @@ def test_phase_limit_boundary():
     ("both", {"numeric_sweep": 1, "closed_form_sweep": 1}),
 ])
 def test_one_batch_calls_each_engine_it_needs_once(monkeypatch, engine, calls):
+    """The engine count alone kills `_sweep_columns` running the analytic
+    engine with --engine numeric (its rows then also checked against it), or
+    the numeric engine twice with --engine both: extra work with the same
+    bytes, which no output comparison and no benchmark bound sees."""
     counted = dict.fromkeys(calls, 0)
     for name in calls:
         def counting(*args, real=getattr(cli, name), name=name):
@@ -299,6 +303,40 @@ def test_row_limit_boundary(monkeypatch):
     assert SweepConfig(n_list=[2, 3], points=points).points == points
     with pytest.raises(ConfigError, match="row limit"):
         SweepConfig(n_list=[2, 3], points=points + 1)
+
+
+# points of N = 1000 (N(N+1) = 1001000 amplitude-steps each) at the work limit
+WORK_LIMIT_POINTS = cli.MAX_NUMERIC_WORK // 1001000
+
+
+@pytest.mark.parametrize("command", ["sweep", "bursts"])
+@pytest.mark.parametrize("engine", ["numeric", "both"])
+def test_work_limit_exits_2_before_any_engine_runs(monkeypatch, tmp_path, capsys, command, engine):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the work limit must be checked before an engine runs")
+
+    for name in ("numeric_sweep", "closed_form_sweep"):
+        monkeypatch.setattr(cli, name, no_engine)
+    # 9991 points of N = 1000 are 1.0001e10 amplitude-steps
+    assert main([command, "--n", "1000", "--points", str(WORK_LIMIT_POINTS + 1), "--engine", engine,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("1.0001e+10 amplitude-steps of the numeric engine exceed the limit 1e+10: "
+            "about 7 minutes at 40 ns a step, against 7 minutes at the limit") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("engine", ["numeric", "both"])
+def test_work_just_under_the_limit_is_accepted(engine):
+    def config(n, points, engine=engine):
+        return cli.build_config(cli._parser().parse_args(
+            ["sweep", "--n", n, "--points", str(points), "--engine", engine]))
+
+    assert config("1000", WORK_LIMIT_POINTS).points == WORK_LIMIT_POINTS
+    with pytest.raises(ConfigError, match="amplitude-steps"):
+        config("1000", WORK_LIMIT_POINTS + 1)
+    assert config("1000", WORK_LIMIT_POINTS + 1, engine="analytic").engine == "analytic"
+    assert config("2,200,1000", 30).n_list == [2, 200, 1000]     # the largest canonical command
 
 
 class TestSweep:

@@ -139,6 +139,9 @@ def test_grid_equal_columns_from_separate_arrays():
 
 
 def test_grid_checks_every_template_gate(monkeypatch):
+    """Each template line is checked as a Gate once, not once a point.  The
+    Gate count alone kills a check repeated at every point: extra work with
+    the same bytes, which no output comparison and no benchmark bound sees."""
     checked = []
 
     def counting(kind, qubits, angle=None):
