@@ -10,7 +10,7 @@ depolarizing noise.
 import importlib
 
 from .analytic import ClosedFormReport, closed_form_report, dco_zero_window
-from .model import ModelParams, battery_hamiltonian
+from .model import ModelParams
 from .protocol import ProtocolResult, run_ico, run_ico_sweep
 from .thermo import EnergyReport, report, report_grid
 
@@ -20,9 +20,9 @@ _LAZY = {"Gate": "circuit", "QuantumCircuit": "circuit", "angles_of_time": "circ
 
 __all__ = [
     "ClosedFormReport", "EnergyReport", "Gate", "ModelParams", "ProtocolResult",
-    "QuantumCircuit", "angles_of_time", "battery_hamiltonian", "build_ico_circuit",
-    "closed_form_report", "dco_zero_window", "emit_qasm", "parse_qasm",
-    "report", "report_grid", "run_ico", "run_ico_sweep",
+    "QuantumCircuit", "angles_of_time", "build_ico_circuit", "closed_form_report",
+    "dco_zero_window", "emit_qasm", "parse_qasm", "report", "report_grid", "run_ico",
+    "run_ico_sweep",
 ]
 
 __version__ = "0.1.0"

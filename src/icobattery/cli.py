@@ -8,7 +8,6 @@ violation detected during the run.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import math
@@ -258,12 +257,14 @@ def _cells(column) -> list[str]:
 _QUOTABLE = re.compile('[,"\r\n]')
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """Attach `path` to an OSError raised inside that names no file, as ENOSPC
-    or EIO at write or at close does, so that main reports the file that failed."""
+def _write(path, pieces) -> None:
+    """Write the strings of the iterable `pieces` to the file `path` as they
+    are (newline=""): the one place an output file is opened.  An OSError
+    that names no file, as ENOSPC or EIO at write or at close does, is given
+    `path`, so that main reports the file that failed."""
     try:
-        yield
+        with open(path, "w", newline="") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         if exc.filename is None:
             exc.filename = path
@@ -289,11 +290,13 @@ def write_csv(path, fieldnames, columns) -> None:
                                          for lo in range(0, len(strings), WRITE_BLOCK)):
             raise ValueError(f"column {name!r}: its name or a string cell holds a comma, "
                              f"a quote or a line break")
-    with _naming(path), open(path, "w", newline="") as fh:
-        fh.write(",".join(fieldnames) + "\n")
+
+    def texts():        # formatted as written: one block of rows in memory
+        yield ",".join(fieldnames) + "\n"
         for lo in range(0, len(columns[fieldnames[0]]), WRITE_BLOCK):
             cells = [_cells(columns[k][lo:lo + WRITE_BLOCK]) for k in fieldnames]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    _write(path, texts())
 
 
 def burst_report(config: SweepConfig) -> dict:
@@ -356,9 +359,7 @@ def export_circuits(config: SweepConfig, out_dir) -> dict:
         angles = circuit._ico_angles(thetas[block], phis[block])
         texts = qasm.emit_qasm_grid(circuit._ICO_TEMPLATE, angles, len(names[block]))
         for name, text in zip(names[block], texts):
-            path = os.path.join(out_dir, name)
-            with _naming(path), open(path, "w") as fh:
-                fh.write(text)
+            _write(os.path.join(out_dir, name), [text])
     manifest = {"t": grid, "theta": thetas, "phi": phis, "filename": names}
     write_csv(os.path.join(out_dir, "manifest.csv"), MANIFEST_FIELDS, manifest)
     return manifest
@@ -544,7 +545,7 @@ def _cmd_sweep(config: SweepConfig) -> None:
 
 def _cmd_bursts(config: SweepConfig) -> None:
     import json
-    Path(_require_out(config)).write_text(json.dumps(burst_report(config), indent=2) + "\n")
+    _write(_require_out(config), [json.dumps(burst_report(config), indent=2), "\n"])
 
 
 def _cmd_export(config: SweepConfig) -> None:

@@ -1,9 +1,9 @@
-"""Physical model: the battery Hamiltonian and the two-body charging unitary.
+"""Physical model: the checks of (omega, lambda, N, t) and the two-body charging unitary.
 
 Basis convention: |g> = index 0, |e> = index 1 on every two-level system, so
-sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order.
-hbar = 1 everywhere; energies are reported in units of hbar*omega.
-Matrices are plain complex arrays: sigma_z and the battery Hamiltonian, 2 x 2.  The
+sigma_z = |e><e| - |g><g| is diag(-1, +1) in index order, and the battery
+Hamiltonian (omega/2) sigma_z has the levels (E_g, E_e) = (-omega/2, omega/2).
+hbar = 1 everywhere; energies are reported in units of hbar*omega.  The
 charging unitary on Q (x) C is held as the entries the numeric engine reads (_pair_entries).
 """
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .tolerances import ENERGY_EPS
 # least one point, of N(N+1) amplitudes in `protocol`, N+1 in `analytic`, 100 in
 # circuit.ico_probabilities (_POINT_AMPLITUDES) and 4 * BOOTSTRAP_RESAMPLES in cli.BOOTSTRAP_CHUNK.
 CHUNK_AMPLITUDES = 1 << 20
-
-SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
-
 
 def check_model(omega, coupling, n_list=(), times=()) -> None:
     """Raise ValueError naming the first value the model rejects: omega, lambda or
@@ -63,11 +60,6 @@ class ModelParams:
 
     def __post_init__(self):
         check_model(self.omega, self.coupling, [self.n_chargers])
-
-
-def battery_hamiltonian(omega: float) -> np.ndarray:
-    """Bare battery Hamiltonian (omega/2) sigma_z, eigenvalues -+ omega/2."""
-    return (omega / 2) * SIGMA_Z
 
 
 def _pair_entries(omega: float, coupling: float, t_l) -> tuple:

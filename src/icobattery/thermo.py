@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .model import ModelParams, battery_hamiltonian
+from .model import ModelParams
 from .protocol import ProtocolResult, run_ico_sweep
 
 
@@ -81,7 +81,7 @@ def report_grid(states: dict[str, np.ndarray], omega: float) -> dict[str, np.nda
     mixture's and pops_bar's populations less |g><g|'s.  The callers bound
     the rows (the CLI passes at most WRITE_BLOCK).  Raises ValueError at the
     first failing check of `report`, in that order."""
-    levels = battery_hamiltonian(omega).diagonal().real   # divided by omega: hbar*omega units
+    levels = np.array([-omega / 2, omega / 2])   # (E_g, E_e); divided by omega: hbar*omega units
     p1, rest_weight = states["p1"], states["rest_weight"]
     given_1, rest, bar = states["pops_given_1"], states["pops_rest"], states["pops_bar"]
     w_given_1, w_rest, w_bar = _ergotropies([given_1, rest, bar], levels)

@@ -4,7 +4,8 @@ The register is D (x) Q (x) C1..CN with D leftmost (most significant).  The
 switch-controlled unitary is built as a dense block-diagonal matrix of
 ordered products of embedded pair unitaries, so its size is N 2^(N+1); the
 library's excitation-sector engine (`icobattery.protocol`) is checked
-against it, and `pair_unitary`, the 4x4 unitary laid out from the library's
+against it, the levels `icobattery.thermo` uses against the 2x2
+`battery_hamiltonian`, and `pair_unitary`, the 4x4 unitary laid out from the library's
 `model._pair_entries` and the |gg> phase, against the exponential of
 `pair_hamiltonian`.  Its battery states are full 2x2 partial traces, whose
 coherences `run_ico` checks to vanish before it keeps their populations.
@@ -20,16 +21,22 @@ import numpy as np
 
 from icobattery import tolerances as tol
 from icobattery.analytic import _alpha_block
-from icobattery.model import SIGMA_Z, ModelParams, _pair_entries
+from icobattery.model import ModelParams, _pair_entries
 from icobattery.protocol import ProtocolResult
 from labeled_linalg import PAIR_LAYOUT, Layout, Operator, PureState, battery_charger_layout
 
 KET_G = np.array([1.0, 0.0], dtype=complex)
 KET_E = np.array([0.0, 1.0], dtype=complex)
-# sigma_x = |e><g| + |g><e|, sigma_y = -i|e><g| + i|g><e|
+# sigma_x = |e><g| + |g><e|, sigma_y = -i|e><g| + i|g><e|, sigma_z = |e><e| - |g><g|
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
+SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 IDENT_2 = np.eye(2, dtype=complex)
+
+
+def battery_hamiltonian(omega: float) -> np.ndarray:
+    """Bare battery Hamiltonian (omega/2) sigma_z, eigenvalues -+ omega/2."""
+    return (omega / 2) * SIGMA_Z
 
 
 def pair_hamiltonian(params: ModelParams) -> np.ndarray:

@@ -4,6 +4,7 @@ Each test checks one numbered claim at its stated tolerance and prints a
 single PASS/FAIL line (bypassing capture) so the verdicts are visible in the
 plain pytest log.  Shared grids are computed once per module.
 """
+import contextlib
 import time
 
 import numpy as np
@@ -214,7 +215,10 @@ def test_criterion_10_determinism(tmp_path, capsys):
         pair = []
         for tag in ("a", "b"):
             out = tmp_path / f"{cmd[0]}_{tag}.csv"
-            assert main(cmd + ["--out", str(out)]) == 0
+            # estimate_counts warns of the 3-shot resamples that miss a switch outcome
+            with (pytest.warns(UserWarning, match="no counts for switch outcome")
+                  if name == "3-shot noise-study" else contextlib.nullcontext()):
+                assert main(cmd + ["--out", str(out)]) == 0
             shots_file = out.with_name(out.stem + "_shots.csv")
             pair.append([path.read_bytes() for path in (out, shots_file) if path.exists()])
         same[name] = pair[0] == pair[1]

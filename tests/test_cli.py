@@ -1300,6 +1300,8 @@ def test_write_error_exits_2_naming_the_path(tmp_path, capsys, args, target):
     (["noise-study", "--n", "2", "--shots", "10", "--depol-p", "0.1", "--out", "{tmp}/n.csv"],
      "n_shots.csv"),
     (["export-circuits", "--n", "2", "--out", "{tmp}"], "ico_n2_t1.qasm"),
+    (["sweep", "--n", "2", "--engine", "analytic", "--out", "{tmp}/out.csv"], "out.csv"),
+    (["bursts", "--n", "2", "--engine", "analytic", "--out", "{tmp}/out.json"], "out.json"),
 ])
 def test_write_error_naming_no_file_exits_2_naming_the_path(tmp_path, capsys, args, target):
     # a link to /dev/full opens, and fails at write or close with an error that names

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icobattery.analytic import closed_form_sweep
-from icobattery.model import ModelParams, battery_hamiltonian
+from icobattery.model import ModelParams
 from icobattery.protocol import run_ico_sweep
 from icobattery.thermo import numeric_sweep
 
-from dense_reference import embed_pair, pair_hamiltonian, pair_unitary, switch_register_layout
+from dense_reference import (battery_hamiltonian, embed_pair, pair_hamiltonian, pair_unitary,
+                             switch_register_layout)
 from labeled_linalg import PAIR_LAYOUT, Operator, exp_neg_i, require_unitary, battery_charger_layout
 
 # index = 2q + c with g=0, e=1

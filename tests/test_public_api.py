@@ -20,10 +20,10 @@ def test_all_names_resolve():
 def test_public_names_are_the_grid_api_and_the_circuit_round_trip():
     assert sorted(icobattery.__all__) == sorted([
         "ClosedFormReport", "EnergyReport", "Gate", "ModelParams", "ProtocolResult",
-        "QuantumCircuit", "angles_of_time", "battery_hamiltonian", "build_ico_circuit",
-        "closed_form_report", "dco_zero_window", "emit_qasm", "parse_qasm",
-        "report", "report_grid", "run_ico", "run_ico_sweep"])
-    assert len(icobattery.__all__) == 17
+        "QuantumCircuit", "angles_of_time", "build_ico_circuit", "closed_form_report",
+        "dco_zero_window", "emit_qasm", "parse_qasm", "report", "report_grid", "run_ico",
+        "run_ico_sweep"])
+    assert len(icobattery.__all__) == 16
 
 
 def test_benchmark_check_imports_resolve():

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icobattery import thermo, tolerances
-from icobattery.model import ModelParams, battery_hamiltonian
+from icobattery.model import ModelParams
 from icobattery.protocol import run_ico, run_ico_sweep
 from icobattery.thermo import python_values, report, report_grid
 from conftest import mixture, random_density, sweep_results
+from dense_reference import battery_hamiltonian
 
 LEVELS_Q = battery_hamiltonian(1.0).diagonal().real  # (E_g, E_e) = (-1/2, 1/2)
 GROUND = np.array([1.0, 0.0])     # the populations (p_g, p_e) of |g> and |e>
@@ -336,16 +337,17 @@ def test_python_values_turn_nan_into_none_whatever_the_column():
 
 
 def test_shared_eigenvectors_are_what_eigh_returns_at_every_omega():
-    # report_grid reads populations in the basis |g>, |e> and takes the levels from H's
-    # diagonal, ascending wherever check_model accepts omega: eigh of H returns that basis
-    # bit for bit, and that diagonal as its eigenvalues (to the last bit that its scaling
-    # of tiny matrices rounds)
+    # report_grid reads populations in the basis |g>, |e> and takes the levels
+    # (-omega/2, omega/2), which are H's diagonal bit for bit and ascending wherever
+    # check_model accepts omega: eigh of H returns that basis bit for bit, and that
+    # diagonal as its eigenvalues (to the last bit that its scaling of tiny matrices rounds)
     omegas = np.concatenate([10.0 ** np.random.default_rng(5).uniform(-300, 300, 2000),
                              [5e-324, 1e-310, OMEGA_FLOOR, 1.0, 2.0, 1.7e308]])
     for om in omegas:
         h = battery_hamiltonian(om)
         values, vecs = np.linalg.eigh(h)
         levels = h.diagonal().real
+        assert levels.tobytes() == np.array([-om / 2, om / 2]).tobytes(), om
         assert vecs.tobytes() == np.eye(2, dtype=complex).tobytes(), om
         assert np.allclose(values, levels, rtol=4 * np.finfo(float).eps, atol=0.0), om
         assert levels[0] < levels[1] or om < OMEGA_FLOOR, om
